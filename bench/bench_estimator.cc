@@ -198,23 +198,19 @@ int RunScale(size_t rows, size_t threads, bool run_ipw) {
 // Dominant accumulation path during a bench pass, read from the public
 // estimation.accumulate_path_* counter deltas (no bench-private
 // instrumentation inside the engine).
-std::string DominantPath(const uint64_t before[3]) {
+std::string DominantPath(const uint64_t before[2]) {
   const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   const uint64_t d_int =
       reg.CounterValue("estimation.accumulate_path_int") - before[0];
   const uint64_t d_fp =
-      reg.CounterValue("estimation.accumulate_path_fp_staged") - before[1];
-  const uint64_t d_sparse =
-      reg.CounterValue("estimation.accumulate_path_sparse") - before[2];
-  if (d_int >= d_fp && d_int >= d_sparse && d_int > 0) return "int-fast";
-  if (d_fp >= d_sparse && d_fp > 0) return "fp-staged";
-  return "sparse";
+      reg.CounterValue("estimation.accumulate_path_sparse") - before[1];
+  return d_int >= d_fp && d_int > 0 ? "int-fast" : "fp";
 }
 
 // Batch-only per-ISA sweep (--json): the same treatment x group
 // evaluations through the batch engine under each supported SIMD tier,
 // on both a real-valued and an integer-valued outcome so the sweep
-// covers the fp-staged and exact int64 accumulation paths. One untimed
+// covers the FP and exact int64 accumulation paths. One untimed
 // warm-up pass per tier fills the engine/partition caches so tiers
 // compare kernel throughput, not cache luck.
 int RunSimdSweep(size_t rows, const std::string& json_path) {
@@ -270,9 +266,8 @@ int RunSimdSweep(size_t rows, const std::string& json_path) {
         simd::ScopedSimdLevel pin(level);
         for (int timed = 0; timed <= 1; ++timed) {
           const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-          const uint64_t path_before[3] = {
+          const uint64_t path_before[2] = {
               reg.CounterValue("estimation.accumulate_path_int"),
-              reg.CounterValue("estimation.accumulate_path_fp_staged"),
               reg.CounterValue("estimation.accumulate_path_sparse")};
           StopWatch watch;
           size_t evals = 0;

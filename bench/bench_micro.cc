@@ -292,35 +292,53 @@ int RunSimdKernelSweep(const std::string& json_path) {
     values[i] = val_dist(rng);
   }
   std::vector<uint64_t> mask_out(kWords);
-  // Accumulation inputs: dense group (every word full — the mining
-  // all-rows shape) and a half-density group; random treated/protected.
-  std::vector<uint64_t> group_dense(kWords, ~0ULL);
-  group_dense.back() >>= (64 - kBits % 64) % 64;
-  std::vector<uint64_t> group_sparse(kWords), treated(kWords), prot(kWords);
+  // Accumulation inputs, shaped like Step-2 mining: one outcome column
+  // (2% nulls, masked out by the valid-row bitmap) shared by kPartitions
+  // confounder partitions, each with its own 4 MB cell map. A call runs
+  // one pass per partition, so the working set (~40 MB) is not
+  // cache-resident, as it is not in the pipeline. Groups are random at
+  // each swept density; treated/protected bits are random.
+  constexpr size_t kPartitions = 8;
+  std::vector<uint64_t> treated(kWords), prot(kWords), valid(kWords, 0);
   for (size_t i = 0; i < kWords; ++i) {
-    group_sparse[i] = rng() & rng();
     treated[i] = rng();
     prot[i] = rng();
   }
-  std::vector<int32_t> cell_of_row(kBits);
   std::vector<double> outcome(kBits);
-  std::vector<int64_t> outcome_i64(kBits);
-  std::uniform_int_distribution<int32_t> cell_dist(-1, kCells - 1);
+  std::vector<double> outcome_int(kBits);
+  std::uniform_int_distribution<int32_t> cell_dist(0, kCells - 1);
   std::uniform_int_distribution<int64_t> int_dist(-50, 50);
+  std::bernoulli_distribution null_dist(0.02);
   for (size_t i = 0; i < kBits; ++i) {
-    cell_of_row[i] = cell_dist(rng);
-    outcome[i] = val_dist(rng);
-    outcome_i64[i] = int_dist(rng);
+    const bool is_null = null_dist(rng);
+    if (!is_null) valid[i / 64] |= uint64_t{1} << (i % 64);
+    outcome[i] = is_null ? std::nan("") : val_dist(rng);
+    outcome_int[i] =
+        is_null ? std::nan("") : static_cast<double>(int_dist(rng));
   }
-  // Stat arrays carry the two scratch slots the integer kernels' dense
-  // loop steers excluded rows into (simd.h, CateSink).
+  std::vector<std::vector<int32_t>> cells(kPartitions,
+                                          std::vector<int32_t>(kBits));
+  for (auto& cell_of_row : cells) {
+    for (size_t i = 0; i < kBits; ++i) {
+      const bool row_valid = ((valid[i / 64] >> (i % 64)) & 1) != 0;
+      cell_of_row[i] = row_valid ? cell_dist(rng) : -1;
+    }
+  }
+  const auto random_group = [&](double density) {
+    std::vector<uint64_t> group(kWords, 0);
+    std::bernoulli_distribution bit(density);
+    for (size_t i = 0; i < kBits; ++i) {
+      if (bit(rng)) group[i / 64] |= uint64_t{1} << (i % 64);
+    }
+    return group;
+  };
   struct Sink {
     size_t rows = 0, n_treated = 0, n_control = 0;
-    std::vector<uint32_t> n = std::vector<uint32_t>(2 * kCells + 2, 0);
-    std::vector<double> sy = std::vector<double>(2 * kCells + 2, 0.0);
-    std::vector<double> syy = std::vector<double>(2 * kCells + 2, 0.0);
-    std::vector<int64_t> isy = std::vector<int64_t>(2 * kCells + 2, 0);
-    std::vector<int64_t> isyy = std::vector<int64_t>(2 * kCells + 2, 0);
+    std::vector<uint32_t> n = std::vector<uint32_t>(2 * kCells, 0);
+    std::vector<double> sy = std::vector<double>(2 * kCells, 0.0);
+    std::vector<double> syy = std::vector<double>(2 * kCells, 0.0);
+    std::vector<int64_t> isy = std::vector<int64_t>(2 * kCells, 0);
+    std::vector<int64_t> isyy = std::vector<int64_t>(2 * kCells, 0);
     simd::CateSink View() {
       simd::CateSink s;
       s.rows = &rows;
@@ -334,6 +352,23 @@ int RunSimdKernelSweep(const std::string& json_path) {
       return s;
     }
   };
+  struct Density {
+    const char* tag;
+    double p;
+  };
+  const Density densities[] = {{"d10", 0.1}, {"d30", 0.3}, {"d60", 0.6},
+                               {"d100", 1.0}};
+  std::vector<std::vector<uint64_t>> groups;
+  std::vector<size_t> group_rows;
+  for (const Density& d : densities) {
+    groups.push_back(random_group(d.p));
+    size_t rows = 0;
+    for (size_t w = 0; w < kWords; ++w) {
+      rows += static_cast<size_t>(__builtin_popcountll(groups.back()[w] &
+                                                       valid[w]));
+    }
+    group_rows.push_back(rows * kPartitions);
+  }
 
   std::vector<KernelRecord> records;
   std::printf("simd kernel sweep: %zu bits, host max tier %s\n", kBits,
@@ -368,40 +403,40 @@ int RunSimdKernelSweep(const std::string& json_path) {
              k->mask_numeric_cmp(values.data(), kBits, simd::Cmp::kLe, 0.25,
                                  mask_out.data());
            }));
-    for (const bool dense : {true, false}) {
-      simd::CateAccumArgs args;
-      args.group_words = (dense ? group_dense : group_sparse).data();
-      args.treated_words = treated.data();
-      args.protected_words = prot.data();
-      args.cell_of_row = cell_of_row.data();
-      args.outcome = outcome.data();
-      args.word_begin = 0;
-      args.word_end = kWords;
-      args.num_slots = 2 * kCells;
-      Record(&records,
-             dense ? "cate_accumulate_dense" : "cate_accumulate_sparse",
-             level, kBits, TimeNsPerCall([&] {
-               Sink overall, p, np;
-               args.overall = overall.View();
-               args.prot = p.View();
-               args.nonprot = np.View();
-               k->cate_accumulate(args);
-               benchmark::DoNotOptimize(overall.rows);
-             }));
-      // The exact int64 fast path on the same masks with an
-      // integer-valued outcome; the guard never trips at this magnitude.
-      args.outcome_i64 = outcome_i64.data();
-      args.safe_rows = ~uint64_t{0};
-      Record(&records,
-             dense ? "cate_accumulate_int_dense" : "cate_accumulate_int_sparse",
-             level, kBits, TimeNsPerCall([&] {
-               Sink overall, p, np;
-               args.overall = overall.View();
-               args.prot = p.View();
-               args.nonprot = np.View();
-               benchmark::DoNotOptimize(k->cate_accumulate_int(args));
-               benchmark::DoNotOptimize(overall.rows);
-             }));
+    // One pass per partition per call; items = accumulated rows, so
+    // items_per_second reads as rows/s.
+    for (size_t d = 0; d < groups.size(); ++d) {
+      for (const bool int_path : {false, true}) {
+        simd::CateAccumArgs args;
+        args.group_words = groups[d].data();
+        args.treated_words = treated.data();
+        args.protected_words = prot.data();
+        args.valid_words = valid.data();
+        args.outcome = (int_path ? outcome_int : outcome).data();
+        args.word_begin = 0;
+        args.word_end = kWords;
+        args.num_slots = 2 * kCells;
+        // The guard never trips at this magnitude.
+        args.safe_rows = ~uint64_t{0};
+        const std::string name = std::string(int_path ? "cate_accumulate_int_"
+                                                      : "cate_accumulate_") +
+                                 densities[d].tag;
+        Record(&records, name, level, group_rows[d], TimeNsPerCall([&] {
+                 for (const auto& cell_of_row : cells) {
+                   Sink overall, p, np;
+                   args.cell_of_row = cell_of_row.data();
+                   args.overall = overall.View();
+                   args.prot = p.View();
+                   args.nonprot = np.View();
+                   if (int_path) {
+                     benchmark::DoNotOptimize(k->cate_accumulate_int(args));
+                   } else {
+                     k->cate_accumulate(args);
+                   }
+                   benchmark::DoNotOptimize(overall.rows);
+                 }
+               }));
+      }
     }
   }
 

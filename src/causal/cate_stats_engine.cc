@@ -11,6 +11,7 @@
 #include "causal/linear_model.h"
 #include "causal/logistic.h"
 #include "mining/shard_plan.h"
+#include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 #include "util/simd/simd.h"
@@ -112,13 +113,13 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
   std::shared_ptr<ConfounderPartition> part(new ConfounderPartition());
   const size_t n = df.num_rows();
   part->outcome_attr_ = outcome_attr;
-  // Fresh cell-numbering identity; ExtendFor inherits it via the copy.
+  // Fresh cell-numbering identity; ExtendInPlace keeps it.
   static std::atomic<uint64_t> next_lineage{1};
   part->lineage_id_ = next_lineage.fetch_add(1, std::memory_order_relaxed);
 
   // Per-confounder layout: design feature span (legacy enumeration order)
-  // and the radix base of the legacy stratum id. Persisted so ExtendFor
-  // can intern appended rows with the exact same signatures.
+  // and the radix base of the legacy stratum id. Persisted so
+  // ExtendInPlace can intern appended rows with the exact same signatures.
   part->confs_.reserve(adjustment.size());
   for (size_t attr : adjustment) {
     const Column& col = df.column(attr);
@@ -168,30 +169,13 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
   return part;
 }
 
-std::shared_ptr<const ConfounderPartition> ConfounderPartition::ExtendFor(
-    const ConfounderPartition& base, const DataFrame& df) {
-  if (df.num_rows() < base.rows_covered_) return nullptr;  // not an append
-  // Numeric confounders are never extendable: their quantile edges (and
-  // with them every row's bin signature) shift with the new rows.
-  if (!base.numeric_features_.empty()) return nullptr;
-  // A categorical confounder that gained categories changes the radix
-  // bases and the one-hot feature layout — cold rebuild required.
-  for (const ConfLayout& info : base.confs_) {
-    if (df.column(info.attr).num_categories() != info.num_categories) {
-      return nullptr;
-    }
-  }
-  // Copy-and-extend: holders of `base` keep a consistent snapshot. The
-  // default copy is sound here because numeric_value_ptrs_ (the only
-  // self-referential member) is empty on the extendable path.
-  std::shared_ptr<ConfounderPartition> part(new ConfounderPartition(base));
-  part->InternRows(df, base.rows_covered_);
-  return part;
-}
-
 bool ConfounderPartition::ExtendInPlace(const DataFrame& df) {
   if (df.num_rows() < rows_covered_) return false;  // not an append
+  // Numeric confounders are never extendable: their quantile edges (and
+  // with them every row's bin signature) shift with the new rows.
   if (!numeric_features_.empty()) return false;
+  // A categorical confounder that gained categories changes the radix
+  // bases and the one-hot feature layout — cold rebuild required.
   for (const ConfLayout& info : confs_) {
     if (df.column(info.attr).num_categories() != info.num_categories) {
       return false;
@@ -211,22 +195,20 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   // order a cold build over the concatenated table would discover them.
   const Column& outcome = df.column(outcome_attr_);
   // Reserve ~12.5% headroom past the current table whenever the per-row
-  // caches must grow: an append of up to that fraction then extends in
+  // cell map must grow: an append of up to that fraction then extends in
   // place with no O(N) reallocation copy — the same amortized-reserve
   // policy Column::AppendRow uses. (resize alone would also amortize via
   // capacity doubling, but doubling touches 2N fresh pages exactly on
   // the latency-sensitive first append.)
-  if (outcome_.capacity() < n) outcome_.reserve(n + n / 8);
   if (cell_of_row_.capacity() < n) cell_of_row_.reserve(n + n / 8);
-  outcome_.resize(n);
   cell_of_row_.resize(n, -1);
+  outcome_valid_.Resize(n);
   std::vector<int32_t> sig(confs_.size());
   std::string key;
   for (size_t r = row_begin; r < n; ++r) {
-    const bool outcome_null = outcome.IsNull(r);
-    outcome_[r] = outcome_null ? 0.0 : outcome.numeric(r);
     cell_of_row_[r] = -1;
-    if (outcome_null) continue;
+    if (outcome.IsNull(r)) continue;
+    outcome_valid_.Set(r);
     for (size_t a = 0; a < confs_.size(); ++a) {
       const ConfLayout& info = confs_[a];
       const Column& col = df.column(info.attr);
@@ -273,19 +255,19 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   // The 2^31 magnitude cap keeps y² inside int64; safe_int_rows_ bounds
   // how many rows any partial may absorb before |Σy| or Σy² could reach
   // 2^53, past which the double conversion (and the legacy FP sum itself)
-  // would stop being exact. Nulls sit at 0.0 in outcome_, which is
-  // integer, so scanning the whole cache is equivalent to scanning the
-  // non-null rows. On an extension only the delta rows are scanned: the
-  // persisted max_abs_y_ already covers [0, row_begin), and a base that
-  // was already non-integer stays so (exactly what a cold scan over the
-  // concatenated rows would conclude).
+  // would stop being exact. Only non-null rows are scanned (the kernels
+  // never read the others). On an extension only the delta rows are
+  // scanned: the persisted max_abs_y_ already covers [0, row_begin), and
+  // a base that was already non-integer stays so (exactly what a cold
+  // scan over the concatenated rows would conclude).
   if (row_begin == 0) {
     outcome_integer_ = true;
     max_abs_y_ = 0;
   }
   if (outcome_integer_) {
     for (size_t r = row_begin; r < n; ++r) {
-      const double v = outcome_[r];
+      if (!outcome_valid_.Get(r)) continue;
+      const double v = outcome.numeric(r);
       if (!(v >= -2147483647.0 && v <= 2147483647.0) ||
           static_cast<double>(static_cast<int64_t>(v)) != v) {
         outcome_integer_ = false;
@@ -296,11 +278,6 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
     }
   }
   if (outcome_integer_) {
-    if (outcome_i64_.capacity() < n) outcome_i64_.reserve(n + n / 8);
-    outcome_i64_.resize(n);
-    for (size_t r = row_begin; r < n; ++r) {
-      outcome_i64_[r] = static_cast<int64_t>(outcome_[r]);
-    }
     const int64_t max_mag = std::max(max_abs_y_, max_abs_y_ * max_abs_y_);
     safe_int_rows_ =
         max_mag > 0 ? ((uint64_t{1} << 53) - 1) / static_cast<uint64_t>(max_mag)
@@ -309,7 +286,6 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
     // A delta row with a fractional outcome demotes an integer base: the
     // engine's int64 path is off for the combined table, exactly as a
     // cold build would decide.
-    outcome_i64_.clear();
     safe_int_rows_ = 0;
   }
 
@@ -328,8 +304,7 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
             });
 
   size_t bytes = cell_of_row_.size() * sizeof(int32_t) +
-                 outcome_.size() * sizeof(double) +
-                 outcome_i64_.size() * sizeof(int64_t) +
+                 outcome_valid_.num_words() * sizeof(uint64_t) +
                  cells_by_stratum_.size() * sizeof(uint32_t);
   for (const auto& vals : numeric_values_) {
     bytes += vals.size() * sizeof(double);
@@ -366,11 +341,9 @@ size_t CateStatsEngine::bytes() const {
 CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
   Accum acc;
   const size_t slots = partition_->cells().size() * 2;
-  // Two write-only scratch slots past the real ones absorb the integer
-  // kernels' branchless excluded-row stores (simd.h, CateSink).
-  acc.n.assign(slots + 2, 0);
-  acc.sy.assign(slots + 2, 0.0);
-  acc.syy.assign(slots + 2, 0.0);
+  acc.n.assign(slots, 0);
+  acc.sy.assign(slots, 0.0);
+  acc.syy.assign(slots, 0.0);
   if (need_moments()) {
     const size_t m = partition_->num_numeric();
     acc.zsum.assign(slots * m, 0.0);
@@ -378,8 +351,8 @@ CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
     acc.zzsum.assign(slots * (m * (m + 1) / 2), 0.0);
   }
   if (int_path_enabled()) {
-    acc.isy.assign(slots + 2, 0);
-    acc.isyy.assign(slots + 2, 0);
+    acc.isy.assign(slots, 0);
+    acc.isyy.assign(slots, 0);
   }
   return acc;
 }
@@ -396,20 +369,24 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
                                       size_t word_begin, size_t word_end,
                                       Accum* overall, Accum* prot,
                                       Accum* nonprot) const {
-  // All three bitmaps are walked in lockstep over one word range; a
-  // mismatched universe (a shard-view bug) would otherwise read out of
-  // bounds of the shorter mask.
-  assert(group.size() == treated_->size());
-  assert(protected_mask == nullptr || protected_mask->size() == group.size());
-  assert(word_end <= group.num_words());
+  // All four bitmaps are walked in lockstep over one word range; a
+  // mismatched universe would read out of bounds of the shorter mask, so
+  // the sizes are checked in every build (once per pass, not per row).
+  const Bitmap& valid = partition_->outcome_valid();
+  FAIRCAP_CHECK(group.size() == treated_->size());
+  FAIRCAP_CHECK(valid.size() == group.size());
+  FAIRCAP_CHECK(protected_mask == nullptr ||
+                protected_mask->size() == group.size());
+  FAIRCAP_CHECK(word_end <= group.num_words());
 
-  // The treated mask drives the arm bit and the group (plus optional
-  // protected) masks the rows — three bitmaps walked word-at-a-time, 64
-  // rows per load, through the runtime-dispatched accumulation kernel.
-  // Integer-valued outcomes take the exact int64 path (associative, so
-  // tiers reassociate freely); real-valued outcomes keep every float add
-  // in the same ascending-row order per sink. Either way the result is
-  // bit-identical at every SIMD level.
+  // The group mask ANDed with the valid-row mask picks the rows, the
+  // treated mask drives the arm bit, and the optional protected mask the
+  // subgroup sink — 64 rows per word, through the runtime-dispatched
+  // accumulation kernel. The outcome is read straight from the table
+  // column, fetched here on every pass: an append may reallocate it.
+  // Integer-valued outcomes take the exact int64 path; real-valued ones
+  // keep every float add in ascending-row order per slot. Either way the
+  // result is bit-identical at every SIMD level.
   const auto sink_of = [](Accum* acc) {
     simd::CateSink sink;
     sink.rows = &acc->rows;
@@ -430,17 +407,15 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   args.treated_words = treated_->words();
   args.protected_words =
       protected_mask != nullptr ? protected_mask->words() : nullptr;
+  args.valid_words = valid.words();
   args.cell_of_row = partition_->cell_of_row().data();
-  args.outcome = partition_->outcome().data();
+  args.outcome = df_->column(partition_->outcome_attr()).numeric_data();
   args.num_numeric = partition_->num_numeric();
   args.moments = need_moments();
   args.zcols = args.moments ? partition_->numeric_value_ptrs() : nullptr;
   args.word_begin = word_begin;
   args.word_end = word_end;
   args.num_slots = partition_->cells().size() * 2;
-  size_t dense_words = 0, sparse_words = 0;
-  args.dense_words = &dense_words;
-  args.sparse_words = &sparse_words;
   args.overall = sink_of(overall);
   if (protected_mask != nullptr) {
     args.prot = sink_of(prot);
@@ -451,7 +426,6 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   const size_t rows_before = overall->rows;
   bool stayed_int = false;
   if (int_path) {
-    args.outcome_i64 = partition_->outcome_i64().data();
     args.safe_rows = partition_->safe_int_rows();
     stayed_int = simd::ActiveKernels().cate_accumulate_int(args);
     overall->int_valid = stayed_int;
@@ -478,15 +452,12 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
         registry.GetCounter("estimation.accumulate_int_fallbacks");
     fallbacks.Increment();
   }
-  if (dense_words >= sparse_words && dense_words > 0) {
-    static obs::Counter& staged_passes =
-        registry.GetCounter("estimation.accumulate_path_fp_staged");
-    staged_passes.Increment();
-  } else {
-    static obs::Counter& sparse_passes =
-        registry.GetCounter("estimation.accumulate_path_sparse");
-    sparse_passes.Increment();
-  }
+  // Every pass that ends on the FP loop counts as a sparse pass. The
+  // staged dense-word path is retired: estimation.accumulate_path_fp_staged
+  // stays in the run-report schema and always reads 0.
+  static obs::Counter& sparse_passes =
+      registry.GetCounter("estimation.accumulate_path_sparse");
+  sparse_passes.Increment();
 }
 
 Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,
@@ -744,7 +715,8 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
   (void)min_group_size;  // overlap already checked on the accumulated counts
   const auto& cells = partition_->cells();
   const int32_t* cell_of_row = partition_->cell_of_row().data();
-  const double* y = partition_->outcome().data();
+  const uint64_t* vw = partition_->outcome_valid().words();
+  const double* y = df_->column(partition_->outcome_attr()).numeric_data();
   const size_t m = partition_->num_numeric();
   const auto& nf = partition_->numeric_features();
   const size_t p = 1 + partition_->features().size();
@@ -759,7 +731,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
       slice.protected_mask != nullptr ? slice.protected_mask->words() : nullptr;
   const size_t num_words = slice.group->num_words();
   for (size_t w = 0; w < num_words; ++w) {
-    uint64_t bits = gw[w];
+    uint64_t bits = gw[w] & vw[w];
     if (pw != nullptr) bits &= slice.protected_member ? pw[w] : ~pw[w];
     if (bits == 0) continue;
     const uint64_t tword = tw[w];
@@ -768,7 +740,6 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
       bits &= bits - 1;
       const size_t r = w * 64 + static_cast<size_t>(b);
       const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
       const size_t base = design.size();
       design.resize(base + p, 0.0);
       design[base] = 1.0;
@@ -974,24 +945,14 @@ void CateStatsEngine::MergeSubgroupAccums(SubgroupAccums* into,
 void CateStatsEngine::GrowAccum(Accum* acc) const {
   // A cached accum may predate cells the delta interned: grow it to the
   // current slot count. New cells append at the end, so resident slot
-  // indices are unchanged — but the two kernel scratch slots sat at the
-  // OLD end, which is now inside the real slot range, so their garbage
-  // must be zeroed (they are write-only and never merged or solved).
+  // indices are unchanged and the new slots start at zero.
   const size_t slots = partition_->cells().size() * 2;
-  if (acc->n.empty() || acc->n.size() >= slots + 2) return;
-  const size_t old_slots = acc->n.size() - 2;
-  const auto grow_sinked = [&](auto& v) {
-    if (v.empty()) return;
-    v.resize(slots + 2, 0);
-    v[old_slots] = 0;
-    v[old_slots + 1] = 0;
-  };
-  grow_sinked(acc->n);
-  grow_sinked(acc->sy);
-  grow_sinked(acc->syy);
-  grow_sinked(acc->isy);
-  grow_sinked(acc->isyy);
-  // Moment blocks have no scratch slots; the per-slot layout appends.
+  if (acc->n.empty() || acc->n.size() >= slots) return;
+  acc->n.resize(slots, 0);
+  acc->sy.resize(slots, 0.0);
+  acc->syy.resize(slots, 0.0);
+  if (!acc->isy.empty()) acc->isy.resize(slots, 0);
+  if (!acc->isyy.empty()) acc->isyy.resize(slots, 0);
   const size_t m = partition_->num_numeric();
   if (!acc->zsum.empty()) acc->zsum.resize(slots * m, 0.0);
   if (!acc->zysum.empty()) acc->zysum.resize(slots * m, 0.0);

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "causal/estimator.h"
+#include "dataframe/bitmap.h"
 #include "dataframe/dataframe.h"
 #include "util/result.h"
 
@@ -93,30 +94,20 @@ class ConfounderPartition {
       const DataFrame& df, size_t outcome_attr,
       const std::vector<size_t>& adjustment, const CateOptions& options);
 
-  /// Copy-extends `base` (built over a prefix of `df`'s rows) to cover all
-  /// of `df` after an append, producing exactly the partition Build would
-  /// return over the concatenated table: delta rows are interned into the
-  /// same cell table (new cells appended in first-appearance order, the
-  /// order a cold build would discover them), the outcome caches grow, and
-  /// the integer-outcome status / overflow budget are re-derived from the
-  /// combined value range. Returns nullptr when the partition is NOT
-  /// extendable and must be rebuilt cold: any numeric confounder (its
-  /// quantile edges shift with the new rows) or a categorical confounder
-  /// that gained categories (the radix bases and one-hot feature layout
-  /// change). `base` itself is never mutated — holders of the old
-  /// partition keep a consistent snapshot.
-  static std::shared_ptr<const ConfounderPartition> ExtendFor(
-      const ConfounderPartition& base, const DataFrame& df);
-
-  /// Copy-free variant of ExtendFor for the quiescent append path:
-  /// interns rows [rows_covered(), df.num_rows()) into this partition
-  /// directly. Returns false — leaving the partition untouched — under
-  /// the same non-extendable conditions as ExtendFor. Every holder of
-  /// the partition observes the extension, so the caller must guarantee
-  /// no estimation queries are in flight (the IncrementalSession::Append
-  /// contract). This is what keeps a 1% append at delta cost: ExtendFor
-  /// pays an O(N) copy of the per-row arrays per adjustment set before
-  /// interning a single delta row.
+  /// Extends this partition (built over a prefix of `df`'s rows) in place
+  /// to cover all of `df` after an append, producing exactly the
+  /// partition Build would return over the concatenated table: rows
+  /// [rows_covered(), df.num_rows()) are interned into the same cell
+  /// table (new cells appended in first-appearance order, the order a
+  /// cold build would discover them), the valid-row bitmap grows, and the
+  /// integer-outcome status / overflow budget are re-derived from the
+  /// combined value range. Returns false — leaving the partition
+  /// untouched — when it is NOT extendable and must be rebuilt cold: any
+  /// numeric confounder (its quantile edges shift with the new rows) or a
+  /// categorical confounder that gained categories (the radix bases and
+  /// one-hot feature layout change). Every holder of the partition
+  /// observes the extension, so the caller must guarantee no estimation
+  /// queries are in flight (the IncrementalSession::Append contract).
   bool ExtendInPlace(const DataFrame& df);
 
   const std::vector<Feature>& features() const { return features_; }
@@ -129,19 +120,23 @@ class ConfounderPartition {
   /// Cell index per row; -1 where the outcome is null (row excluded from
   /// every estimator).
   const std::vector<int32_t>& cell_of_row() const { return cell_of_row_; }
+  /// Rows whose outcome is non-null — exactly the rows with a cell. The
+  /// accumulation kernels AND it into the group mask word by word, so
+  /// excluded rows never reach the row loop.
+  const Bitmap& outcome_valid() const { return outcome_valid_; }
+  /// The table column this partition reads outcomes from. The partition
+  /// keeps no copy of it: estimation passes read the column itself.
+  size_t outcome_attr() const { return outcome_attr_; }
   const std::vector<Cell>& cells() const { return cells_; }
   /// Cells with stratum_id >= 0, ascending by stratum_id — the iteration
   /// order of the legacy stratified combine (a std::map over ids).
   const std::vector<uint32_t>& cells_by_stratum() const {
     return cells_by_stratum_;
   }
-  /// Outcome value per row (unspecified where null).
-  const std::vector<double>& outcome() const { return outcome_; }
-  /// True iff every outcome value is integer-valued with |y| <= 2^31 - 1
-  /// — the precondition of the engine's exact int64 accumulation path.
+  /// True iff every non-null outcome value is integer-valued with
+  /// |y| <= 2^31 - 1 — the precondition of the engine's exact int64
+  /// accumulation path (which converts each value in register).
   bool outcome_is_integer() const { return outcome_integer_; }
-  /// Integer outcome cache (nulls as 0); empty unless outcome_is_integer.
-  const std::vector<int64_t>& outcome_i64() const { return outcome_i64_; }
   /// Overflow guard for the integer path: the largest row count for which
   /// every per-slot partial |Σy| and Σy² stays below 2^53 given this
   /// column's max |y| — below it the int64 totals, their double
@@ -163,16 +158,16 @@ class ConfounderPartition {
   size_t bytes() const { return bytes_; }
 
   /// Rows of the source table this partition covers (its num_rows at
-  /// Build/ExtendFor time). After an append the table outgrows this and
-  /// the partition is stale until extended or rebuilt.
+  /// Build/ExtendInPlace time). After an append the table outgrows this
+  /// and the partition is stale until extended or rebuilt.
   size_t rows_covered() const { return rows_covered_; }
 
   /// Identity of this partition's cell numbering: fresh per Build, kept
-  /// by ExtendFor. Two partitions with the same lineage assign identical
-  /// cell ids to their common row prefix, so sufficient statistics
-  /// accumulated against the older one merge soundly with deltas
-  /// accumulated against the newer (core/incremental.h relies on this; a
-  /// cold rebuild gets a new lineage and invalidates such caches).
+  /// by ExtendInPlace. Cell ids of the rows covered before an extension
+  /// never change, so sufficient statistics accumulated before it merge
+  /// soundly with deltas accumulated after (core/incremental.h relies on
+  /// this; a cold rebuild gets a new lineage and invalidates such
+  /// caches).
   uint64_t lineage_id() const { return lineage_id_; }
 
  private:
@@ -193,8 +188,8 @@ class ConfounderPartition {
     std::vector<double> edges;  ///< numeric confounders only
   };
 
-  /// Shared tail of Build and ExtendFor: interns rows [row_begin, n) into
-  /// the cell table and outcome caches, then re-derives the sorted
+  /// Shared tail of Build and ExtendInPlace: interns rows [row_begin, n)
+  /// into the cell table and valid-row bitmap, then re-derives the sorted
   /// stratum order, integer-outcome budget, and byte accounting. The
   /// feature layout (confs_), numeric caches, and rows [0, row_begin)
   /// must already be in place.
@@ -203,19 +198,18 @@ class ConfounderPartition {
   std::vector<Feature> features_;
   std::vector<uint32_t> numeric_features_;
   std::vector<int32_t> cell_of_row_;
+  Bitmap outcome_valid_;
   std::vector<Cell> cells_;
   std::vector<uint32_t> cells_by_stratum_;
-  std::vector<double> outcome_;
   bool outcome_integer_ = false;
-  std::vector<int64_t> outcome_i64_;
   uint64_t safe_int_rows_ = 0;
   std::vector<std::vector<double>> numeric_values_;
   std::vector<const double*> numeric_value_ptrs_;
   size_t bytes_ = 0;
 
-  // Build-time inputs and intern state persisted so ExtendFor can resume
-  // the interning where Build stopped (same radix bases, same map) and
-  // verify extendability against the post-append table.
+  // Build-time inputs and intern state persisted so ExtendInPlace can
+  // resume the interning where Build stopped (same radix bases, same map)
+  // and verify extendability against the post-append table.
   size_t outcome_attr_ = 0;
   std::vector<ConfLayout> confs_;
   /// Joint-signature -> cell index intern map (lookup/insert only — never
@@ -284,22 +278,20 @@ class CateStatsEngine {
   /// Per-subgroup sufficient statistics, indexed cell-major with two arms
   /// (idx = 2*cell + arm; arm 1 = treated). Numeric moment blocks are
   /// allocated only for the regression method with numeric confounders.
-  /// The stat arrays carry two scratch slots past 2C that the integer
-  /// kernels' branchless dense loop steers excluded rows into; solvers
-  /// and merges never read them. Public so the incremental-mining layer
-  /// can cache accumulated stats across appends and merge deltas in
-  /// (core/incremental.h); treat as opaque outside this class.
+  /// Public so the incremental-mining layer can cache accumulated stats
+  /// across appends and merge deltas in (core/incremental.h); treat as
+  /// opaque outside this class.
   struct Accum {
     size_t rows = 0;  ///< subgroup rows with non-null outcome
     size_t n_treated = 0;
     size_t n_control = 0;
-    std::vector<uint32_t> n;    ///< [2C + 2]
-    std::vector<double> sy;     ///< [2C + 2]
-    std::vector<double> syy;    ///< [2C + 2]
+    std::vector<uint32_t> n;    ///< [2C]
+    std::vector<double> sy;     ///< [2C]
+    std::vector<double> syy;    ///< [2C]
     std::vector<double> zsum;   ///< [2C * m]   Σ z_j
     std::vector<double> zysum;  ///< [2C * m]   Σ z_j y
     std::vector<double> zzsum;  ///< [2C * mm]  Σ z_i z_j, upper-tri packed
-    /// Int64 staging for the exact fast path, [2C + 2]; allocated only
+    /// Int64 staging for the exact fast path, [2C]; allocated only
     /// when the engine enables it. int_valid marks isy/isyy (not sy/syy)
     /// as the authoritative outcome sums — cleared when the overflow
     /// guard flushed them into the FP arrays mid-range.
@@ -395,7 +387,8 @@ class CateStatsEngine {
   void MergeAccum(Accum* into, const Accum& from) const;
 
   /// Resize an accum that predates delta-interned cells up to the current
-  /// partition slot count, zeroing the relocated kernel scratch slots.
+  /// partition slot count (new cells append, so resident slots keep
+  /// their indices).
   void GrowAccum(Accum* acc) const;
 
   /// Converts an int-valid accum's outcome sums into its FP arrays (an

@@ -7,6 +7,7 @@
 #include "causal/backdoor.h"
 #include "causal/cate_stats_engine.h"
 #include "causal/linear_model.h"
+#include "mining/shard_plan.h"
 #include "util/logging.h"
 #include "util/obs/metrics.h"
 
@@ -555,6 +556,24 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
     const Bitmap* protected_mask, size_t min_subgroup_size,
     bool skip_subgroups_unless_positive, const ShardPlan* plan,
     TaskGroup* tasks) const {
+  // The engine walks every mask in lockstep over the table's words; a
+  // mask over a different row count would be read out of bounds.
+  const size_t num_rows = df_->num_rows();
+  if (group.size() != num_rows) {
+    return Status::InvalidArgument(
+        "group bitmap has " + std::to_string(group.size()) +
+        " rows; the table has " + std::to_string(num_rows));
+  }
+  if (protected_mask != nullptr && protected_mask->size() != num_rows) {
+    return Status::InvalidArgument(
+        "protected bitmap has " + std::to_string(protected_mask->size()) +
+        " rows; the table has " + std::to_string(num_rows));
+  }
+  if (plan != nullptr && plan->num_rows() != num_rows) {
+    return Status::InvalidArgument(
+        "shard plan covers " + std::to_string(plan->num_rows()) +
+        " rows; the table has " + std::to_string(num_rows));
+  }
   static obs::Counter& batch_evals =
       obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
   batch_evals.Increment();
@@ -600,9 +619,9 @@ CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {
   // Extend each live partition once — it is shared by every engine over
   // the same adjustment set, so the delta-intern cost is paid per
   // adjustment key, not per treatment. Extension happens in place: the
-  // session Append contract guarantees no queries are in flight, and the
-  // ExtendFor copy (O(N) per-row arrays per adjustment set) was the
-  // dominant cost of a small append at scale.
+  // session Append contract guarantees no queries are in flight, and a
+  // copy (O(N) per-row arrays per adjustment set) would dominate the cost
+  // of a small append at scale.
   std::unordered_map<const ConfounderPartition*,
                      std::shared_ptr<const ConfounderPartition>>
       extended;

@@ -126,8 +126,10 @@ class CateEstimator {
   /// `min_subgroup_size` floors the two subgroup estimates (0 = the
   /// configured min_group_size). With `skip_subgroups_unless_positive`
   /// the subgroup systems are solved only when the overall CATE came out
-  /// positive (the lattice prunes on the overall sign). The legacy
-  /// Estimate() path is kept verbatim as the pinning oracle.
+  /// positive (the lattice prunes on the overall sign). Returns
+  /// InvalidArgument when `group` or `protected_mask` does not span
+  /// exactly the table's rows. The legacy Estimate() path is kept
+  /// verbatim as the pinning oracle.
   Result<CateSubgroupEstimates> EstimateSubgroups(
       const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
@@ -140,7 +142,8 @@ class CateEstimator {
   /// task on the same scheduler — Wait() helps instead of blocking.
   /// Null `plan`/`tasks` (or a single-shard plan) is exactly the
   /// unsharded batch path. `tasks` must be quiescent: the call uses it
-  /// as its completion barrier.
+  /// as its completion barrier. A `plan` over a different row count is
+  /// InvalidArgument, like a mismatched bitmap.
   Result<CateSubgroupEstimates> EstimateSubgroups(
       const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size,
@@ -171,9 +174,9 @@ class CateEstimator {
   /// Brings the cached state current after rows were appended to the
   /// table (DataFrame::AppendFrame). Per-row stratum ids are dropped
   /// (cheap to rebuild); adjustment sets are kept (schema/DAG-only).
-  /// Every live confounder partition is copy-extended over the delta
+  /// Every live confounder partition is extended in place over the delta
   /// rows where possible (purely categorical confounders with no new
-  /// categories — see ConfounderPartition::ExtendFor) and each cached
+  /// categories — see ConfounderPartition::ExtendInPlace) and each cached
   /// engine is re-pointed at the extended partition and the lazily
   /// extended treated mask; engines whose partition could not be
   /// extended are evicted and rebuilt cold on next use. Must not run

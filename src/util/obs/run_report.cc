@@ -41,6 +41,8 @@ constexpr const char* kStandardCounters[] = {
     "estimation.solve_ipw_cells",
     "estimation.solve_ipw_rows",
     "estimation.accumulate_path_int",
+    // Retired with the staged dense-word kernels; always 0, kept so the
+    // schema floor (and readers keyed on it) stay stable.
     "estimation.accumulate_path_fp_staged",
     "estimation.accumulate_path_sparse",
     "estimation.accumulate_int_fallbacks",

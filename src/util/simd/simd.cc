@@ -27,14 +27,6 @@ const Kernels* GetAvx512Kernels();  // simd_avx512.cc
 
 namespace {
 
-void ScalarCateAccumulateKernel(const CateAccumArgs& args) {
-  core::ScalarCateAccumulate(args);
-}
-
-bool ScalarCateAccumulateIntKernel(const CateAccumArgs& args) {
-  return core::ScalarCateAccumulateInt(args);
-}
-
 const Kernels kScalarKernels = {
     core::ScalarPopcount,
     core::ScalarAndCount,
@@ -45,8 +37,8 @@ const Kernels kScalarKernels = {
     core::ScalarMaskCodesEq,
     core::ScalarMaskCodesNe,
     core::ScalarMaskNumericCmp,
-    ScalarCateAccumulateKernel,
-    ScalarCateAccumulateIntKernel,
+    core::CateAccumulate,
+    core::CateAccumulateInt,
 };
 
 SimdLevel DetectMaxLevel() {

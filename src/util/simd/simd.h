@@ -88,31 +88,35 @@ struct CateSink {
   size_t* rows = nullptr;       ///< subgroup rows with non-null outcome
   size_t* n_treated = nullptr;
   size_t* n_control = nullptr;
-  uint32_t* n = nullptr;        ///< [2C + 2] (two scratch slots, see below)
-  double* sy = nullptr;         ///< [2C + 2]
-  double* syy = nullptr;        ///< [2C + 2]
+  uint32_t* n = nullptr;        ///< [2C]
+  double* sy = nullptr;         ///< [2C]
+  double* syy = nullptr;        ///< [2C]
   double* zsum = nullptr;       ///< [2C * m]
   double* zysum = nullptr;      ///< [2C * m]
   double* zzsum = nullptr;      ///< [2C * m(m+1)/2], upper-tri packed
-  /// Integer staging arrays for the exact int64 fast path, [2C + 2]; null
-  /// unless the caller enables cate_accumulate_int. The two slots past
-  /// num_slots are write-only scratch the branchless dense loop steers
-  /// excluded rows into (so the loop carries no per-row validity branch);
-  /// they are never read back.
+  /// Integer staging arrays for the exact int64 fast path, [2C]; null
+  /// unless the caller enables cate_accumulate_int.
   int64_t* isy = nullptr;
   int64_t* isyy = nullptr;
 };
 
-/// Inputs of the fused accumulation pass: three bitmaps walked in
-/// lockstep over one word range, the row->cell map, the outcome cache
-/// line, and (for the regression-with-numeric-confounders case) the
-/// cached numeric confounder columns.
+/// Inputs of the fused accumulation pass: four bitmaps walked in lockstep
+/// over one word range, the row->cell map, the table's outcome column,
+/// and (for the regression-with-numeric-confounders case) the cached
+/// numeric confounder columns. A row is accumulated iff its group bit and
+/// its valid bit are both set.
 struct CateAccumArgs {
   const uint64_t* group_words = nullptr;
   const uint64_t* treated_words = nullptr;
   /// Null: no protected split (prot/nonprot sinks unused).
   const uint64_t* protected_words = nullptr;
-  const int32_t* cell_of_row = nullptr;  ///< -1 = excluded row
+  /// Rows whose outcome is non-null; every other row is masked out word
+  /// by word, so the row loop never tests a row for exclusion.
+  const uint64_t* valid_words = nullptr;
+  /// Cell per row; only read at valid rows, where it is >= 0.
+  const int32_t* cell_of_row = nullptr;
+  /// The outcome column itself (NaN at null rows, which are never read).
+  /// The integer path converts each value to int64 in register.
   const double* outcome = nullptr;
   /// Numeric confounder columns, [num_numeric] pointers; null when
   /// moments is false.
@@ -121,23 +125,14 @@ struct CateAccumArgs {
   bool moments = false;
   size_t word_begin = 0;
   size_t word_end = 0;
-  /// Number of real (cell, arm) slots = 2 * num_cells. Sink stat arrays
-  /// are allocated with two extra scratch slots past this count.
+  /// Number of (cell, arm) slots = 2 * num_cells.
   size_t num_slots = 0;
-  /// Integer outcome cache (nulls stored as 0, excluded via cell_of_row);
-  /// non-null iff the outcome column is integer-valued. Consumed only by
-  /// cate_accumulate_int.
-  const int64_t* outcome_i64 = nullptr;
   /// Overflow guard for the integer path: the largest row count for which
   /// every per-slot partial |Σy| and Σy² provably stays below 2^53 (so
   /// both the int64 totals and the legacy FP partial sums are exact).
   /// cate_accumulate_int falls back to the FP path once a word would
   /// cross this budget.
   uint64_t safe_rows = 0;
-  /// Optional pass statistics (word mix served), for the obs path
-  /// breakdown. Incremented, not reset, by the kernels when non-null.
-  size_t* dense_words = nullptr;
-  size_t* sparse_words = nullptr;
   CateSink overall;
   CateSink prot;
   CateSink nonprot;
@@ -170,16 +165,17 @@ struct Kernels {
   void (*mask_numeric_cmp)(const double* values, size_t n, Cmp op, double rhs,
                            uint64_t* out);
   /// The fused CateStatsEngine accumulation pass over one word range:
-  /// group/treated(/protected) bitmaps in lockstep, per-(cell, arm)
+  /// group/valid/treated(/protected) bitmaps in lockstep, per-(cell, arm)
   /// {n, Σy, Σy²} (+ numeric moments) into the overall sink and, when
   /// splitting, the protected-or-nonprotected sink — each bitmap word and
-  /// outcome cache line touched once. Integer stats are exact; float adds
-  /// run in ascending row order with the scalar loop's associations.
+  /// outcome cache line touched once. Row counts come from per-word
+  /// popcounts; float adds run in ascending row order with the scalar
+  /// loop's associations.
   void (*cate_accumulate)(const CateAccumArgs& args);
   /// The exact integer fast path: same pass as cate_accumulate but
-  /// accumulating {n, Σy, Σy²} in int64 (args.outcome_i64), where integer
-  /// addition is associative so vector tiers are free to reassociate and
-  /// run branchless full-width dense-word loops. Requires !args.moments.
+  /// accumulating {Σy, Σy²} in int64 (each outcome converted in register;
+  /// the caller guarantees integer values with |y| <= 2^31 - 1), where
+  /// addition is exact and so order-free. Requires !args.moments.
   /// Returns true when the whole range completed on the integer path (the
   /// isy/isyy arrays are authoritative); returns false when the
   /// args.safe_rows overflow guard tripped — the integer partials were

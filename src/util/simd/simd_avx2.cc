@@ -7,11 +7,9 @@
 // sixteen 256-bit blocks per iteration, one vector popcount per sixteen
 // loads instead of one per word. The compare-scan kernels turn vector
 // compare masks straight into bitmap words (8 int32 / 4 double lanes per
-// movemask). The FP accumulation kernel prepares (cell, arm) lanes with
-// vector loads on dense words and stages each word's rows into per-sink
-// buffers replayed in ascending row order (simd_kernels_core.h explains
-// why each slot's add sequence must stay the scalar one); the integer
-// kernel is exact, so its dense-word loop runs branchless at full width.
+// movemask). The accumulation kernels are the shared row loop of
+// simd_kernels_core.h, compiled here with -mavx2 (that header explains
+// why each slot's add sequence must stay the scalar one).
 
 #include <immintrin.h>
 
@@ -264,167 +262,6 @@ void Avx2MaskNumericCmp(const double* values, size_t n, Cmp op, double rhs,
   }
 }
 
-// ---------------------------------------------------------------------
-// Accumulation: dense-word lane preparation.
-//
-// On a full group word all 64 rows participate, so the cell ids load as
-// contiguous 8-lane vectors (no per-row ctz chain) and idx = 2*cell+arm,
-// row validity (cell >= 0), and the arm/protected bits all compute eight
-// lanes at a time into stack buffers. The FP path then stages the word
-// into per-sink buffers and flushes each sink in ascending row order
-// (core::StagedDenseWord) — bit-identical sums, one tight loop per sink
-// instead of a per-row sink-select branch. The integer path steers every
-// row branchlessly into its slot (core::IntDenseWord).
-
-struct DenseLanes {
-  int32_t idx[64];     // 2*cell + arm (garbage where invalid)
-  uint64_t valid;      // bit i: cell_of_row >= 0
-};
-
-inline void PrepareDenseLanes(const int32_t* cells, uint64_t tword,
-                              DenseLanes* lanes) {
-  const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i one = _mm256_set1_epi32(1);
-  uint64_t valid = 0;
-  for (int g = 0; g < 8; ++g) {
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cells + g * 8));
-    // Arm bit per lane: ((tword >> (8g + lane)) & 1).
-    const __m256i tbyte =
-        _mm256_set1_epi32(static_cast<int32_t>((tword >> (g * 8)) & 0xff));
-    const __m256i arm =
-        _mm256_and_si256(_mm256_srlv_epi32(tbyte, lane_ids), one);
-    const __m256i idx =
-        _mm256_add_epi32(_mm256_add_epi32(c, c), arm);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes->idx + g * 8), idx);
-    // cell >= 0  ==  NOT(cell < 0); movemask of the sign bits.
-    const uint32_t neg = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(c)));
-    valid |= static_cast<uint64_t>(~neg & 0xffu) << (g * 8);
-  }
-  lanes->valid = valid;
-}
-
-template <bool kSplit, bool kMoments>
-void Avx2CateAccumulateImpl(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  core::SinkCounters overall, prot, nonprot;
-  DenseLanes lanes;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    if (bits == ~0ULL) {
-      if (args.dense_words != nullptr) ++*args.dense_words;
-      const size_t base = w * 64;
-      PrepareDenseLanes(cell_of_row + base, tword, &lanes);
-      core::StagedDenseWord<kSplit, kMoments>(args, base, lanes.idx,
-                                              lanes.valid, tword, pword,
-                                              &overall, &prot, &nonprot);
-      continue;
-    }
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      core::AddRow<kSplit, kMoments>(args, r, c, arm, prot_bit, &overall,
-                                     &prot, &nonprot);
-    }
-  }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-}
-
-void Avx2CateAccumulate(const CateAccumArgs& args) {
-  const bool split = args.protected_words != nullptr;
-  if (split) {
-    if (args.moments) {
-      Avx2CateAccumulateImpl<true, true>(args);
-    } else {
-      Avx2CateAccumulateImpl<true, false>(args);
-    }
-  } else {
-    if (args.moments) {
-      Avx2CateAccumulateImpl<false, true>(args);
-    } else {
-      Avx2CateAccumulateImpl<false, false>(args);
-    }
-  }
-}
-
-template <bool kSplit>
-bool Avx2CateAccumulateIntImpl(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  core::SinkCounters overall, prot, nonprot;
-  DenseLanes lanes;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    if (overall.rows + 64 > args.safe_rows) {
-      overall.FlushTo(args.overall);
-      if (kSplit) {
-        prot.FlushTo(args.prot);
-        nonprot.FlushTo(args.nonprot);
-      }
-      core::FlushIntToFp(args, kSplit);
-      CateAccumArgs rest = args;
-      rest.word_begin = w;
-      Avx2CateAccumulateImpl<kSplit, false>(rest);
-      return false;
-    }
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    if (bits == ~0ULL) {
-      if (args.dense_words != nullptr) ++*args.dense_words;
-      const size_t base = w * 64;
-      PrepareDenseLanes(cell_of_row + base, tword, &lanes);
-      core::IntDenseWord<kSplit>(args, base, lanes.idx, lanes.valid, tword,
-                                 pword, &overall, &prot, &nonprot);
-      continue;
-    }
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      core::AddRowInt<kSplit>(args, r, c, arm, prot_bit, &overall, &prot,
-                              &nonprot);
-    }
-  }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-  return true;
-}
-
-bool Avx2CateAccumulateInt(const CateAccumArgs& args) {
-  if (args.protected_words != nullptr) {
-    return Avx2CateAccumulateIntImpl<true>(args);
-  }
-  return Avx2CateAccumulateIntImpl<false>(args);
-}
-
 const Kernels kAvx2Kernels = {
     Avx2Popcount,
     Avx2AndCount,
@@ -435,8 +272,8 @@ const Kernels kAvx2Kernels = {
     Avx2MaskCodesEq,
     Avx2MaskCodesNe,
     Avx2MaskNumericCmp,
-    Avx2CateAccumulate,
-    Avx2CateAccumulateInt,
+    core::CateAccumulate,
+    core::CateAccumulateInt,
 };
 
 }  // namespace

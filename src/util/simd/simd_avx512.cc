@@ -7,9 +7,8 @@
 // needed, one vpopcntq + vpaddq per 512-bit block. The compare-scan
 // kernels use the native compare-to-mask instructions (16 int32 lanes or
 // 8 double lanes fold straight into bitmap word fragments, no movemask
-// shuffle). The accumulation kernel prepares (cell, arm) lanes sixteen
-// at a time on dense words; the statistic adds run through the shared
-// scalar core in ascending row order — see simd_kernels_core.h.
+// shuffle). The accumulation kernel is the shared row loop of
+// simd_kernels_core.h, compiled here with the AVX-512 flags.
 
 #include <immintrin.h>
 
@@ -186,155 +185,6 @@ void Avx512MaskNumericCmp(const double* values, size_t n, Cmp op, double rhs,
   }
 }
 
-// Dense-word lane preparation, sixteen rows per vector op; same contract
-// as the AVX2 tier (see simd_avx2.cc), adds stay scalar and row-ordered.
-
-struct DenseLanes {
-  int32_t idx[64];
-  uint64_t valid;
-};
-
-inline void PrepareDenseLanes(const int32_t* cells, uint64_t tword,
-                              DenseLanes* lanes) {
-  const __m512i lane_ids = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                             11, 12, 13, 14, 15);
-  const __m512i one = _mm512_set1_epi32(1);
-  const __m512i zero = _mm512_setzero_si512();
-  uint64_t valid = 0;
-  for (int g = 0; g < 4; ++g) {
-    const __m512i c = _mm512_loadu_si512(cells + g * 16);
-    const __m512i tbits =
-        _mm512_set1_epi32(static_cast<int32_t>((tword >> (g * 16)) & 0xffff));
-    const __m512i arm =
-        _mm512_and_si512(_mm512_srlv_epi32(tbits, lane_ids), one);
-    const __m512i idx = _mm512_add_epi32(_mm512_add_epi32(c, c), arm);
-    _mm512_storeu_si512(lanes->idx + g * 16, idx);
-    const uint64_t ge0 = _mm512_cmpge_epi32_mask(c, zero);
-    valid |= ge0 << (g * 16);
-  }
-  lanes->valid = valid;
-}
-
-template <bool kSplit, bool kMoments>
-void Avx512CateAccumulateImpl(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  core::SinkCounters overall, prot, nonprot;
-  DenseLanes lanes;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    if (bits == ~0ULL) {
-      if (args.dense_words != nullptr) ++*args.dense_words;
-      const size_t base = w * 64;
-      PrepareDenseLanes(cell_of_row + base, tword, &lanes);
-      core::StagedDenseWord<kSplit, kMoments>(args, base, lanes.idx,
-                                              lanes.valid, tword, pword,
-                                              &overall, &prot, &nonprot);
-      continue;
-    }
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      core::AddRow<kSplit, kMoments>(args, r, c, arm, prot_bit, &overall,
-                                     &prot, &nonprot);
-    }
-  }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-}
-
-void Avx512CateAccumulate(const CateAccumArgs& args) {
-  const bool split = args.protected_words != nullptr;
-  if (split) {
-    if (args.moments) {
-      Avx512CateAccumulateImpl<true, true>(args);
-    } else {
-      Avx512CateAccumulateImpl<true, false>(args);
-    }
-  } else {
-    if (args.moments) {
-      Avx512CateAccumulateImpl<false, true>(args);
-    } else {
-      Avx512CateAccumulateImpl<false, false>(args);
-    }
-  }
-}
-
-template <bool kSplit>
-bool Avx512CateAccumulateIntImpl(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  core::SinkCounters overall, prot, nonprot;
-  DenseLanes lanes;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    if (overall.rows + 64 > args.safe_rows) {
-      overall.FlushTo(args.overall);
-      if (kSplit) {
-        prot.FlushTo(args.prot);
-        nonprot.FlushTo(args.nonprot);
-      }
-      core::FlushIntToFp(args, kSplit);
-      CateAccumArgs rest = args;
-      rest.word_begin = w;
-      Avx512CateAccumulateImpl<kSplit, false>(rest);
-      return false;
-    }
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    if (bits == ~0ULL) {
-      if (args.dense_words != nullptr) ++*args.dense_words;
-      const size_t base = w * 64;
-      PrepareDenseLanes(cell_of_row + base, tword, &lanes);
-      core::IntDenseWord<kSplit>(args, base, lanes.idx, lanes.valid, tword,
-                                 pword, &overall, &prot, &nonprot);
-      continue;
-    }
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      core::AddRowInt<kSplit>(args, r, c, arm, prot_bit, &overall, &prot,
-                              &nonprot);
-    }
-  }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-  return true;
-}
-
-bool Avx512CateAccumulateInt(const CateAccumArgs& args) {
-  if (args.protected_words != nullptr) {
-    return Avx512CateAccumulateIntImpl<true>(args);
-  }
-  return Avx512CateAccumulateIntImpl<false>(args);
-}
-
 const Kernels kAvx512Kernels = {
     Avx512Popcount,
     Avx512AndCount,
@@ -345,8 +195,8 @@ const Kernels kAvx512Kernels = {
     Avx512MaskCodesEq,
     Avx512MaskCodesNe,
     Avx512MaskNumericCmp,
-    Avx512CateAccumulate,
-    Avx512CateAccumulateInt,
+    core::CateAccumulate,
+    core::CateAccumulateInt,
 };
 
 }  // namespace

@@ -1,19 +1,21 @@
 // Internal: portable kernel bodies shared by the per-ISA translation
 // units. The scalar tier uses these as THE implementation; the AVX2 and
-// AVX-512 tiers use them for word tails and for the per-row statistic
-// adds of the accumulation kernel.
+// AVX-512 tiers use them for word tails and for the accumulation loop.
+//
+// Everything here sits in an unnamed namespace, so each TU that includes
+// this header gets its own internal-linkage copy, compiled under that
+// TU's -march. With external linkage the linker would merge the inline
+// copies across TUs and could hand the scalar tier one compiled for
+// AVX-512.
 //
 // The accumulation core is the determinism anchor of the whole layer. For
 // real-valued outcomes it performs every floating-point add in ascending
 // row order with the same associations as the original CateStatsEngine
-// scalar loop — vector tiers may prepare lanes (cell indices, arm bits)
-// with SIMD and stage a dense word's rows into small buffers, but each
-// slot's add sequence is always the ascending-row scalar sequence, so a
-// vectorized scatter-add (which would race with itself and reassociate)
-// is never used. For integer-valued outcomes the int64 fast path below is
-// exact, so reassociation is free and the dense-word loop runs branchless
-// at full width; the safe_rows guard keeps every partial below 2^53 so the
-// conversion to double reproduces the legacy FP result bit for bit.
+// scalar loop, at every tier — a vectorized scatter-add (which would race
+// with itself and reassociate) is never used. For integer-valued outcomes
+// the int64 sums are exact, and the safe_rows guard keeps every partial
+// below 2^53 so the conversion to double reproduces the legacy FP result
+// bit for bit.
 
 #ifndef FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
 #define FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
@@ -27,6 +29,7 @@
 namespace faircap {
 namespace simd {
 namespace core {
+namespace {
 
 inline size_t ScalarPopcount(const uint64_t* words, size_t num_words) {
   size_t n = 0;
@@ -137,178 +140,128 @@ inline void ScalarMaskNumericCmp(const double* values, size_t n, Cmp op,
 }
 
 // ---------------------------------------------------------------------
-// Accumulation core.
+// Accumulation core: one row loop serves every tier and every path.
 
-/// Per-sink integer counters kept in registers during the pass and
-/// flushed once at the end (integer adds commute; the float arrays are
-/// updated in place, in row order).
-struct SinkCounters {
+/// Per-pass row counters, taken from per-word popcounts and flushed into
+/// the sinks once at the end (integer adds commute).
+struct PassCounts {
   size_t rows = 0;
-  size_t n_treated = 0;
-  size_t n_control = 0;
-
-  void FlushTo(const CateSink& sink) const {
-    *sink.rows += rows;
-    *sink.n_treated += n_treated;
-    *sink.n_control += n_control;
-  }
+  size_t treated = 0;
+  size_t prot_rows = 0;
+  size_t prot_treated = 0;
 };
 
-/// The per-row statistic adds, in the scalar loop's exact order. `sub` is
-/// null when not splitting on the protected bit (counters_sub unused).
-template <bool kSplit, bool kMoments>
-inline void AddRow(const CateAccumArgs& args, size_t r, int32_t c, int arm,
-                   bool prot_bit, SinkCounters* counters_overall,
-                   SinkCounters* counters_prot, SinkCounters* counters_nonprot) {
-  const size_t idx = static_cast<size_t>(c) * 2 + static_cast<size_t>(arm);
-  const double yr = args.outcome[r];
-  const CateSink& overall = args.overall;
-  const CateSink* sub = nullptr;
-  SinkCounters* sub_counters = nullptr;
-  if (kSplit) {
-    sub = prot_bit ? &args.prot : &args.nonprot;
-    sub_counters = prot_bit ? counters_prot : counters_nonprot;
-  }
-
-  ++counters_overall->rows;
-  if (arm != 0) {
-    ++counters_overall->n_treated;
-  } else {
-    ++counters_overall->n_control;
-  }
-  ++overall.n[idx];
-  overall.sy[idx] += yr;
-  overall.syy[idx] += yr * yr;
-  if (kSplit) {
-    ++sub_counters->rows;
-    if (arm != 0) {
-      ++sub_counters->n_treated;
-    } else {
-      ++sub_counters->n_control;
-    }
-    ++sub->n[idx];
-    sub->sy[idx] += yr;
-    sub->syy[idx] += yr * yr;
-  }
-  if (kMoments) {
-    const size_t m = args.num_numeric;
-    const size_t zbase = idx * m;
-    const size_t zzbase = idx * (m * (m + 1) / 2);
-    for (size_t j = 0, t = 0; j < m; ++j) {
-      const double zj = args.zcols[j][r];
-      overall.zsum[zbase + j] += zj;
-      overall.zysum[zbase + j] += zj * yr;
-      if (kSplit) {
-        sub->zsum[zbase + j] += zj;
-        sub->zysum[zbase + j] += zj * yr;
-      }
-      for (size_t k = j; k < m; ++k, ++t) {
-        const double zz = zj * args.zcols[k][r];
-        overall.zzsum[zzbase + t] += zz;
-        if (kSplit) sub->zzsum[zzbase + t] += zz;
-      }
-    }
-  }
+inline void FlushCounts(const CateAccumArgs& args, const PassCounts& counts,
+                        bool split) {
+  *args.overall.rows += counts.rows;
+  *args.overall.n_treated += counts.treated;
+  *args.overall.n_control += counts.rows - counts.treated;
+  if (!split) return;
+  const size_t prot_control = counts.prot_rows - counts.prot_treated;
+  *args.prot.rows += counts.prot_rows;
+  *args.prot.n_treated += counts.prot_treated;
+  *args.prot.n_control += prot_control;
+  *args.nonprot.rows += counts.rows - counts.prot_rows;
+  *args.nonprot.n_treated += counts.treated - counts.prot_treated;
+  *args.nonprot.n_control += (counts.rows - counts.treated) - prot_control;
 }
 
-/// The full scalar accumulation pass, specialized at compile time on the
-/// protected split and the moments block so the hot no-split/no-moments
-/// shape carries no per-row branches beyond the data-dependent ones.
-template <bool kSplit, bool kMoments>
-inline void CateAccumulateCore(const CateAccumArgs& args) {
+/// Accumulates words [word_begin, args.word_end). A word contributes the
+/// rows of group & valid; the row loop visits them in ascending order
+/// and carries no per-row branch: the slot is 2*cell + treated bit, and
+/// the protected bit indexes the subgroup sink. Every per-slot add —
+/// float or int64 — happens in ascending row order, so the float sums
+/// equal the legacy scalar loop's bit for bit at every tier.
+///
+/// With kInt the outcome is converted to int64 in register and summed
+/// into isy/isyy. Before a word would push the pass past args.safe_rows
+/// rows, the loop stops and returns that word's index; otherwise it
+/// returns args.word_end.
+template <bool kSplit, bool kMoments, bool kInt>
+inline size_t AccumulateWords(const CateAccumArgs& args, size_t word_begin,
+                              PassCounts* counts) {
+  static_assert(!(kInt && kMoments), "moments ride the FP path only");
   const uint64_t* gw = args.group_words;
+  const uint64_t* vw = args.valid_words;
   const uint64_t* tw = args.treated_words;
   const uint64_t* pw = args.protected_words;
   const int32_t* cell_of_row = args.cell_of_row;
-  SinkCounters overall, prot, nonprot;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
+  const double* outcome = args.outcome;
+  const CateSink& all = args.overall;
+  // Subgroup sinks by protected bit: [0] non-protected, [1] protected.
+  const CateSink* const sub[2] = {&args.nonprot, &args.prot};
+  for (size_t w = word_begin; w < args.word_end; ++w) {
+    uint64_t bits = gw[w] & vw[w];
     if (bits == 0) continue;
-    // The scalar tier has no staged dense path; every populated word is a
-    // sparse-path word for the obs breakdown.
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
+    const size_t word_rows = static_cast<size_t>(__builtin_popcountll(bits));
+    if (kInt && counts->rows + word_rows > args.safe_rows) return w;
     const uint64_t tword = tw[w];
     const uint64_t pword = kSplit ? pw[w] : 0;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
+    counts->rows += word_rows;
+    counts->treated += static_cast<size_t>(__builtin_popcountll(bits & tword));
+    if (kSplit) {
+      const uint64_t pbits = bits & pword;
+      counts->prot_rows += static_cast<size_t>(__builtin_popcountll(pbits));
+      counts->prot_treated +=
+          static_cast<size_t>(__builtin_popcountll(pbits & tword));
+    }
+    const size_t base = w * 64;
+    do {
+      const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
       bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      AddRow<kSplit, kMoments>(args, r, c, arm, prot_bit, &overall, &prot,
-                               &nonprot);
-    }
+      const size_t r = base + b;
+      const size_t idx =
+          static_cast<size_t>(cell_of_row[r]) * 2 + ((tword >> b) & 1);
+      const CateSink& part = *sub[(pword >> b) & 1];
+      ++all.n[idx];
+      if (kSplit) ++part.n[idx];
+      if constexpr (kInt) {
+        const int64_t y = static_cast<int64_t>(outcome[r]);
+        const int64_t yy = y * y;
+        all.isy[idx] += y;
+        all.isyy[idx] += yy;
+        if (kSplit) {
+          part.isy[idx] += y;
+          part.isyy[idx] += yy;
+        }
+      } else {
+        const double y = outcome[r];
+        const double yy = y * y;
+        all.sy[idx] += y;
+        all.syy[idx] += yy;
+        if (kSplit) {
+          part.sy[idx] += y;
+          part.syy[idx] += yy;
+        }
+        if (kMoments) {
+          const size_t m = args.num_numeric;
+          const size_t zbase = idx * m;
+          const size_t zzbase = idx * (m * (m + 1) / 2);
+          for (size_t j = 0, t = 0; j < m; ++j) {
+            const double zj = args.zcols[j][r];
+            const double zy = zj * y;
+            all.zsum[zbase + j] += zj;
+            all.zysum[zbase + j] += zy;
+            if (kSplit) {
+              part.zsum[zbase + j] += zj;
+              part.zysum[zbase + j] += zy;
+            }
+            for (size_t k = j; k < m; ++k, ++t) {
+              const double zz = zj * args.zcols[k][r];
+              all.zzsum[zzbase + t] += zz;
+              if (kSplit) part.zzsum[zzbase + t] += zz;
+            }
+          }
+        }
+      }
+    } while (bits != 0);
   }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-}
-
-/// Dispatch helper shared by the tiers: picks the (split, moments)
-/// specialization. Vector tiers call this for their non-dense fallback.
-inline void ScalarCateAccumulate(const CateAccumArgs& args) {
-  const bool split = args.protected_words != nullptr;
-  if (split) {
-    if (args.moments) {
-      CateAccumulateCore<true, true>(args);
-    } else {
-      CateAccumulateCore<true, false>(args);
-    }
-  } else {
-    if (args.moments) {
-      CateAccumulateCore<false, true>(args);
-    } else {
-      CateAccumulateCore<false, false>(args);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Exact integer fast path.
-
-/// Per-row int64 adds for the sparse words of the integer path (ctz
-/// iteration; the dense-word body is IntDenseWord). Mirrors AddRow, minus
-/// moments — the engine never routes moments through the integer path.
-template <bool kSplit>
-inline void AddRowInt(const CateAccumArgs& args, size_t r, int32_t c, int arm,
-                      bool prot_bit, SinkCounters* counters_overall,
-                      SinkCounters* counters_prot,
-                      SinkCounters* counters_nonprot) {
-  const size_t idx = static_cast<size_t>(c) * 2 + static_cast<size_t>(arm);
-  const int64_t y = args.outcome_i64[r];
-  const int64_t yy = y * y;
-  ++counters_overall->rows;
-  if (arm != 0) {
-    ++counters_overall->n_treated;
-  } else {
-    ++counters_overall->n_control;
-  }
-  ++args.overall.n[idx];
-  args.overall.isy[idx] += y;
-  args.overall.isyy[idx] += yy;
-  if (kSplit) {
-    const CateSink& sub = prot_bit ? args.prot : args.nonprot;
-    SinkCounters* sub_counters = prot_bit ? counters_prot : counters_nonprot;
-    ++sub_counters->rows;
-    if (arm != 0) {
-      ++sub_counters->n_treated;
-    } else {
-      ++sub_counters->n_control;
-    }
-    ++sub.n[idx];
-    sub.isy[idx] += y;
-    sub.isyy[idx] += yy;
-  }
+  return args.word_end;
 }
 
 /// Folds one sink's int64 staging arrays into its FP arrays. Every staged
 /// total is below 2^53 (safe_rows guard), so the conversion is exact and
 /// the result equals what the ascending-row FP adds would have produced.
-/// Scratch slots past num_slots are dropped, not flushed.
 inline void FlushIntSinkToFp(const CateSink& sink, size_t num_slots) {
   for (size_t i = 0; i < num_slots; ++i) {
     sink.sy[i] += static_cast<double>(sink.isy[i]);
@@ -316,236 +269,62 @@ inline void FlushIntSinkToFp(const CateSink& sink, size_t num_slots) {
   }
 }
 
-inline void FlushIntToFp(const CateAccumArgs& args, bool split) {
-  FlushIntSinkToFp(args.overall, args.num_slots);
-  if (split) {
-    FlushIntSinkToFp(args.prot, args.num_slots);
-    FlushIntSinkToFp(args.nonprot, args.num_slots);
-  }
-}
-
-/// The branchless dense-word body of the integer path, shared by the
-/// vector tiers: idx_lanes[b] = 2*cell+arm for row base+b (negative when
-/// the row is excluded), valid = mask of included rows. Excluded rows are
-/// steered into the scratch slot at num_slots instead of being branched
-/// around; their y is 0 only by accident, so scratch is write-only and
-/// never read. Counters come from popcounts, not per-row increments.
-template <bool kSplit>
-inline void IntDenseWord(const CateAccumArgs& args, size_t base,
-                         const int32_t* idx_lanes, uint64_t valid,
-                         uint64_t tword, uint64_t pword,
-                         SinkCounters* counters_overall,
-                         SinkCounters* counters_prot,
-                         SinkCounters* counters_nonprot) {
-  const size_t rows = static_cast<size_t>(__builtin_popcountll(valid));
-  const size_t nt = static_cast<size_t>(__builtin_popcountll(valid & tword));
-  counters_overall->rows += rows;
-  counters_overall->n_treated += nt;
-  counters_overall->n_control += rows - nt;
-  uint32_t* sub_n[2] = {nullptr, nullptr};
-  int64_t* sub_isy[2] = {nullptr, nullptr};
-  int64_t* sub_isyy[2] = {nullptr, nullptr};
-  if (kSplit) {
-    const uint64_t pv = valid & pword;
-    const size_t pr = static_cast<size_t>(__builtin_popcountll(pv));
-    const size_t pt = static_cast<size_t>(__builtin_popcountll(pv & tword));
-    counters_prot->rows += pr;
-    counters_prot->n_treated += pt;
-    counters_prot->n_control += pr - pt;
-    counters_nonprot->rows += rows - pr;
-    counters_nonprot->n_treated += nt - pt;
-    counters_nonprot->n_control += (rows - pr) - (nt - pt);
-    sub_n[0] = args.nonprot.n;
-    sub_n[1] = args.prot.n;
-    sub_isy[0] = args.nonprot.isy;
-    sub_isy[1] = args.prot.isy;
-    sub_isyy[0] = args.nonprot.isyy;
-    sub_isyy[1] = args.prot.isyy;
-  }
-  const int64_t* y64 = args.outcome_i64 + base;
-  const int32_t scratch = static_cast<int32_t>(args.num_slots);
-  for (int b = 0; b < 64; ++b) {
-    const int32_t raw = idx_lanes[b];
-    const size_t idx = static_cast<size_t>(raw >= 0 ? raw : scratch);
-    const int64_t y = y64[b];
-    const int64_t yy = y * y;
-    ++args.overall.n[idx];
-    args.overall.isy[idx] += y;
-    args.overall.isyy[idx] += yy;
-    if (kSplit) {
-      const size_t pb = (pword >> b) & 1;
-      ++sub_n[pb][idx];
-      sub_isy[pb][idx] += y;
-      sub_isyy[pb][idx] += yy;
-    }
-  }
-}
-
-/// The scalar integer pass: ctz iteration with int64 adds and the
-/// per-word safe_rows guard. On a guard trip the integer partials are
-/// flushed exactly into the FP arrays and the remaining words run through
-/// the scalar FP core; returns false in that case (FP arrays
-/// authoritative), true when the whole range stayed integer.
-template <bool kSplit>
-inline bool CateAccumulateIntCore(const CateAccumArgs& args) {
-  const uint64_t* gw = args.group_words;
-  const uint64_t* tw = args.treated_words;
-  const uint64_t* pw = args.protected_words;
-  const int32_t* cell_of_row = args.cell_of_row;
-  SinkCounters overall, prot, nonprot;
-  for (size_t w = args.word_begin; w < args.word_end; ++w) {
-    uint64_t bits = gw[w];
-    if (bits == 0) continue;
-    if (overall.rows + 64 > args.safe_rows) {
-      overall.FlushTo(args.overall);
-      if (kSplit) {
-        prot.FlushTo(args.prot);
-        nonprot.FlushTo(args.nonprot);
-      }
-      FlushIntToFp(args, kSplit);
-      CateAccumArgs rest = args;
-      rest.word_begin = w;
-      CateAccumulateCore<kSplit, false>(rest);
-      return false;
-    }
-    const uint64_t tword = tw[w];
-    const uint64_t pword = kSplit ? pw[w] : 0;
-    if (args.sparse_words != nullptr) ++*args.sparse_words;
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t r = w * 64 + static_cast<size_t>(b);
-      const int32_t c = cell_of_row[r];
-      if (c < 0) continue;
-      const int arm = static_cast<int>((tword >> b) & 1);
-      const bool prot_bit = kSplit && (((pword >> b) & 1) != 0);
-      AddRowInt<kSplit>(args, r, c, arm, prot_bit, &overall, &prot, &nonprot);
-    }
-  }
-  overall.FlushTo(args.overall);
-  if (kSplit) {
-    prot.FlushTo(args.prot);
-    nonprot.FlushTo(args.nonprot);
-  }
-  return true;
-}
-
-/// (split) dispatch for the scalar integer kernel.
-inline bool ScalarCateAccumulateInt(const CateAccumArgs& args) {
-  if (args.protected_words != nullptr) {
-    return CateAccumulateIntCore<true>(args);
-  }
-  return CateAccumulateIntCore<false>(args);
-}
-
-// ---------------------------------------------------------------------
-// Fused word-level FP staging (vector tiers' dense-word path).
-
-/// One staged row of a dense word: its (cell, arm) slot, the row offset
-/// within the word (for the moments block), and the outcome value — 16
-/// bytes so a 64-row word stages within two cache lines per buffer.
-struct StageEntry {
-  int32_t idx;
-  int32_t row_off;
-  double y;
-};
-
-/// Partitions a dense word's included rows into per-sink staging buffers
-/// in ascending row order: every row appends to `all`, and (when
-/// splitting) to exactly one of `prot_buf`/`nonprot_buf` via a branchless
-/// dual write. Buffers must hold 64 entries. Returns counts through the
-/// out-params.
-template <bool kSplit>
-inline void BuildStage(const int32_t* idx_lanes, uint64_t valid,
-                       uint64_t pword, const double* y_word, StageEntry* all,
-                       size_t* all_n, StageEntry* prot_buf, size_t* prot_n,
-                       StageEntry* nonprot_buf, size_t* nonprot_n) {
-  size_t an = 0, pn = 0, nn = 0;
-  while (valid != 0) {
-    const int b = __builtin_ctzll(valid);
-    valid &= valid - 1;
-    const StageEntry e{idx_lanes[b], b, y_word[b]};
-    all[an++] = e;
-    if (kSplit) {
-      const size_t pb = (pword >> static_cast<unsigned>(b)) & 1;
-      prot_buf[pn] = e;
-      nonprot_buf[nn] = e;
-      pn += pb;
-      nn += 1 - pb;
-    }
-  }
-  *all_n = an;
-  if (kSplit) {
-    *prot_n = pn;
-    *nonprot_n = nn;
-  }
-}
-
-/// Replays one sink's staged entries. Entries arrive in ascending row
-/// order, so each slot sees the same add sequence as the scalar loop —
-/// only adds to *different* sinks were reordered, which no slot observes.
-template <bool kMoments>
-inline void FlushStage(const CateAccumArgs& args, const CateSink& sink,
-                       const StageEntry* entries, size_t count, size_t base) {
-  for (size_t i = 0; i < count; ++i) {
-    const size_t idx = static_cast<size_t>(entries[i].idx);
-    const double y = entries[i].y;
-    ++sink.n[idx];
-    sink.sy[idx] += y;
-    sink.syy[idx] += y * y;
-    if (kMoments) {
-      const size_t r = base + static_cast<size_t>(entries[i].row_off);
-      const size_t m = args.num_numeric;
-      const size_t zbase = idx * m;
-      const size_t zzbase = idx * (m * (m + 1) / 2);
-      for (size_t j = 0, t = 0; j < m; ++j) {
-        const double zj = args.zcols[j][r];
-        sink.zsum[zbase + j] += zj;
-        sink.zysum[zbase + j] += zj * y;
-        for (size_t k = j; k < m; ++k, ++t) {
-          sink.zzsum[zzbase + t] += zj * args.zcols[k][r];
-        }
-      }
-    }
-  }
-}
-
-/// The staged dense-word body for the FP vector tiers: popcount-derived
-/// counters, one staging pass, then one tight flush loop per sink.
 template <bool kSplit, bool kMoments>
-inline void StagedDenseWord(const CateAccumArgs& args, size_t base,
-                            const int32_t* idx_lanes, uint64_t valid,
-                            uint64_t tword, uint64_t pword,
-                            SinkCounters* counters_overall,
-                            SinkCounters* counters_prot,
-                            SinkCounters* counters_nonprot) {
-  const size_t rows = static_cast<size_t>(__builtin_popcountll(valid));
-  const size_t nt = static_cast<size_t>(__builtin_popcountll(valid & tword));
-  counters_overall->rows += rows;
-  counters_overall->n_treated += nt;
-  counters_overall->n_control += rows - nt;
-  if (kSplit) {
-    const uint64_t pv = valid & pword;
-    const size_t pr = static_cast<size_t>(__builtin_popcountll(pv));
-    const size_t pt = static_cast<size_t>(__builtin_popcountll(pv & tword));
-    counters_prot->rows += pr;
-    counters_prot->n_treated += pt;
-    counters_prot->n_control += pr - pt;
-    counters_nonprot->rows += rows - pr;
-    counters_nonprot->n_treated += nt - pt;
-    counters_nonprot->n_control += (rows - pr) - (nt - pt);
+inline void CateAccumulateShape(const CateAccumArgs& args) {
+  PassCounts counts;
+  AccumulateWords<kSplit, kMoments, false>(args, args.word_begin, &counts);
+  FlushCounts(args, counts, kSplit);
+}
+
+/// The integer pass. On a guard trip the int64 partials are flushed
+/// exactly into the FP arrays and the rest of the range runs the FP loop;
+/// returns false in that case (FP arrays authoritative), true when the
+/// whole range stayed integer.
+template <bool kSplit>
+inline bool CateAccumulateIntShape(const CateAccumArgs& args) {
+  PassCounts counts;
+  const size_t stop =
+      AccumulateWords<kSplit, false, true>(args, args.word_begin, &counts);
+  const bool stayed_int = stop == args.word_end;
+  if (!stayed_int) {
+    FlushIntSinkToFp(args.overall, args.num_slots);
+    if (kSplit) {
+      FlushIntSinkToFp(args.prot, args.num_slots);
+      FlushIntSinkToFp(args.nonprot, args.num_slots);
+    }
+    AccumulateWords<kSplit, false, false>(args, stop, &counts);
   }
-  StageEntry all[64], prot_buf[64], nonprot_buf[64];
-  size_t all_n = 0, prot_n = 0, nonprot_n = 0;
-  BuildStage<kSplit>(idx_lanes, valid, pword, args.outcome + base, all,
-                     &all_n, prot_buf, &prot_n, nonprot_buf, &nonprot_n);
-  FlushStage<kMoments>(args, args.overall, all, all_n, base);
-  if (kSplit) {
-    FlushStage<kMoments>(args, args.prot, prot_buf, prot_n, base);
-    FlushStage<kMoments>(args, args.nonprot, nonprot_buf, nonprot_n, base);
+  FlushCounts(args, counts, kSplit);
+  return stayed_int;
+}
+
+/// The cate_accumulate kernel: picks the (split, moments) instantiation.
+inline void CateAccumulate(const CateAccumArgs& args) {
+  const bool split = args.protected_words != nullptr;
+  if (split) {
+    if (args.moments) {
+      CateAccumulateShape<true, true>(args);
+    } else {
+      CateAccumulateShape<true, false>(args);
+    }
+  } else {
+    if (args.moments) {
+      CateAccumulateShape<false, true>(args);
+    } else {
+      CateAccumulateShape<false, false>(args);
+    }
   }
 }
 
+/// The cate_accumulate_int kernel: picks the split instantiation.
+inline bool CateAccumulateInt(const CateAccumArgs& args) {
+  if (args.protected_words != nullptr) {
+    return CateAccumulateIntShape<true>(args);
+  }
+  return CateAccumulateIntShape<false>(args);
+}
+
+}  // namespace
 }  // namespace core
 }  // namespace simd
 }  // namespace faircap

@@ -204,7 +204,10 @@ struct EdgeData {
   Pattern protected_pattern;
 };
 
-EdgeData MakeEdgeData(size_t n, uint64_t seed) {
+// `outcome_null_rate` > 0 also nulls that share of outcomes: those rows
+// must be masked out of every estimate.
+EdgeData MakeEdgeData(size_t n, uint64_t seed,
+                      double outcome_null_rate = 0.0) {
   auto schema = Schema::Create({
       {"Prot", AttrType::kCategorical, AttrRole::kImmutable},
       {"Zc", AttrType::kCategorical, AttrRole::kImmutable},
@@ -230,10 +233,12 @@ EdgeData MakeEdgeData(size_t n, uint64_t seed) {
     const double o = 5.0 + 3.0 * static_cast<double>(zc) + 1.5 * zn +
                      (t ? (prot ? 1.0 : 4.0) : 0.0) + (u ? 0.5 : 0.0) +
                      rng.NextGaussian(0.0, 1.0);
+    const bool o_null =
+        outcome_null_rate > 0.0 && rng.NextBernoulli(outcome_null_rate);
     const Status st = df.AppendRow(
         {Value(prot ? "yes" : "no"), zc_null ? Value::Null() : Value(zc_levels[zc]),
          zn_null ? Value::Null() : Value(zn), Value(t ? "yes" : "no"),
-         Value(u ? "hi" : "lo"), Value(o)});
+         Value(u ? "hi" : "lo"), o_null ? Value::Null() : Value(o)});
     EXPECT_TRUE(st.ok());
   }
   CausalDag dag = CausalDag::Create({"Prot", "Zc", "Zn", "T", "O"},
@@ -295,6 +300,40 @@ TEST(CateStatsEngineEdgeTest, MinArmFailuresMatchLegacy) {
                              "tiny/m" +
                                  std::to_string(static_cast<int>(method)));
   }
+}
+
+TEST(CateStatsEngineEdgeTest, MismatchedBitmapSizesAreInvalidArgument) {
+  // The accumulation pass walks every mask over the table's words; a
+  // shorter or longer group / protected mask (or a shard plan over a
+  // different row count) must be rejected at the entry point in every
+  // build type rather than read out of bounds.
+  const EdgeData data = MakeEdgeData(1000, 84);
+  const size_t n = data.df.num_rows();
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
+  const Bitmap all = data.df.AllRows();
+  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
+  for (const size_t bad : {n - 200, n + 200}) {
+    const Bitmap bad_mask(bad, /*value=*/true);
+    const std::string tag = "size " + std::to_string(bad);
+    const Result<CateSubgroupEstimates> bad_group =
+        est->EstimateSubgroups(intervention, bad_mask, &prot, 5);
+    ASSERT_FALSE(bad_group.ok()) << tag;
+    EXPECT_EQ(bad_group.status().code(), StatusCode::kInvalidArgument) << tag;
+    const Result<CateSubgroupEstimates> bad_prot =
+        est->EstimateSubgroups(intervention, all, &bad_mask, 5);
+    ASSERT_FALSE(bad_prot.ok()) << tag;
+    EXPECT_EQ(bad_prot.status().code(), StatusCode::kInvalidArgument) << tag;
+    const ShardPlan plan = ShardPlan::Create(bad, 4);
+    const Result<CateSubgroupEstimates> bad_plan = est->EstimateSubgroups(
+        intervention, all, &prot, 5, false, &plan, nullptr);
+    ASSERT_FALSE(bad_plan.ok()) << tag;
+    EXPECT_EQ(bad_plan.status().code(), StatusCode::kInvalidArgument) << tag;
+  }
+  // Matching sizes still estimate.
+  EXPECT_TRUE(est->EstimateSubgroups(intervention, all, &prot, 5).ok());
 }
 
 TEST(CateStatsEngineCacheTest, EnginesAreCachedPerTreatment) {
@@ -409,46 +448,115 @@ void ExpectSameBits(const Result<CateEstimate>& got,
   EXPECT_EQ(got->n_control, ref->n_control) << label;
 }
 
+// The group densities every accumulation sweep covers: empty, sparse,
+// mid, dense, nearly full, and all rows (every group word ~0).
+std::vector<std::pair<std::string, Bitmap>> DensitySweepGroups(
+    const DataFrame& df, Rng* rng) {
+  std::vector<std::pair<std::string, Bitmap>> groups;
+  groups.emplace_back("d0", Bitmap(df.num_rows()));
+  for (const double density : {0.05, 0.3, 0.6, 0.95}) {
+    groups.emplace_back("d" + std::to_string(static_cast<int>(density * 100)),
+                        RandomGroup(df.num_rows(), density, rng));
+  }
+  groups.emplace_back("all", df.AllRows());
+  return groups;
+}
+
+// Split and no-split estimates of one (intervention, group), for sweeps
+// that compare the same calls across tiers or engines.
+struct SweepResult {
+  Result<CateSubgroupEstimates> split = Status::Internal("unset");
+  Result<CateSubgroupEstimates> nosplit = Status::Internal("unset");
+};
+
+SweepResult RunSplitAndNoSplit(const CateEstimator& est,
+                               const Pattern& intervention,
+                               const Bitmap& group,
+                               const Bitmap& protected_mask,
+                               const ShardPlan* plan) {
+  SweepResult out;
+  out.split = est.EstimateSubgroups(intervention, group, &protected_mask, 5,
+                                    /*skip_subgroups_unless_positive=*/false,
+                                    plan, nullptr);
+  out.nosplit = est.EstimateSubgroups(intervention, group, nullptr, 5,
+                                      /*skip_subgroups_unless_positive=*/false,
+                                      plan, nullptr);
+  return out;
+}
+
+void ExpectSameSweep(const SweepResult& got, const SweepResult& ref,
+                     const std::string& label) {
+  ASSERT_TRUE(got.split.ok()) << label << ": " << got.split.status().ToString();
+  ASSERT_TRUE(ref.split.ok()) << label;
+  ASSERT_TRUE(got.nosplit.ok()) << label;
+  ASSERT_TRUE(ref.nosplit.ok()) << label;
+  ExpectSameBits(got.split->overall, ref.split->overall, label + "/overall");
+  ExpectSameBits(got.split->protected_group, ref.split->protected_group,
+                 label + "/protected");
+  ExpectSameBits(got.split->nonprotected, ref.split->nonprotected,
+                 label + "/nonprotected");
+  ExpectSameBits(got.nosplit->overall, ref.nosplit->overall,
+                 label + "/nosplit");
+}
+
+// The legacy oracle for both the split triple and the no-split estimate.
+void ExpectSweepMatchesLegacy(const CateEstimator& est,
+                              const Pattern& intervention, const Bitmap& group,
+                              const Bitmap& protected_mask,
+                              const std::string& label) {
+  ExpectBatchMatchesLegacy(est, intervention, group, protected_mask, 5,
+                           label);
+  const Result<CateSubgroupEstimates> batch =
+      est.EstimateSubgroups(intervention, group, nullptr);
+  ASSERT_TRUE(batch.ok()) << label;
+  ExpectSameEstimate(batch->overall, est.Estimate(intervention, group),
+                     ToleranceFor(est.options().method), label + "/nosplit");
+}
+
 TEST(CateStatsEngineSimdTest, EstimatesBitIdenticalAcrossIsaTiers) {
-  const EdgeData data = MakeEdgeData(3000, 91);
+  // 3001 rows (not a multiple of 64) with 5% null outcomes, which the
+  // valid-row bitmap masks out word by word; the numeric confounder puts
+  // the regression method on the moments path. Every group density,
+  // split and no-split, must be bit-identical at every tier and match the
+  // legacy oracle, which skips null outcomes row by row.
+  const EdgeData data = MakeEdgeData(3001, 91, /*outcome_null_rate=*/0.05);
+  ASSERT_NE(data.df.num_rows() % 64, 0u);
   const Bitmap protected_mask = data.protected_pattern.Evaluate(data.df);
   const size_t t = *data.df.schema().IndexOf("T");
   const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
   Rng rng(91);
-  const Bitmap dense = RandomGroup(data.df.num_rows(), 0.6, &rng);
+  const auto groups = DensitySweepGroups(data.df, &rng);
   for (const CateMethod method :
        {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
     CateOptions options;
     options.method = method;
     const auto est = CateEstimator::Create(&data.df, &data.dag, options);
     ASSERT_TRUE(est.ok());
-    // Scalar reference triple.
-    Result<CateSubgroupEstimates> ref = Status::Internal("unset");
-    {
-      simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
-      ref = est->EstimateSubgroups(intervention, dense, &protected_mask, 5);
-    }
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
-      simd::ScopedSimdLevel pin(level);
+    for (const auto& [name, group] : groups) {
       const std::string tag =
-          std::string(simd::SimdLevelName(level)) + "/m" +
-          std::to_string(static_cast<int>(method));
-      const Result<CateSubgroupEstimates> got =
-          est->EstimateSubgroups(intervention, dense, &protected_mask, 5);
-      ASSERT_TRUE(got.ok()) << tag;
-      ExpectSameBits(got->overall, ref->overall, tag + "/overall");
-      ExpectSameBits(got->protected_group, ref->protected_group,
-                     tag + "/protected");
-      ExpectSameBits(got->nonprotected, ref->nonprotected,
-                     tag + "/nonprotected");
+          "m" + std::to_string(static_cast<int>(method)) + "/" + name;
+      SweepResult ref;
+      {
+        simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
+        ref = RunSplitAndNoSplit(*est, intervention, group, protected_mask,
+                                 nullptr);
+      }
+      for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+        simd::ScopedSimdLevel pin(level);
+        const std::string ltag = tag + "/" + simd::SimdLevelName(level);
+        ExpectSameSweep(RunSplitAndNoSplit(*est, intervention, group,
+                                           protected_mask, nullptr),
+                        ref, ltag);
+        ExpectSweepMatchesLegacy(*est, intervention, group, protected_mask,
+                                 ltag + "/legacy");
+      }
     }
   }
 }
 
 TEST(CateStatsEngineSimdTest, DenseGroupMatchesLegacyAtEveryTier) {
-  // The all-rows group exercises the vector tiers' dense-word fast path
-  // (every group word is ~0); pin it against the legacy oracle per tier.
+  // The all-rows group (every group word ~0) next to dense and sparse
+  // random groups, pinned against the legacy oracle per tier.
   const EdgeData data = MakeEdgeData(1500, 92);
   for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
     simd::ScopedSimdLevel pin(level);
@@ -464,78 +572,68 @@ TEST(CateStatsEngineSimdTest, DenseGroupMatchesLegacyAtEveryTier) {
 // partial is also exact, so the two representations must agree
 // bit-for-bit — for every method, tier, and shard count.
 
-void ExpectSameSubgroups(const CateSubgroupEstimates& got,
-                         const CateSubgroupEstimates& ref,
-                         const std::string& label) {
-  ExpectSameBits(got.overall, ref.overall, label + "/overall");
-  ExpectSameBits(got.protected_group, ref.protected_group,
-                 label + "/protected");
-  ExpectSameBits(got.nonprotected, ref.nonprotected, label + "/nonprotected");
-}
-
-TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
-  SyntheticConfig config;
-  config.num_rows = 4000;
-  config.seed = 21;
-  config.integer_outcome = true;
-  const auto data = MakeSynthetic(config);
-  ASSERT_TRUE(data.ok());
-  const DataFrame& df = data->df;
-  const Bitmap protected_mask = data->protected_pattern.Evaluate(df);
-  Rng rng(21);
-  const std::vector<Pattern> interventions = SampleInterventions(df, 2, &rng);
-  ASSERT_FALSE(interventions.empty());
-  const Bitmap dense = RandomGroup(df.num_rows(), 0.7, &rng);
-
+// For every method, intervention and group, split and no-split: the
+// int-path engine at every tier and shard count {1, 7, 16} must be
+// bit-identical to the pure-FP engine at the scalar tier under the same
+// shard plan, and match the legacy oracle (method-specific tolerances;
+// stratified is bit-for-bit).
+void ExpectIntPathMatchesFp(
+    const DataFrame& df, const CausalDag& dag,
+    const std::vector<Pattern>& interventions,
+    const std::vector<std::pair<std::string, Bitmap>>& groups,
+    const Bitmap& protected_mask, const std::string& label) {
   for (const CateMethod method :
        {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
     CateOptions int_opts;
     int_opts.method = method;
     CateOptions fp_opts = int_opts;
     fp_opts.disable_int_fast_path = true;  // pure-FP reference engine
-    const auto int_est = CateEstimator::Create(&df, &data->dag, int_opts);
-    const auto fp_est = CateEstimator::Create(&df, &data->dag, fp_opts);
+    const auto int_est = CateEstimator::Create(&df, &dag, int_opts);
+    const auto fp_est = CateEstimator::Create(&df, &dag, fp_opts);
     ASSERT_TRUE(int_est.ok());
     ASSERT_TRUE(fp_est.ok());
-    for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
-      simd::ScopedSimdLevel pin(level);
-      for (const size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
-        const ShardPlan plan = ShardPlan::Create(df.num_rows(), shards);
-        for (size_t i = 0; i < interventions.size(); ++i) {
-          const std::string tag =
-              std::string("intpath/") + simd::SimdLevelName(level) + "/m" +
-              std::to_string(static_cast<int>(method)) + "/s" +
-              std::to_string(shards) + "/i" + std::to_string(i);
-          const Result<CateSubgroupEstimates> got =
-              int_est->EstimateSubgroups(
-                  interventions[i], dense, &protected_mask, 5,
-                  /*skip_subgroups_unless_positive=*/false, &plan, nullptr);
-          const Result<CateSubgroupEstimates> ref =
-              fp_est->EstimateSubgroups(
-                  interventions[i], dense, &protected_mask, 5,
-                  /*skip_subgroups_unless_positive=*/false, &plan, nullptr);
-          ASSERT_TRUE(got.ok()) << tag;
-          ASSERT_TRUE(ref.ok()) << tag;
-          ExpectSameSubgroups(*got, *ref, tag);
+    for (size_t i = 0; i < interventions.size(); ++i) {
+      for (const auto& [name, group] : groups) {
+        const std::string tag = label + "/m" +
+                                std::to_string(static_cast<int>(method)) +
+                                "/i" + std::to_string(i) + "/" + name;
+        for (const size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
+          const ShardPlan plan = ShardPlan::Create(df.num_rows(), shards);
+          SweepResult ref;
+          {
+            simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
+            ref = RunSplitAndNoSplit(*fp_est, interventions[i], group,
+                                     protected_mask, &plan);
+          }
+          for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+            simd::ScopedSimdLevel pin(level);
+            ExpectSameSweep(RunSplitAndNoSplit(*int_est, interventions[i],
+                                               group, protected_mask, &plan),
+                            ref,
+                            tag + "/" + simd::SimdLevelName(level) + "/s" +
+                                std::to_string(shards));
+          }
+        }
+        for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+          simd::ScopedSimdLevel pin(level);
+          ExpectSweepMatchesLegacy(*int_est, interventions[i], group,
+                                   protected_mask,
+                                   tag + "/" + simd::SimdLevelName(level) +
+                                       "/legacy");
         }
       }
-      // And both agree with the legacy per-call oracle (method-specific
-      // tolerances; stratified is bit-for-bit).
-      ExpectBatchMatchesLegacy(*int_est, interventions[0], dense,
-                               protected_mask, 5,
-                               std::string("intpath-legacy/") +
-                                   simd::SimdLevelName(level) + "/m" +
-                                   std::to_string(static_cast<int>(method)));
     }
   }
 }
 
-// Near-limit magnitudes: |y| up to ~3e6 puts Σy² past 2^53 after ~1000
-// rows, so a 4000-row group trips the overflow guard mid-range and the
-// kernel must flush its exact int64 partials into the FP arrays and
+// Integer outcomes uniform in [-max_abs, max_abs], `null_rate` of them
+// null. Near-limit magnitudes (|y| up to ~3e6) put Σy² past 2^53 after
+// ~1000 rows, so a 4000-row group trips the overflow guard mid-range and
+// the kernel must flush its exact int64 partials into the FP arrays and
 // finish the pass on the FP path — with a result bit-identical to an
 // engine that never used the integer path at all.
-EdgeData MakeBigIntData(size_t n, uint64_t seed) {
+EdgeData MakeIntData(size_t n, uint64_t seed, int64_t max_abs,
+                     double null_rate) {
   auto schema = Schema::Create({
       {"Prot", AttrType::kCategorical, AttrRole::kImmutable},
       {"Z", AttrType::kCategorical, AttrRole::kImmutable},
@@ -549,13 +647,15 @@ EdgeData MakeBigIntData(size_t n, uint64_t seed) {
     const bool prot = rng.NextBernoulli(0.3);
     const size_t z = rng.NextBounded(3);
     const bool t = rng.NextBernoulli(0.3 + 0.15 * static_cast<double>(z));
-    // Integer outcome in [-3e6, 3e6]: exactly representable, but squares
-    // near 9e12 exhaust the 2^53 budget after ~1000 rows.
     const double o = static_cast<double>(
-        static_cast<int64_t>(rng.NextBounded(6000001)) - 3000000);
+        static_cast<int64_t>(rng.NextBounded(
+            static_cast<uint64_t>(2 * max_abs + 1))) -
+        max_abs);
+    const bool o_null = null_rate > 0.0 && rng.NextBernoulli(null_rate);
     const Status st =
         df.AppendRow({Value(prot ? "yes" : "no"), Value(z_levels[z]),
-                      Value(t ? "yes" : "no"), Value(o)});
+                      Value(t ? "yes" : "no"),
+                      o_null ? Value::Null() : Value(o)});
     EXPECT_TRUE(st.ok());
   }
   CausalDag dag =
@@ -566,55 +666,58 @@ EdgeData MakeBigIntData(size_t n, uint64_t seed) {
   return {std::move(df), std::move(dag), std::move(protected_pattern)};
 }
 
-TEST(CateStatsEngineIntPathTest, OverflowGuardFallsBackBitIdentically) {
-  const EdgeData data = MakeBigIntData(4000, 101);
-  const Bitmap protected_mask = data.protected_pattern.Evaluate(data.df);
+TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const uint64_t int_before =
+      reg.CounterValue("estimation.accumulate_path_int");
+  {
+    SyntheticConfig config;
+    config.num_rows = 4000;
+    config.seed = 21;
+    config.integer_outcome = true;
+    const auto data = MakeSynthetic(config);
+    ASSERT_TRUE(data.ok());
+    const DataFrame& df = data->df;
+    Rng rng(21);
+    const std::vector<Pattern> interventions =
+        SampleInterventions(df, 2, &rng);
+    ASSERT_FALSE(interventions.empty());
+    const std::vector<std::pair<std::string, Bitmap>> groups = {
+        {"d70", RandomGroup(df.num_rows(), 0.7, &rng)}};
+    ExpectIntPathMatchesFp(df, data->dag, interventions, groups,
+                           data->protected_pattern.Evaluate(df), "synthetic");
+  }
+  // Small magnitudes with 5% null outcomes over 4001 rows (not a multiple
+  // of 64): the int path converts each non-null value in register and
+  // stays integer for the whole pass at every density.
+  const EdgeData data = MakeIntData(4001, 102, /*max_abs=*/1000,
+                                    /*null_rate=*/0.05);
   const size_t t = *data.df.schema().IndexOf("T");
   const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
-  const Bitmap all = data.df.AllRows();
+  Rng rng(102);
+  ExpectIntPathMatchesFp(data.df, data.dag, {intervention},
+                         DensitySweepGroups(data.df, &rng),
+                         data.protected_pattern.Evaluate(data.df), "nulls");
+  EXPECT_GT(reg.CounterValue("estimation.accumulate_path_int"), int_before);
+}
+
+TEST(CateStatsEngineIntPathTest, OverflowGuardFallsBackBitIdentically) {
+  // Near-limit magnitudes with 5% null outcomes over 4001 rows: every
+  // group past ~1000 rows trips the guard in the single-shard pass, while
+  // at 7/16 shards each shard stays under it and the int partials convert
+  // at merge time instead — both must replay the FP engine bit for bit.
+  const EdgeData data = MakeIntData(4001, 101, /*max_abs=*/3000000,
+                                    /*null_rate=*/0.05);
+  const size_t t = *data.df.schema().IndexOf("T");
   const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   const uint64_t fallbacks_before =
       reg.CounterValue("estimation.accumulate_int_fallbacks");
   const uint64_t rows_before = reg.CounterValue("simd.cate_accumulate_rows");
-
-  for (const CateMethod method :
-       {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
-    CateOptions int_opts;
-    int_opts.method = method;
-    CateOptions fp_opts = int_opts;
-    fp_opts.disable_int_fast_path = true;
-    const auto int_est = CateEstimator::Create(&data.df, &data.dag, int_opts);
-    const auto fp_est = CateEstimator::Create(&data.df, &data.dag, fp_opts);
-    ASSERT_TRUE(int_est.ok());
-    ASSERT_TRUE(fp_est.ok());
-    for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
-      simd::ScopedSimdLevel pin(level);
-      const std::string tag = std::string("guard/") +
-                              simd::SimdLevelName(level) + "/m" +
-                              std::to_string(static_cast<int>(method));
-      // Sharded too: at 7/16 shards each shard stays under the guard and
-      // the int partials convert at merge time instead, which must still
-      // replay the FP engine's merge bit-for-bit.
-      for (const size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
-        const ShardPlan plan = ShardPlan::Create(data.df.num_rows(), shards);
-        const Result<CateSubgroupEstimates> got =
-            int_est->EstimateSubgroups(
-                intervention, all, &protected_mask, 5,
-                /*skip_subgroups_unless_positive=*/false, &plan, nullptr);
-        const Result<CateSubgroupEstimates> ref =
-            fp_est->EstimateSubgroups(
-                intervention, all, &protected_mask, 5,
-                /*skip_subgroups_unless_positive=*/false, &plan, nullptr);
-        ASSERT_TRUE(got.ok()) << tag;
-        ASSERT_TRUE(ref.ok()) << tag;
-        ExpectSameSubgroups(*got, *ref, tag + "/s" + std::to_string(shards));
-      }
-      // The single-shard pass exceeds safe_rows, so the guard must have
-      // tripped at least once at this tier; legacy oracle still matches.
-      ExpectBatchMatchesLegacy(*int_est, intervention, all, protected_mask,
-                               5, tag + "/legacy");
-    }
-  }
+  const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
+  Rng rng(101);
+  ExpectIntPathMatchesFp(data.df, data.dag, {intervention},
+                         DensitySweepGroups(data.df, &rng),
+                         data.protected_pattern.Evaluate(data.df), "guard");
   EXPECT_GT(reg.CounterValue("estimation.accumulate_int_fallbacks"),
             fallbacks_before);
   EXPECT_GT(reg.CounterValue("simd.cate_accumulate_rows"), rows_before);

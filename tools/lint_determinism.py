@@ -16,9 +16,9 @@ whichever pinning combination happens to exercise it:
 
   fp-accumulate    No floating-point accumulation inside vector kernel
                    TUs (src/util/simd/simd_<isa>.cc): FP adds must stay
-                   in the shared scalar core (core::AddRow and the
-                   staged-flush paths in simd_kernels_core.h) so every
-                   tier sums in the same order with the same rounding.
+                   in the shared row loop (core::AccumulateWords in
+                   simd_kernels_core.h) so every tier sums in the same
+                   order with the same rounding.
                    FP *compare* intrinsics are fine.
 
   unordered-iter   No iteration over unordered containers in
@@ -255,8 +255,8 @@ def check_fp_accumulate(root):
                             tu,
                             lineno,
                             f"compound FP accumulation on '{name}' in a "
-                            "vector TU; route sums through core::AddRow / "
-                            "the staged-flush paths",
+                            "vector TU; route sums through the shared row "
+                            "loop (core::AccumulateWords)",
                         )
                     )
                     break
