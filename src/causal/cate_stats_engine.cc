@@ -228,7 +228,6 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
     const auto [it, inserted] =
         cell_ids_.emplace(key, static_cast<int32_t>(cells_.size()));
     if (inserted) {
-      Cell cell;
       int64_t id = 0;
       bool any_null = false;
       for (size_t a = 0; a < confs_.size(); ++a) {
@@ -238,12 +237,13 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
         }
         id = id * confs_[a].base + sig[a];
         if (confs_[a].categorical && sig[a] >= 1) {
-          cell.onehot.push_back(confs_[a].feature_base +
+          onehot_ids_.push_back(confs_[a].feature_base +
                                 static_cast<uint32_t>(sig[a] - 1));
         }
       }
-      cell.stratum_id = any_null ? -1 : id;
-      cells_.push_back(std::move(cell));
+      FAIRCAP_CHECK(onehot_ids_.size() <= UINT32_MAX);
+      onehot_begin_.push_back(static_cast<uint32_t>(onehot_ids_.size()));
+      cells_.push_back({any_null ? -1 : id});
     }
     cell_of_row_[r] = it->second;
   }
@@ -309,9 +309,8 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   for (const auto& vals : numeric_values_) {
     bytes += vals.size() * sizeof(double);
   }
-  for (const Cell& cell : cells_) {
-    bytes += sizeof(Cell) + cell.onehot.size() * sizeof(uint32_t);
-  }
+  bytes += cells_.size() * sizeof(Cell) +
+           (onehot_begin_.size() + onehot_ids_.size()) * sizeof(uint32_t);
   // Approximate intern-map footprint (key bytes + node overhead); kept in
   // the budgeted total now that the map persists for extension.
   bytes += cell_ids_.size() * (confs_.size() * sizeof(int32_t) + 64);
@@ -486,6 +485,103 @@ Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,
   return Status::Internal("unknown CATE method");
 }
 
+void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
+                                              NormalEquations* out) const {
+  FAIRCAP_CHECK(!acc.int_valid);
+  const ConfounderPartition& part = *partition_;
+  const size_t num_cells = part.cells().size();
+  FAIRCAP_CHECK(acc.n.size() == num_cells * 2);
+  const uint32_t* onehot_begin = part.onehot_begin().data();
+  const uint32_t* onehot_ids = part.onehot_ids().data();
+  const auto& features = part.features();
+  const auto& nf = part.numeric_features();
+  const size_t m = part.num_numeric();
+  const size_t mm = m * (m + 1) / 2;
+  const size_t p = 2 + features.size();
+  out->p = p;
+  out->xtx.assign(p * p, 0.0);
+  out->xty.assign(p, 0.0);
+  out->yty = 0.0;
+  double* xtx = out->xtx.data();
+  double* xty = out->xty.data();
+
+  // Within a cell the design row is [1, arm, one-hot(c), z], with only z
+  // varying by row. Every X'X entry between the intercept, T and one-hot
+  // columns is therefore a row count: summed per cell in int64 (n0 + n1,
+  // or n1 for T) and converted once below. Each partial sum is an integer
+  // below 2^53, so this equals the ascending per-slot double sum exactly.
+  // (f, f) equals (0, f), and levels of one confounder never share a
+  // cell, so only the cross-confounder pairs are summed.
+  thread_local std::vector<int64_t> counts;
+  counts.assign(p * p, 0);
+  int64_t* cnt = counts.data();
+  for (size_t c = 0; c < num_cells; ++c) {
+    const int64_t n1 = acc.n[c * 2 + 1];
+    const int64_t nc = acc.n[c * 2] + n1;
+    if (nc == 0) continue;
+    const uint32_t* f_begin = onehot_ids + onehot_begin[c];
+    const uint32_t* f_end = onehot_ids + onehot_begin[c + 1];
+    cnt[0] += nc;
+    cnt[1] += n1;
+    cnt[p + 1] += n1;
+    for (const uint32_t* f = f_begin; f != f_end; ++f) {
+      const size_t col = 2 + *f;
+      cnt[col] += nc;
+      cnt[p + col] += n1;
+      int64_t* row = cnt + col * p + 2;
+      for (const uint32_t* g = f + 1; g != f_end; ++g) row[*g] += nc;
+    }
+
+    // X'y, y'y and the numeric-moment entries stay in double, added per
+    // non-empty slot in ascending slot order.
+    for (size_t arm = 0; arm < 2; ++arm) {
+      const size_t idx = c * 2 + arm;
+      if (acc.n[idx] == 0) continue;
+      const double sy = acc.sy[idx];
+      xty[0] += sy;
+      if (arm != 0) xty[1] += sy;
+      out->yty += acc.syy[idx];
+      for (const uint32_t* f = f_begin; f != f_end; ++f) xty[2 + *f] += sy;
+      if (m == 0) continue;
+      const size_t zbase = idx * m;
+      for (size_t j = 0; j < m; ++j) {
+        const double sz = acc.zsum[zbase + j];
+        const size_t colj = 2 + nf[j];
+        xtx[colj] += sz;                    // (0, z_j)
+        if (arm != 0) xtx[p + colj] += sz;  // (T, z_j)
+        for (const uint32_t* f = f_begin; f != f_end; ++f) {
+          const size_t a = 2 + *f;
+          if (a <= colj) {
+            xtx[a * p + colj] += sz;
+          } else {
+            xtx[colj * p + a] += sz;
+          }
+        }
+        xty[colj] += acc.zysum[zbase + j];
+      }
+      const size_t zzbase = idx * mm;
+      for (size_t i = 0, t = 0; i < m; ++i) {
+        for (size_t j = i; j < m; ++j, ++t) {
+          xtx[(2 + nf[i]) * p + (2 + nf[j])] += acc.zzsum[zzbase + t];
+        }
+      }
+    }
+  }
+
+  // Convert the count block: the upper triangle over the intercept, T and
+  // one-hot columns. Numeric columns hold moments and are left as summed.
+  const auto is_count = [&](size_t col) {
+    return col < 2 || features[col - 2].categorical;
+  };
+  for (size_t i = 0; i < p; ++i) {
+    if (!is_count(i)) continue;
+    if (i >= 2) cnt[i * p + i] = cnt[i];
+    for (size_t j = i; j < p; ++j) {
+      if (is_count(j)) xtx[i * p + j] = static_cast<double>(cnt[i * p + j]);
+    }
+  }
+}
+
 Result<CateEstimate> CateStatsEngine::SolveRegression(
     const Accum& acc, size_t min_group_size) const {
   if (acc.n_treated < min_group_size || acc.n_control < min_group_size) {
@@ -493,78 +589,15 @@ Result<CateEstimate> CateStatsEngine::SolveRegression(
         "insufficient overlap: " + std::to_string(acc.n_treated) +
         " treated / " + std::to_string(acc.n_control) + " control rows");
   }
-  const auto& cells = partition_->cells();
-  const auto& nf = partition_->numeric_features();
-  const size_t m = partition_->num_numeric();
-  const size_t mm = m * (m + 1) / 2;
-  const size_t p = 2 + partition_->features().size();
-
-  // Assemble X'X / X'y / y'y from the cell stats: within a cell the
-  // design row is [1, arm, one-hot(c), z], with only z varying by row —
-  // so every X'X entry is a weighted count, a z-moment, or a z-product
-  // moment of the cell.
-  std::vector<double> xtx(p * p, 0.0);
-  std::vector<double> xty(p, 0.0);
-  double yty = 0.0;
-  for (size_t c = 0; c < cells.size(); ++c) {
-    const auto& onehot = cells[c].onehot;
-    for (int arm = 0; arm < 2; ++arm) {
-      const size_t idx = c * 2 + static_cast<size_t>(arm);
-      const uint32_t cnt = acc.n[idx];
-      if (cnt == 0) continue;
-      const double nd = static_cast<double>(cnt);
-      const double sy = acc.sy[idx];
-      xtx[0] += nd;
-      if (arm != 0) {
-        xtx[1] += nd;          // (0, T)
-        xtx[p + 1] += nd;      // (T, T)
-      }
-      xty[0] += sy;
-      if (arm != 0) xty[1] += sy;
-      yty += acc.syy[idx];
-      for (const uint32_t f : onehot) {
-        const size_t col = 2 + f;
-        xtx[col] += nd;                   // (0, f)
-        if (arm != 0) xtx[p + col] += nd; // (T, f)
-        xty[col] += sy;
-      }
-      for (size_t i = 0; i < onehot.size(); ++i) {
-        for (size_t j = i; j < onehot.size(); ++j) {
-          xtx[(2 + onehot[i]) * p + (2 + onehot[j])] += nd;
-        }
-      }
-      if (m > 0) {
-        const size_t zbase = idx * m;
-        for (size_t j = 0; j < m; ++j) {
-          const double sz = acc.zsum[zbase + j];
-          const size_t colj = 2 + nf[j];
-          xtx[colj] += sz;                   // (0, z_j)
-          if (arm != 0) xtx[p + colj] += sz; // (T, z_j)
-          for (const uint32_t f : onehot) {
-            const size_t a = 2 + f;
-            if (a <= colj) {
-              xtx[a * p + colj] += sz;
-            } else {
-              xtx[colj * p + a] += sz;
-            }
-          }
-          xty[colj] += acc.zysum[zbase + j];
-        }
-        const size_t zzbase = idx * mm;
-        for (size_t i = 0, t = 0; i < m; ++i) {
-          for (size_t j = i; j < m; ++j, ++t) {
-            xtx[(2 + nf[i]) * p + (2 + nf[j])] += acc.zzsum[zzbase + t];
-          }
-        }
-      }
-    }
-  }
+  thread_local NormalEquations eq;
+  AssembleNormalEquations(acc, &eq);
   FAIRCAP_ASSIGN_OR_RETURN(
       const OlsFit fit,
-      SolveNormalEquations(xtx, xty, yty, acc.rows, p, options_.ridge));
+      SolveNormalEquations(eq.xtx, eq.xty, eq.yty, acc.rows, eq.p,
+                           options_.ridge));
   CateEstimate est;
   est.cate = fit.beta[1];
-  est.std_error = fit.std_errors[1];
+  est.std_error = fit.treatment_std_error;
   est.n_treated = acc.n_treated;
   est.n_control = acc.n_control;
   return est;
@@ -644,19 +677,23 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
   // Categorical-only confounders: the propensity design is constant per
   // cell, so the logistic fit runs on grouped counts and the Hajek sums
   // come straight from the cell stats.
-  const auto& cells = partition_->cells();
+  const size_t num_cells = partition_->cells().size();
+  const uint32_t* onehot_begin = partition_->onehot_begin().data();
+  const uint32_t* onehot_ids = partition_->onehot_ids().data();
   const size_t p = 1 + partition_->features().size();
   std::vector<double> x;
   std::vector<double> trials, successes;
   std::vector<uint32_t> touched;
-  for (uint32_t c = 0; c < cells.size(); ++c) {
+  for (uint32_t c = 0; c < num_cells; ++c) {
     const uint32_t n1 = acc.n[static_cast<size_t>(c) * 2 + 1];
     const uint32_t n0 = acc.n[static_cast<size_t>(c) * 2];
     if (n1 + n0 == 0) continue;
     const size_t base = x.size();
     x.resize(base + p, 0.0);
     x[base] = 1.0;
-    for (const uint32_t f : cells[c].onehot) x[base + 1 + f] = 1.0;
+    for (uint32_t k = onehot_begin[c]; k < onehot_begin[c + 1]; ++k) {
+      x[base + 1 + onehot_ids[k]] = 1.0;
+    }
     trials.push_back(static_cast<double>(n1 + n0));
     successes.push_back(static_cast<double>(n1));
     touched.push_back(c);
@@ -713,7 +750,8 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
 Result<CateEstimate> CateStatsEngine::SolveIpwRows(
     const Slice& slice, size_t min_group_size) const {
   (void)min_group_size;  // overlap already checked on the accumulated counts
-  const auto& cells = partition_->cells();
+  const uint32_t* onehot_begin = partition_->onehot_begin().data();
+  const uint32_t* onehot_ids = partition_->onehot_ids().data();
   const int32_t* cell_of_row = partition_->cell_of_row().data();
   const uint64_t* vw = partition_->outcome_valid().words();
   const double* y = df_->column(partition_->outcome_attr()).numeric_data();
@@ -743,7 +781,9 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
       const size_t base = design.size();
       design.resize(base + p, 0.0);
       design[base] = 1.0;
-      for (const uint32_t f : cells[c].onehot) design[base + 1 + f] = 1.0;
+      for (uint32_t k = onehot_begin[c]; k < onehot_begin[c + 1]; ++k) {
+        design[base + 1 + onehot_ids[k]] = 1.0;
+      }
       for (size_t j = 0; j < m; ++j) {
         design[base + 1 + nf[j]] = partition_->numeric_values()[j][r];
       }
@@ -770,11 +810,32 @@ void CateStatsEngine::EnsureFp(Accum* acc) {
   acc->int_valid = false;
 }
 
+namespace {
+
+// The per-slot arrays of an accum agree in size, and its int staging
+// arrays (possibly absent) cover every slot when they are authoritative.
+bool SlotArraysConsistent(const CateStatsEngine::Accum& acc) {
+  const size_t slots = acc.n.size();
+  return acc.sy.size() == slots && acc.syy.size() == slots &&
+         acc.isy.size() == acc.isyy.size() && acc.isy.size() <= slots &&
+         (!acc.int_valid || acc.isy.size() == slots);
+}
+
+}  // namespace
+
 void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
+  // Checked in every build: the loops below index `into` by `from`'s
+  // sizes, and MergeSubgroupAccums is public. Accums of one engine (after
+  // GrowAccum) always agree; the int staging arrays may be absent on one
+  // side when the outcome stopped being integer across an append.
+  FAIRCAP_CHECK(into->n.size() == from.n.size());
+  FAIRCAP_CHECK(SlotArraysConsistent(*into) && SlotArraysConsistent(from));
+  FAIRCAP_CHECK(into->zsum.size() == from.zsum.size() &&
+                into->zysum.size() == from.zysum.size() &&
+                into->zzsum.size() == from.zzsum.size());
   into->rows += from.rows;
   into->n_treated += from.n_treated;
   into->n_control += from.n_control;
-  assert(into->n.size() == from.n.size());
   for (size_t i = 0; i < from.n.size(); ++i) into->n[i] += from.n[i];
   // Keep merging in int64 while the combined rows provably stay under the
   // exactness budget. Past it — or when either side already fell back to
@@ -896,8 +957,10 @@ CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateSubgroups(
 CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
     const Bitmap& group, const Bitmap* protected_mask,
     size_t row_begin) const {
-  assert(group.size() == treated_->size());
-  assert(row_begin <= group.size());
+  // Checked in every build: a row_begin past the table would clear bits
+  // in a scratch word past the end of the bitmap below.
+  FAIRCAP_CHECK(group.size() == treated_->size());
+  FAIRCAP_CHECK(row_begin <= group.size());
   SubgroupAccums out;
   out.split = protected_mask != nullptr;
   out.rows_covered = df_->num_rows();
@@ -930,7 +993,7 @@ CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
 
 void CateStatsEngine::MergeSubgroupAccums(SubgroupAccums* into,
                                           const SubgroupAccums& from) const {
-  assert(into->split == from.split);
+  FAIRCAP_CHECK(into->split == from.split);
   GrowAccum(&into->overall);
   MergeAccum(&into->overall, from.overall);
   if (into->split) {

@@ -85,9 +85,6 @@ class ConfounderPartition {
     /// confounder is null in this cell (such rows are excluded from
     /// stratification but kept, zero-featured, by regression and IPW).
     int64_t stratum_id = -1;
-    /// Design feature indices that are 1 for every row of this cell
-    /// (ascending). Numeric features are per-row, not per-cell.
-    std::vector<uint32_t> onehot;
   };
 
   static std::shared_ptr<const ConfounderPartition> Build(
@@ -128,6 +125,12 @@ class ConfounderPartition {
   /// keeps no copy of it: estimation passes read the column itself.
   size_t outcome_attr() const { return outcome_attr_; }
   const std::vector<Cell>& cells() const { return cells_; }
+  /// Flat CSR table of the design features that are 1 for every row of a
+  /// cell: cell c's feature indices (ascending, at most one per
+  /// categorical confounder) are onehot_ids()[onehot_begin()[c] ..
+  /// onehot_begin()[c + 1]). Numeric features are per-row, not per-cell.
+  const std::vector<uint32_t>& onehot_begin() const { return onehot_begin_; }
+  const std::vector<uint32_t>& onehot_ids() const { return onehot_ids_; }
   /// Cells with stratum_id >= 0, ascending by stratum_id — the iteration
   /// order of the legacy stratified combine (a std::map over ids).
   const std::vector<uint32_t>& cells_by_stratum() const {
@@ -200,6 +203,8 @@ class ConfounderPartition {
   std::vector<int32_t> cell_of_row_;
   Bitmap outcome_valid_;
   std::vector<Cell> cells_;
+  std::vector<uint32_t> onehot_begin_ = {0};  ///< [cells + 1]
+  std::vector<uint32_t> onehot_ids_;
   std::vector<uint32_t> cells_by_stratum_;
   bool outcome_integer_ = false;
   uint64_t safe_int_rows_ = 0;
@@ -350,6 +355,23 @@ class CateStatsEngine {
       const Bitmap* protected_mask, size_t min_group_size,
       size_t min_subgroup_size,
       bool skip_subgroups_unless_positive = false) const;
+
+  /// The regression design's normal equations over one subgroup: X'X
+  /// (upper triangle filled, row-major p x p), X'y and y'y for the design
+  /// row [1, T, one-hot(cell), z].
+  struct NormalEquations {
+    size_t p = 0;
+    std::vector<double> xtx;
+    std::vector<double> xty;
+    double yty = 0.0;
+  };
+
+  /// Assembles the regression normal equations from an FP-valid accum
+  /// (int_valid false) into `out`, reusing its buffers. The intercept, T
+  /// and one-hot block of X'X is summed per cell in int64 and converted
+  /// once; X'y, y'y and the numeric-moment entries are summed in double
+  /// in ascending slot order.
+  void AssembleNormalEquations(const Accum& acc, NormalEquations* out) const;
 
   const Bitmap& treated() const { return *treated_; }
   const ConfounderPartition& partition() const { return *partition_; }

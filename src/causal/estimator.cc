@@ -229,7 +229,7 @@ Result<CateEstimate> CateEstimator::EstimateRegression(
   FAIRCAP_ASSIGN_OR_RETURN(const OlsFit fit, acc.Solve(options_.ridge));
   CateEstimate est;
   est.cate = fit.beta[1];
-  est.std_error = fit.std_errors[1];
+  est.std_error = fit.treatment_std_error;
   est.n_treated = n_treated;
   est.n_control = n_control;
   return est;

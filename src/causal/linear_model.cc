@@ -1,5 +1,6 @@
 #include "causal/linear_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace faircap {
@@ -55,24 +56,6 @@ Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
   return b;
 }
 
-Result<std::vector<double>> InvertSpd(std::vector<double> a, size_t p) {
-  if (a.size() != p * p) {
-    return Status::InvalidArgument("InvertSpd: dimension mismatch");
-  }
-  if (!Cholesky(a, p)) {
-    return Status::FailedPrecondition("matrix is not positive definite");
-  }
-  std::vector<double> inv(p * p, 0.0);
-  std::vector<double> e(p);
-  for (size_t col = 0; col < p; ++col) {
-    std::fill(e.begin(), e.end(), 0.0);
-    e[col] = 1.0;
-    CholeskySolve(a, p, e);
-    for (size_t row = 0; row < p; ++row) inv[row * p + col] = e[row];
-  }
-  return inv;
-}
-
 OlsAccumulator::OlsAccumulator(size_t p)
     : p_(p), xtx_(p * p, 0.0), xty_(p, 0.0) {}
 
@@ -101,24 +84,23 @@ Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
         "OLS needs at least as many rows as features (" +
         std::to_string(n) + " < " + std::to_string(p) + ")");
   }
-  // Mirror the upper triangle and add the ridge.
-  std::vector<double> a(p * p);
+  // The factor lives in per-thread scratch, reused by every solve on the
+  // thread. Cholesky reads only the lower triangle, so the upper triangle
+  // of X'X is transposed into it and the ridge added on the diagonal.
+  thread_local std::vector<double> a;
+  a.resize(p * p);
   for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j < p; ++j) {
-      a[i * p + j] = i <= j ? xtx[i * p + j] : xtx[j * p + i];
-    }
-    a[i * p + i] += ridge;
+    for (size_t j = 0; j < i; ++j) a[i * p + j] = xtx[j * p + i];
+    a[i * p + i] = xtx[i * p + i] + ridge;
   }
-  FAIRCAP_ASSIGN_OR_RETURN(std::vector<double> inv, InvertSpd(a, p));
+  if (!Cholesky(a, p)) {
+    return Status::FailedPrecondition("matrix is not positive definite");
+  }
 
   OlsFit fit;
   fit.n = n;
-  fit.beta.assign(p, 0.0);
-  for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j < p; ++j) {
-      fit.beta[i] += inv[i * p + j] * xty[j];
-    }
-  }
+  fit.beta = xty;
+  CholeskySolve(a, p, fit.beta);
   // Residual sum of squares: y'y - 2 beta'X'y + beta'X'X beta, folded as
   // y'y - beta'X'y (valid at the normal-equation solution up to ridge).
   double beta_xty = 0.0;
@@ -126,10 +108,22 @@ Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
   const double rss = std::max(0.0, yty - beta_xty);
   const size_t dof = n > p ? n - p : 1;
   fit.sigma2 = rss / static_cast<double>(dof);
-  fit.std_errors.resize(p);
-  for (size_t i = 0; i < p; ++i) {
-    fit.std_errors[i] = std::sqrt(std::max(0.0, fit.sigma2 * inv[i * p + i]));
+  if (p < 2) {
+    fit.treatment_std_error = std::nan("");
+    return fit;
   }
+  // (A^-1)_11 = |z|^2 for L z = e_1. z[0] = 0, so the forward solve
+  // starts at row 1 and never reads column 0 of L.
+  thread_local std::vector<double> z;
+  z.resize(p);
+  double inv_11 = 0.0;
+  for (size_t i = 1; i < p; ++i) {
+    double s = i == 1 ? 1.0 : 0.0;
+    for (size_t k = 1; k < i; ++k) s -= a[i * p + k] * z[k];
+    z[i] = s / a[i * p + i];
+    inv_11 += z[i] * z[i];
+  }
+  fit.treatment_std_error = std::sqrt(std::max(0.0, fit.sigma2 * inv_11));
   return fit;
 }
 

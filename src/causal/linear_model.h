@@ -13,10 +13,13 @@ namespace faircap {
 
 /// Fitted OLS model.
 struct OlsFit {
-  std::vector<double> beta;        ///< coefficients, length p
-  std::vector<double> std_errors;  ///< standard errors, length p
-  double sigma2 = 0.0;             ///< residual variance estimate
-  size_t n = 0;                    ///< rows used
+  std::vector<double> beta;  ///< coefficients, length p
+  /// Standard error of beta[1] — the treatment coefficient of the CATE
+  /// design [1, T, Z...], the only standard error any caller reads.
+  /// NaN when p < 2.
+  double treatment_std_error = 0.0;
+  double sigma2 = 0.0;  ///< residual variance estimate
+  size_t n = 0;         ///< rows used
 };
 
 /// Solves A x = b for symmetric positive definite A (row-major p x p) via
@@ -24,15 +27,18 @@ struct OlsFit {
 Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
                                      std::vector<double> b);
 
-/// Inverts a symmetric positive definite matrix (row-major p x p).
-Result<std::vector<double>> InvertSpd(std::vector<double> a, size_t p);
-
 /// Solves the ridge-stabilized normal equations from sufficient statistics
 /// alone: `xtx` is X'X with at least the upper triangle filled (i <= j;
 /// the lower triangle is ignored), `xty` is X'y, `yty` is y'y, `n` the row
 /// count behind the sums. This is the shared back half of OlsAccumulator
 /// and of the CATE sufficient-statistics engine, which assembles X'X from
 /// per-stratum accumulations instead of design rows.
+///
+/// Factors X'X + ridge*I = L L' once (Cholesky, into per-thread scratch),
+/// takes beta from one forward/back solve of X'y, and Var(beta[1]) from
+/// (A^-1)_11 = |L^-1 e_1|^2 — one more forward solve. No p x p inverse is
+/// formed, so beta[1] agrees with inverse-times-X'y only to solver
+/// precision on ill-conditioned systems.
 Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
                                     const std::vector<double>& xty,
                                     double yty, size_t n, size_t p,

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "causal/estimator.h"
 #include "data/german.h"
@@ -334,6 +336,253 @@ TEST(CateStatsEngineEdgeTest, MismatchedBitmapSizesAreInvalidArgument) {
   }
   // Matching sizes still estimate.
   EXPECT_TRUE(est->EstimateSubgroups(intervention, all, &prot, 5).ok());
+}
+
+TEST(CateStatsEngineDeathTest, AccumulateDeltaRejectsRowBeginPastTable) {
+  // A delta boundary past the table would clear bits in a scratch word
+  // past the end of the bitmap; Release builds must stop, not write.
+  const EdgeData data = MakeEdgeData(1000, 85);  // 1000 % 64 != 0
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const auto engine =
+      est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
+  ASSERT_TRUE(engine.ok());
+  const Bitmap all = data.df.AllRows();
+  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
+  EXPECT_DEATH((void)(*engine)->AccumulateDelta(all, &prot,
+                                                data.df.num_rows() + 30),
+               "CHECK failed.*row_begin <= group.size\\(\\)");
+  // The boundary itself is a valid (empty) delta.
+  EXPECT_EQ((*engine)->AccumulateDelta(all, &prot, data.df.num_rows())
+                .overall.rows,
+            0u);
+}
+
+TEST(CateStatsEngineDeathTest, MergeSubgroupAccumsRejectsMismatchedAccums) {
+  // Accums of another engine (a different partition, so a different cell
+  // count) must not be merged by indexing one with the other's sizes.
+  const EdgeData data = MakeEdgeData(1000, 86);
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const size_t u = *data.df.schema().IndexOf("U");
+  const auto many_cells =
+      est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
+  const auto one_cell =
+      est->EngineFor(Pattern({Predicate(u, CompareOp::kEq, Value("hi"))}));
+  ASSERT_TRUE(many_cells.ok());
+  ASSERT_TRUE(one_cell.ok());
+  ASSERT_GT((*many_cells)->partition().cells().size(),
+            (*one_cell)->partition().cells().size());
+  const Bitmap all = data.df.AllRows();
+  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
+  CateStatsEngine::SubgroupAccums into =
+      (*one_cell)->AccumulateSubgroups(all, &prot, nullptr, nullptr);
+  const CateStatsEngine::SubgroupAccums from =
+      (*many_cells)->AccumulateSubgroups(all, &prot, nullptr, nullptr);
+  EXPECT_DEATH((*one_cell)->MergeSubgroupAccums(&into, from),
+               "CHECK failed.*into->n.size\\(\\) == from.n.size\\(\\)");
+}
+
+// The per-slot double assembly that AssembleNormalEquations replaced,
+// kept as its bit-for-bit oracle: every X'X entry — counts included — is
+// summed in double per non-empty slot, in ascending slot order.
+CateStatsEngine::NormalEquations PerSlotDoubleAssembly(
+    const CateStatsEngine& engine, const CateStatsEngine::Accum& acc) {
+  const ConfounderPartition& part = engine.partition();
+  const auto& nf = part.numeric_features();
+  const size_t m = part.num_numeric();
+  const size_t mm = m * (m + 1) / 2;
+  const size_t p = 2 + part.features().size();
+  CateStatsEngine::NormalEquations out;
+  out.p = p;
+  out.xtx.assign(p * p, 0.0);
+  out.xty.assign(p, 0.0);
+  std::vector<double>& xtx = out.xtx;
+  std::vector<double>& xty = out.xty;
+  for (size_t c = 0; c < part.cells().size(); ++c) {
+    const std::vector<uint32_t> onehot(
+        part.onehot_ids().begin() + part.onehot_begin()[c],
+        part.onehot_ids().begin() + part.onehot_begin()[c + 1]);
+    for (int arm = 0; arm < 2; ++arm) {
+      const size_t idx = c * 2 + static_cast<size_t>(arm);
+      const uint32_t cnt = acc.n[idx];
+      if (cnt == 0) continue;
+      const double nd = static_cast<double>(cnt);
+      const double sy = acc.sy[idx];
+      xtx[0] += nd;
+      if (arm != 0) {
+        xtx[1] += nd;
+        xtx[p + 1] += nd;
+      }
+      xty[0] += sy;
+      if (arm != 0) xty[1] += sy;
+      out.yty += acc.syy[idx];
+      for (const uint32_t f : onehot) {
+        const size_t col = 2 + f;
+        xtx[col] += nd;
+        if (arm != 0) xtx[p + col] += nd;
+        xty[col] += sy;
+      }
+      for (size_t i = 0; i < onehot.size(); ++i) {
+        for (size_t j = i; j < onehot.size(); ++j) {
+          xtx[(2 + onehot[i]) * p + (2 + onehot[j])] += nd;
+        }
+      }
+      if (m == 0) continue;
+      const size_t zbase = idx * m;
+      for (size_t j = 0; j < m; ++j) {
+        const double sz = acc.zsum[zbase + j];
+        const size_t colj = 2 + nf[j];
+        xtx[colj] += sz;
+        if (arm != 0) xtx[p + colj] += sz;
+        for (const uint32_t f : onehot) {
+          const size_t a = 2 + f;
+          if (a <= colj) {
+            xtx[a * p + colj] += sz;
+          } else {
+            xtx[colj * p + a] += sz;
+          }
+        }
+        xty[colj] += acc.zysum[zbase + j];
+      }
+      const size_t zzbase = idx * mm;
+      for (size_t i = 0, t = 0; i < m; ++i) {
+        for (size_t j = i; j < m; ++j, ++t) {
+          xtx[(2 + nf[i]) * p + (2 + nf[j])] += acc.zzsum[zzbase + t];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// X'X (upper triangle), X'y and y'y of every accum of `accums` equal the
+// per-slot double oracle bit for bit.
+void ExpectAssemblyMatchesOracle(const CateStatsEngine& engine,
+                                 const CateStatsEngine::SubgroupAccums& accums,
+                                 const std::string& label) {
+  const std::pair<const CateStatsEngine::Accum*, const char*> parts[] = {
+      {&accums.overall, "overall"},
+      {&accums.prot, "protected"},
+      {&accums.nonprot, "nonprotected"}};
+  for (const auto& [acc, name] : parts) {
+    const std::string tag = label + "/" + name;
+    ASSERT_FALSE(acc->int_valid) << tag;
+    CateStatsEngine::NormalEquations got;
+    engine.AssembleNormalEquations(*acc, &got);
+    const CateStatsEngine::NormalEquations want =
+        PerSlotDoubleAssembly(engine, *acc);
+    ASSERT_EQ(got.p, want.p) << tag;
+    const size_t p = want.p;
+    for (size_t i = 0; i < p; ++i) {
+      for (size_t j = i; j < p; ++j) {
+        EXPECT_EQ(Bits(got.xtx[i * p + j]), Bits(want.xtx[i * p + j]))
+            << tag << " X'X(" << i << "," << j << ") "
+            << got.xtx[i * p + j] << " vs " << want.xtx[i * p + j];
+      }
+      EXPECT_EQ(Bits(got.xty[i]), Bits(want.xty[i])) << tag << " X'y " << i;
+    }
+    EXPECT_EQ(Bits(got.yty), Bits(want.yty)) << tag << " y'y";
+  }
+}
+
+// Sweeps interventions x (all, dense, sparse) groups with the protected
+// split through `est`'s regression engines.
+void SweepAssembly(const CateEstimator& est, const DataFrame& df,
+                   const Pattern& protected_pattern, uint64_t seed,
+                   const std::string& label) {
+  const Bitmap prot = protected_pattern.Evaluate(df);
+  Rng rng(seed);
+  const std::vector<Pattern> interventions = SampleInterventions(df, 4, &rng);
+  ASSERT_FALSE(interventions.empty());
+  for (size_t i = 0; i < interventions.size(); ++i) {
+    const auto engine = est.EngineFor(interventions[i]);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const Bitmap groups[] = {df.AllRows(), RandomGroup(df.num_rows(), 0.6, &rng),
+                             RandomGroup(df.num_rows(), 0.05, &rng)};
+    for (size_t g = 0; g < 3; ++g) {
+      ExpectAssemblyMatchesOracle(
+          **engine,
+          (*engine)->AccumulateSubgroups(groups[g], &prot, nullptr, nullptr),
+          label + "/i" + std::to_string(i) + "/g" + std::to_string(g));
+    }
+  }
+}
+
+TEST(CateStatsEngineAssemblyTest, NullAndNumericConfoundersBitForBit) {
+  // Zc and Zn both carry nulls (null-confounder cells) and Zn is numeric
+  // (the moment path); a tenth of the outcomes are null as well.
+  const EdgeData data = MakeEdgeData(3000, 87, /*outcome_null_rate=*/0.1);
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const auto engine =
+      est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
+  ASSERT_TRUE(engine.ok());
+  ASSERT_GT((*engine)->partition().num_numeric(), 0u);
+  SweepAssembly(*est, data.df, data.protected_pattern, 87, "edge");
+}
+
+TEST(CateStatsEngineAssemblyTest, CategoricalConfoundersBitForBit) {
+  GermanConfig config;
+  config.num_rows = 2000;
+  const auto data = MakeGerman(config);
+  ASSERT_TRUE(data.ok());
+  CateOptions options;
+  options.disable_int_fast_path = true;  // the oracle reads FP sums
+  const auto est = CateEstimator::Create(&data->df, &data->dag, options);
+  ASSERT_TRUE(est.ok());
+  SweepAssembly(*est, data->df, data->protected_pattern, 88, "german");
+}
+
+TEST(CateStatsEngineAssemblyTest, CellsAddedByExtendInPlaceBitForBit) {
+  GermanConfig config;
+  config.num_rows = 2000;
+  const auto data = MakeGerman(config);
+  ASSERT_TRUE(data.ok());
+  // A 24-row base misses some joint confounder cells, so the delta
+  // interns new ones at the end of the extended partitions.
+  std::vector<uint32_t> head(24), tail(1976);
+  for (uint32_t r = 0; r < 24; ++r) head[r] = r;
+  for (uint32_t r = 0; r < 1976; ++r) tail[r] = 24 + r;
+  DataFrame df = data->df.TakeRows(head);
+  const DataFrame delta = data->df.TakeRows(tail);
+  CateOptions options;
+  options.disable_int_fast_path = true;
+  auto est = CateEstimator::Create(&df, &data->dag, options);
+  ASSERT_TRUE(est.ok());
+  Rng rng(89);
+  const std::vector<Pattern> interventions = SampleInterventions(df, 4, &rng);
+  std::vector<size_t> cells_before;
+  for (const Pattern& intervention : interventions) {
+    const auto engine = est->EngineFor(intervention);
+    ASSERT_TRUE(engine.ok());
+    cells_before.push_back((*engine)->partition().cells().size());
+  }
+  ASSERT_TRUE(df.AppendFrame(delta).ok());
+  const CateEstimator::AppendRefreshStats stats = est->NotifyAppend();
+  ASSERT_GT(stats.partitions_extended, 0u);
+  ASSERT_EQ(stats.partitions_rebuilt, 0u);
+  bool grew = false;
+  const Bitmap prot = data->protected_pattern.Evaluate(df);
+  for (size_t i = 0; i < interventions.size(); ++i) {
+    const auto engine = est->EngineFor(interventions[i]);
+    ASSERT_TRUE(engine.ok());
+    grew |= (*engine)->partition().cells().size() > cells_before[i];
+    ExpectAssemblyMatchesOracle(
+        **engine,
+        (*engine)->AccumulateSubgroups(df.AllRows(), &prot, nullptr, nullptr),
+        "extended/i" + std::to_string(i));
+  }
+  EXPECT_TRUE(grew) << "the delta interned no new cells";
 }
 
 TEST(CateStatsEngineCacheTest, EnginesAreCachedPerTreatment) {

@@ -1,0 +1,111 @@
+// Golden-ruleset pins: the rulesets FairCap selects on german and on a
+// 5K-row stackoverflow table, under group-SP fairness plus group coverage,
+// compared exactly — grouping, intervention, support and protected
+// support of every rule, in selection order — against fixtures recorded
+// before the regression solver moved from an explicit inverse to
+// Cholesky solves. Utilities are deliberately not pinned: they may move
+// within solver precision, the selected rules may not.
+//
+// The fixtures live in tests/fixtures/golden/. To re-record them after a
+// change that is meant to alter the rulesets, run golden_ruleset_test
+// with --gtest_also_run_disabled_tests --gtest_filter='*DISABLED_Record*'
+// and review the diff.
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "core/faircap.h"
+#include "data/german.h"
+#include "data/stackoverflow.h"
+
+#ifndef FAIRCAP_GOLDEN_DIR
+#error "FAIRCAP_GOLDEN_DIR must name the golden fixture directory"
+#endif
+
+namespace faircap {
+namespace {
+
+struct GoldenCase {
+  const char* name;
+  DataFrame df;
+  CausalDag dag;
+  Pattern protected_pattern;
+  FairCapOptions options;
+};
+
+FairCapOptions GoldenOptions(double epsilon, double theta) {
+  FairCapOptions options;
+  options.fairness = FairnessConstraint::GroupSP(epsilon);
+  options.coverage = CoverageConstraint::Group(theta, theta);
+  options.num_threads = 1;
+  options.num_shards = 1;
+  return options;
+}
+
+GoldenCase German() {
+  GermanData data = MakeGerman().ValueOrDie();
+  return {"german", std::move(data.df), std::move(data.dag),
+          std::move(data.protected_pattern), GoldenOptions(0.1, 0.3)};
+}
+
+GoldenCase StackOverflow5k() {
+  StackOverflowConfig config;
+  config.num_rows = 5000;
+  StackOverflowData data = MakeStackOverflow(config).ValueOrDie();
+  return {"stackoverflow_5k", std::move(data.df), std::move(data.dag),
+          std::move(data.protected_pattern), GoldenOptions(10000.0, 0.5)};
+}
+
+/// One line per selected rule: grouping | intervention | support |
+/// protected support.
+std::string RulesetText(const GoldenCase& c) {
+  auto solver =
+      FairCap::Create(&c.df, &c.dag, c.protected_pattern, c.options);
+  EXPECT_TRUE(solver.ok()) << solver.status().ToString();
+  if (!solver.ok()) return "";
+  const auto result = solver->Run();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return "";
+  std::ostringstream out;
+  for (const PrescriptionRule& rule : result->rules) {
+    out << rule.grouping.ToString(c.df.schema()) << " | "
+        << rule.intervention.ToString(c.df.schema()) << " | "
+        << rule.support << " | " << rule.support_protected << "\n";
+  }
+  return out.str();
+}
+
+std::string FixturePath(const GoldenCase& c) {
+  return std::string(FAIRCAP_GOLDEN_DIR) + "/" + c.name + ".txt";
+}
+
+void ExpectMatchesFixture(const GoldenCase& c) {
+  std::ifstream in(FixturePath(c));
+  ASSERT_TRUE(in) << "missing fixture " << FixturePath(c);
+  std::stringstream expected;
+  expected << in.rdbuf();
+  ASSERT_FALSE(expected.str().empty()) << FixturePath(c);
+  EXPECT_EQ(RulesetText(c), expected.str()) << c.name;
+}
+
+TEST(GoldenRulesetTest, GermanGroupSpGroupCoverage) {
+  ExpectMatchesFixture(German());
+}
+
+TEST(GoldenRulesetTest, StackOverflow5kGroupSpGroupCoverage) {
+  ExpectMatchesFixture(StackOverflow5k());
+}
+
+TEST(GoldenRulesetTest, DISABLED_RecordFixtures) {
+  for (const GoldenCase& c : {German(), StackOverflow5k()}) {
+    std::ofstream out(FixturePath(c));
+    ASSERT_TRUE(out) << FixturePath(c);
+    out << RulesetText(c);
+  }
+}
+
+}  // namespace
+}  // namespace faircap

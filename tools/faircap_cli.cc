@@ -22,6 +22,8 @@
 // conjunction of attr=value equalities; the DAG file uses the "A -> B;"
 // dialect of causal/dag_io.h.
 
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -72,11 +74,48 @@ struct CliArgs {
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
-  }
   bool Has(const std::string& key) const { return values.count(key) != 0; }
+
+  /// Numeric flags are parsed strictly: the whole value must be a finite
+  /// number, so "--rows=abc" or "--theta=nan" fail with the flag's name
+  /// instead of running on a silently coerced value.
+  Result<double> GetDouble(const std::string& key, double fallback) const {
+    const auto it = values.find(key);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        end != text.c_str() + text.size() || !std::isfinite(value)) {
+      return Invalid(key, "a finite number");
+    }
+    return value;
+  }
+  /// A finite number >= 0 (sizes and budgets that are cast to size_t).
+  Result<double> GetNonNegative(const std::string& key,
+                                double fallback) const {
+    FAIRCAP_ASSIGN_OR_RETURN(const double value, GetDouble(key, fallback));
+    if (value < 0.0) return Invalid(key, "a non-negative number");
+    return value;
+  }
+  /// Count flags (--rows, --threads, ...): a non-negative integer no
+  /// larger than 2^53, so the conversion below is exact.
+  Result<size_t> GetCount(const std::string& key, size_t fallback) const {
+    FAIRCAP_ASSIGN_OR_RETURN(
+        const double value,
+        GetDouble(key, static_cast<double>(fallback)));
+    if (value < 0.0 || value != std::floor(value) ||
+        value > 9007199254740992.0) {
+      return Invalid(key, "a non-negative integer");
+    }
+    return static_cast<size_t>(value);
+  }
+
+ private:
+  Status Invalid(const std::string& key, const std::string& want) const {
+    return Status::InvalidArgument("invalid --" + key + "=" + Get(key) +
+                                   ": want " + want);
+  }
 };
 
 int Fail(const std::string& message) {
@@ -146,11 +185,12 @@ void PrintUsage() {
 
 /// Repository request from the shared flags: --rows, --seed, and
 /// --set=k=v[,k2=v2...] for generator-specific knobs.
-DatasetRequest RequestFromArgs(const CliArgs& args, const std::string& name) {
+Result<DatasetRequest> RequestFromArgs(const CliArgs& args,
+                                       const std::string& name) {
   DatasetRequest request;
   request.name = name;
-  request.rows = static_cast<size_t>(args.GetDouble("rows", 0));
-  request.seed = static_cast<uint64_t>(args.GetDouble("seed", 0));
+  FAIRCAP_ASSIGN_OR_RETURN(request.rows, args.GetCount("rows", 0));
+  FAIRCAP_ASSIGN_OR_RETURN(request.seed, args.GetCount("seed", 0));
   for (const std::string& kv : Split(args.Get("set"), ',')) {
     if (std::string(Trim(kv)).empty()) continue;
     const size_t eq = kv.find('=');
@@ -169,14 +209,16 @@ DatasetRequest RequestFromArgs(const CliArgs& args, const std::string& name) {
 /// ingest).
 Result<Dataset> LoadFromArgs(const CliArgs& args) {
   if (args.Has("dataset")) {
-    return DatasetRepository::Global().Load(
-        RequestFromArgs(args, args.Get("dataset")));
+    FAIRCAP_ASSIGN_OR_RETURN(DatasetRequest request,
+                             RequestFromArgs(args, args.Get("dataset")));
+    return DatasetRepository::Global().Load(request);
   }
   if (!args.Has("data") || !args.Has("dag") || !args.Has("outcome")) {
     return Status::InvalidArgument(
         "need --dataset=NAME or --data/--dag/--outcome/--protected");
   }
-  DatasetRequest request = RequestFromArgs(args, "file");
+  FAIRCAP_ASSIGN_OR_RETURN(DatasetRequest request,
+                           RequestFromArgs(args, "file"));
   request.params["path"] = args.Get("data");
   request.params["dag"] = args.Get("dag");
   request.params["outcome"] = args.Get("outcome");
@@ -196,8 +238,9 @@ int RunDatasets() {
 int RunGen(const CliArgs& args) {
   if (!args.Has("out")) return Fail("gen needs --out=FILE.csv");
   const std::string dataset = args.Get("dataset", "synthetic");
-  auto loaded = DatasetRepository::Global().Load(
-      RequestFromArgs(args, dataset));
+  const auto request = RequestFromArgs(args, dataset);
+  if (!request.ok()) return Fail(request.status().ToString());
+  auto loaded = DatasetRepository::Global().Load(*request);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
 
   const std::string out_path = args.Get("out");
@@ -233,9 +276,12 @@ int RunIngest(const CliArgs& args) {
   if (!args.Has("data")) return Fail("ingest needs --data=FILE.csv");
   const std::string path = args.Get("data");
   IngestOptions options;
-  options.chunk_bytes = static_cast<size_t>(
-      args.GetDouble("chunk-kb", 1024.0) * 1024.0);
-  options.num_threads = static_cast<size_t>(args.GetDouble("threads", 1));
+  const auto chunk_kb = args.GetNonNegative("chunk-kb", 1024.0);
+  if (!chunk_kb.ok()) return Fail(chunk_kb.status().ToString());
+  options.chunk_bytes = static_cast<size_t>(*chunk_kb * 1024.0);
+  const auto threads = args.GetCount("threads", 1);
+  if (!threads.ok()) return Fail(threads.status().ToString());
+  options.num_threads = *threads;
 
   IngestStats stats;
   auto df = StreamCsvInferSchema(path, options, &stats);
@@ -297,25 +343,28 @@ Result<Pattern> ParseProtected(const CliArgs& args, const DataFrame& df,
 /// FairCapOptions from the shared run flags (used by `run` and `append`).
 Result<FairCapOptions> OptionsFromArgs(const CliArgs& args) {
   FairCapOptions options;
-  options.apriori.min_support_fraction = args.GetDouble("min-support", 0.1);
-  options.lattice.max_predicates = static_cast<size_t>(
-      args.GetDouble("max-intervention-predicates", 2));
-  options.greedy.max_rules =
-      static_cast<size_t>(args.GetDouble("max-rules", 20));
-  options.num_threads = static_cast<size_t>(args.GetDouble("threads", 0));
-  options.num_shards = static_cast<size_t>(args.GetDouble("shards", 0));
-  options.cate.min_group_size =
-      static_cast<size_t>(args.GetDouble("min-group-size", 10));
-  options.min_subgroup_arm = static_cast<size_t>(
-      args.GetDouble("min-subgroup-arm", 5));
-  const double engine_budget_mb = args.GetDouble("engine-budget-mb", 0.0);
+  FAIRCAP_ASSIGN_OR_RETURN(options.apriori.min_support_fraction,
+                           args.GetDouble("min-support", 0.1));
+  FAIRCAP_ASSIGN_OR_RETURN(options.lattice.max_predicates,
+                           args.GetCount("max-intervention-predicates", 2));
+  FAIRCAP_ASSIGN_OR_RETURN(options.greedy.max_rules,
+                           args.GetCount("max-rules", 20));
+  FAIRCAP_ASSIGN_OR_RETURN(options.num_threads, args.GetCount("threads", 0));
+  FAIRCAP_ASSIGN_OR_RETURN(options.num_shards, args.GetCount("shards", 0));
+  FAIRCAP_ASSIGN_OR_RETURN(options.cate.min_group_size,
+                           args.GetCount("min-group-size", 10));
+  FAIRCAP_ASSIGN_OR_RETURN(options.min_subgroup_arm,
+                           args.GetCount("min-subgroup-arm", 5));
+  FAIRCAP_ASSIGN_OR_RETURN(const double engine_budget_mb,
+                           args.GetNonNegative("engine-budget-mb", 0.0));
   if (engine_budget_mb > 0.0) {
     options.engine_memory_budget =
         static_cast<size_t>(engine_budget_mb * 1024.0 * 1024.0);
   }
 
   const std::string fairness = args.Get("fairness");
-  const double threshold = args.GetDouble("fairness-threshold", 0.0);
+  FAIRCAP_ASSIGN_OR_RETURN(const double threshold,
+                           args.GetDouble("fairness-threshold", 0.0));
   if (fairness == "group-sp") {
     options.fairness = FairnessConstraint::GroupSP(threshold);
   } else if (fairness == "indi-sp") {
@@ -329,8 +378,9 @@ Result<FairCapOptions> OptionsFromArgs(const CliArgs& args) {
   }
 
   const std::string coverage = args.Get("coverage");
-  const double theta = args.GetDouble("theta", 0.5);
-  const double theta_p = args.GetDouble("theta-p", theta);
+  FAIRCAP_ASSIGN_OR_RETURN(const double theta, args.GetDouble("theta", 0.5));
+  FAIRCAP_ASSIGN_OR_RETURN(const double theta_p,
+                           args.GetDouble("theta-p", theta));
   if (coverage == "group") {
     options.coverage = CoverageConstraint::Group(theta, theta_p);
   } else if (coverage == "rule") {
@@ -346,6 +396,13 @@ int RunPipeline(const CliArgs& args) {
     PrintUsage();
     return 0;
   }
+  // Flags first: a malformed value fails before any data is loaded.
+  auto parsed_options = OptionsFromArgs(args);
+  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
+  FairCapOptions options = std::move(parsed_options).ValueOrDie();
+  const auto budget_mb = args.GetNonNegative("index-budget-mb", 0.0);
+  if (!budget_mb.ok()) return Fail(budget_mb.status().ToString());
+
   StopWatch load_watch;
   auto loaded = LoadFromArgs(args);
   if (!loaded.ok()) {
@@ -365,16 +422,10 @@ int RunPipeline(const CliArgs& args) {
   Pattern protected_pattern = std::move(parsed_protected).ValueOrDie();
 
   // --- Index memory budget ----------------------------------------------
-  const double budget_mb = args.GetDouble("index-budget-mb", 0.0);
-  if (budget_mb > 0.0) {
+  if (*budget_mb > 0.0) {
     df.predicate_index().SetMemoryBudget(
-        static_cast<size_t>(budget_mb * 1024.0 * 1024.0));
+        static_cast<size_t>(*budget_mb * 1024.0 * 1024.0));
   }
-
-  // --- Options ----------------------------------------------------------
-  auto parsed_options = OptionsFromArgs(args);
-  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
-  FairCapOptions options = std::move(parsed_options).ValueOrDie();
 
   // --- Run ---------------------------------------------------------------
   auto solver = FairCap::Create(&df, &dag, protected_pattern, options);
@@ -492,19 +543,24 @@ bool RulesetsMatch(const std::vector<PrescriptionRule>& a,
 }
 
 int RunAppend(const CliArgs& args) {
-  auto loaded = LoadFromArgs(args);
-  if (!loaded.ok()) return Fail(loaded.status().ToString());
-  const CausalDag dag_copy = loaded->dag;  // verify run borrows this one
-
+  // Flags first: a malformed value fails before any data is loaded.
+  auto parsed_options = OptionsFromArgs(args);
+  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
+  const FairCapOptions options = std::move(parsed_options).ValueOrDie();
   const bool use_files = args.Has("delta");
-  const double delta_fraction = args.GetDouble("delta-fraction", 0.0);
-  const size_t delta_batches =
-      static_cast<size_t>(args.GetDouble("delta-batches", 1));
-  if (!use_files && delta_fraction <= 0.0) {
+  const auto delta_fraction = args.GetDouble("delta-fraction", 0.0);
+  if (!delta_fraction.ok()) return Fail(delta_fraction.status().ToString());
+  const auto delta_batches = args.GetCount("delta-batches", 1);
+  if (!delta_batches.ok()) return Fail(delta_batches.status().ToString());
+  if (!use_files && *delta_fraction <= 0.0) {
     return Fail(
         "append needs --delta=FILE.csv[,FILE2] or --delta-fraction=F "
         "[--delta-batches=N]");
   }
+
+  auto loaded = LoadFromArgs(args);
+  if (!loaded.ok()) return Fail(loaded.status().ToString());
+  const CausalDag dag_copy = loaded->dag;  // verify run borrows this one
 
   // Assemble base table + delta batches. File deltas are parsed against
   // the RESIDENT schema; generated datasets are split row-wise (the full
@@ -527,15 +583,15 @@ int RunAppend(const CliArgs& args) {
   } else {
     const size_t total = base.num_rows();
     const size_t batch_rows =
-        static_cast<size_t>(static_cast<double>(total) * delta_fraction);
-    if (batch_rows == 0 || batch_rows * delta_batches >= total) {
+        static_cast<size_t>(static_cast<double>(total) * *delta_fraction);
+    if (batch_rows == 0 || batch_rows * *delta_batches >= total) {
       return Fail("--delta-fraction/--delta-batches leave no base rows");
     }
-    const size_t base_rows = total - batch_rows * delta_batches;
+    const size_t base_rows = total - batch_rows * *delta_batches;
     std::vector<uint32_t> ids(base_rows);
     for (size_t i = 0; i < base_rows; ++i) ids[i] = static_cast<uint32_t>(i);
     DataFrame split_base = base.TakeRows(ids);
-    for (size_t b = 0; b < delta_batches; ++b) {
+    for (size_t b = 0; b < *delta_batches; ++b) {
       ids.resize(batch_rows);
       for (size_t i = 0; i < batch_rows; ++i) {
         ids[i] = static_cast<uint32_t>(base_rows + b * batch_rows + i);
@@ -549,9 +605,6 @@ int RunAppend(const CliArgs& args) {
       ParseProtected(args, base, std::move(loaded->protected_pattern));
   if (!parsed_protected.ok()) return Fail(parsed_protected.status().ToString());
   const Pattern protected_pattern = std::move(parsed_protected).ValueOrDie();
-  auto parsed_options = OptionsFromArgs(args);
-  if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
-  const FairCapOptions options = std::move(parsed_options).ValueOrDie();
 
   auto session = IncrementalSession::Create(std::move(base), std::move(loaded->dag),
                                             protected_pattern, options);
