@@ -1,19 +1,16 @@
-// Estimation-at-scale harness: legacy 3-call CATE evaluation (overall +
-// protected + non-protected, each a full design-matrix/stratum pass) vs
-// the batch sufficient-statistics engine (one pass + three small solves)
-// on synthetic workloads, plus the end-to-end pipeline delta.
+// Estimation-at-scale harness: per-treatment evaluation cost of the batch
+// sufficient-statistics engine (overall + protected + non-protected CATE
+// from one pass and three small solves) on synthetic workloads, plus the
+// end-to-end pipeline time.
 //
 //   bench_estimator [--rows=N] [--full] [--threads=T] [--json=PATH]
 //
 // Default runs 100K rows (CI smoke uses --rows=20000); --full adds the
-// 1M-row acceptance configuration, where the batch path must come out
-// >= 2x the legacy 3-call path per treatment evaluation.
+// 1M-row configuration.
 //
-// --json switches to the batch-only per-ISA sweep: the same treatment
-// evaluations through the batch engine at every SIMD kernel tier this
-// host supports (the legacy path is skipped — at 1M rows on one core it
-// dominates the runtime without informing the kernel comparison), and
-// writes the per-tier record CI archives alongside BENCH_micro.json.
+// --json switches to the per-ISA sweep: the same treatment evaluations
+// through the batch engine at every SIMD kernel tier this host supports,
+// and writes the per-tier record CI archives alongside BENCH_micro.json.
 
 #include <cstdio>
 #include <cstring>
@@ -35,33 +32,7 @@ using namespace faircap;
 
 namespace {
 
-struct MethodRow {
-  const char* name;
-  size_t evals = 0;
-  double legacy_seconds = 0.0;
-  double batch_seconds = 0.0;
-  double speedup() const {
-    return batch_seconds > 0.0 ? legacy_seconds / batch_seconds : 0.0;
-  }
-};
-
-// One treatment evaluation the way Step-2 mining does it: overall CATE
-// within the group plus the protected / non-protected subgroup CATEs.
-void LegacyEvaluate(const CateEstimator& est, const Pattern& intervention,
-                    const Bitmap& group, const Bitmap& protected_mask) {
-  (void)est.Estimate(intervention, group);
-  Bitmap prot = group & protected_mask;
-  if (prot.Count() > 0) {
-    (void)est.Estimate(intervention, prot, 5);
-  }
-  Bitmap nonprot = group;
-  nonprot.AndNot(protected_mask);
-  if (nonprot.Count() > 0) {
-    (void)est.Estimate(intervention, nonprot, 5);
-  }
-}
-
-int RunScale(size_t rows, size_t threads, bool run_ipw) {
+int RunScale(size_t rows, size_t threads) {
   SyntheticConfig config;
   config.num_rows = rows;
   config.seed = 13;
@@ -100,98 +71,57 @@ int RunScale(size_t rows, size_t threads, bool run_ipw) {
 
   std::printf("rows=%zu  treatments=%zu  groups=%zu\n", rows,
               interventions.size(), groups.size());
-  std::printf("%-12s %10s %14s %14s %9s\n", "method", "evals", "legacy_us",
-              "batch_us", "speedup");
+  std::printf("%-12s %10s %14s\n", "method", "evals", "batch_us");
 
-  std::vector<std::pair<const char*, CateMethod>> methods = {
-      {"regression", CateMethod::kRegression},
-      {"stratified", CateMethod::kStratified},
-  };
-  if (run_ipw) methods.push_back({"ipw", CateMethod::kIpw});
-
-  for (const auto& [name, method] : methods) {
+  for (const auto& [name, method] :
+       std::vector<std::pair<const char*, CateMethod>>{
+           {"regression", CateMethod::kRegression},
+           {"stratified", CateMethod::kStratified},
+           {"ipw", CateMethod::kIpw}}) {
     CateOptions options;
     options.method = method;
-    MethodRow row;
-    row.name = name;
-
-    // Fresh estimators per path so neither benefits from the other's warm
-    // caches; both share the DataFrame's PredicateIndex (treatment masks
-    // are memoized for the whole table either way).
-    auto legacy_est = CateEstimator::Create(&df, &data->dag, options);
-    auto batch_est = CateEstimator::Create(&df, &data->dag, options);
-    if (!legacy_est.ok() || !batch_est.ok()) {
-      std::cerr << "estimator: " << legacy_est.status().ToString() << "\n";
+    auto est = CateEstimator::Create(&df, &data->dag, options);
+    if (!est.ok()) {
+      std::cerr << "estimator: " << est.status().ToString() << "\n";
       return 1;
     }
-
     StopWatch watch;
+    size_t evals = 0;
     for (const Pattern& intervention : interventions) {
       for (const Bitmap& group : groups) {
-        LegacyEvaluate(*legacy_est, intervention, group, protected_mask);
-        ++row.evals;
+        (void)est->EstimateSubgroups(intervention, group, &protected_mask, 5);
+        ++evals;
       }
     }
-    row.legacy_seconds = watch.ElapsedSeconds();
-
-    watch.Restart();
-    for (const Pattern& intervention : interventions) {
-      for (const Bitmap& group : groups) {
-        (void)batch_est->EstimateSubgroups(intervention, group,
-                                           &protected_mask, 5);
-      }
-    }
-    row.batch_seconds = watch.ElapsedSeconds();
-
-    std::printf("%-12s %10zu %14.1f %14.1f %8.1fx\n", row.name, row.evals,
-                1e6 * row.legacy_seconds / static_cast<double>(row.evals),
-                1e6 * row.batch_seconds / static_cast<double>(row.evals),
-                row.speedup());
+    std::printf("%-12s %10zu %14.1f\n", name, evals,
+                1e6 * watch.ElapsedSeconds() / static_cast<double>(evals));
   }
 
-  // End-to-end pipeline: the same FairCap configuration with the legacy
-  // per-call estimator vs the batch engine (fairness active so every
-  // treatment evaluation needs all three subgroup estimates).
+  // End-to-end pipeline with fairness active, so every treatment
+  // evaluation needs all three subgroup estimates.
   FairCapOptions options;
   options.apriori.min_support_fraction = 0.3;
   options.apriori.max_pattern_length = 2;
   options.lattice.max_predicates = 1;
   options.fairness = FairnessConstraint::GroupSP(1e9);
   options.num_threads = threads;
-
-  double pipe_seconds[2] = {0.0, 0.0};
-  size_t pipe_rules[2] = {0, 0};
-  for (int use_batch = 0; use_batch <= 1; ++use_batch) {
-    options.use_batch_estimator = use_batch == 1;
-    auto solver =
-        FairCap::Create(&df, &data->dag, data->protected_pattern, options);
-    if (!solver.ok()) {
-      std::cerr << "pipeline: " << solver.status().ToString() << "\n";
-      return 1;
-    }
-    auto result = solver->Run();
-    if (!result.ok()) {
-      std::cerr << "pipeline run: " << result.status().ToString() << "\n";
-      return 1;
-    }
-    // Phase timing from the run report's registry gauge — the same
-    // production number `faircap_cli run --metrics-json` serializes — so
-    // the bench has no private stopwatch that could drift from it.
-    pipe_seconds[use_batch] =
-        obs::MetricsRegistry::Global().GaugeValue(obs::kPhaseTotal);
-    pipe_rules[use_batch] = result->rules.size();
-  }
-  std::printf(
-      "pipeline     legacy pipe_s=%.3f  batch pipe_s=%.3f  speedup=%.2fx  "
-      "(rules %zu/%zu)\n\n",
-      pipe_seconds[0], pipe_seconds[1],
-      pipe_seconds[1] > 0.0 ? pipe_seconds[0] / pipe_seconds[1] : 0.0,
-      pipe_rules[0], pipe_rules[1]);
-  if (pipe_rules[0] != pipe_rules[1]) {
-    std::cerr << "FAIL: legacy and batch pipelines selected different "
-                 "ruleset sizes\n";
+  auto solver =
+      FairCap::Create(&df, &data->dag, data->protected_pattern, options);
+  if (!solver.ok()) {
+    std::cerr << "pipeline: " << solver.status().ToString() << "\n";
     return 1;
   }
+  auto result = solver->Run();
+  if (!result.ok()) {
+    std::cerr << "pipeline run: " << result.status().ToString() << "\n";
+    return 1;
+  }
+  // Phase timing from the run report's registry gauge — the same
+  // production number `faircap_cli run --metrics-json` serializes — so
+  // the bench has no private stopwatch that could drift from it.
+  std::printf("pipeline     pipe_s=%.3f  rules=%zu\n\n",
+              obs::MetricsRegistry::Global().GaugeValue(obs::kPhaseTotal),
+              result->rules.size());
   return 0;
 }
 
@@ -335,10 +265,7 @@ int main(int argc, char** argv) {
     return RunSimdSweep(row_counts.back(), json_path);
   }
   for (size_t rows : row_counts) {
-    // The legacy per-row IPW at 1M rows takes minutes per treatment;
-    // keep the IPW comparison to the smaller configurations.
-    const bool run_ipw = rows <= 200000;
-    const int rc = RunScale(rows, flags.threads, run_ipw);
+    const int rc = RunScale(rows, flags.threads);
     if (rc != 0) return rc;
   }
   return 0;

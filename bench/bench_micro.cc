@@ -146,7 +146,7 @@ void BM_CateRegression(benchmark::State& state) {
       {Predicate(major, CompareOp::kEq, Value("cs"))});
   const Bitmap all = data.df.AllRows();
   for (auto _ : state) {
-    auto estimate = estimator->Estimate(intervention, all);
+    auto estimate = estimator->EstimateSubgroups(intervention, all, nullptr);
     benchmark::DoNotOptimize(estimate.ok());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -164,7 +164,7 @@ void BM_CateStratified(benchmark::State& state) {
       {Predicate(major, CompareOp::kEq, Value("cs"))});
   const Bitmap all = data.df.AllRows();
   for (auto _ : state) {
-    auto estimate = estimator->Estimate(intervention, all);
+    auto estimate = estimator->EstimateSubgroups(intervention, all, nullptr);
     benchmark::DoNotOptimize(estimate.ok());
   }
 }

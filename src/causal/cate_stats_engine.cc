@@ -117,8 +117,8 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
   static std::atomic<uint64_t> next_lineage{1};
   part->lineage_id_ = next_lineage.fetch_add(1, std::memory_order_relaxed);
 
-  // Per-confounder layout: design feature span (legacy enumeration order)
-  // and the radix base of the legacy stratum id. Persisted so
+  // Per-confounder layout: design feature span (reference enumeration
+  // order) and the radix base of the reference stratum id. Persisted so
   // ExtendInPlace can intern appended rows with the exact same signatures.
   part->confs_.reserve(adjustment.size());
   for (size_t attr : adjustment) {
@@ -146,7 +146,7 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
   }
 
   // Cache the numeric confounder columns with nulls as 0.0 — exactly the
-  // value the legacy design-matrix build substitutes.
+  // value the reference design-matrix build substitutes.
   part->numeric_values_.resize(part->numeric_features_.size());
   for (size_t j = 0; j < part->numeric_features_.size(); ++j) {
     const Column& col =
@@ -254,7 +254,7 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   // may reassociate freely — and converts to double only at solve time.
   // The 2^31 magnitude cap keeps y² inside int64; safe_int_rows_ bounds
   // how many rows any partial may absorb before |Σy| or Σy² could reach
-  // 2^53, past which the double conversion (and the legacy FP sum itself)
+  // 2^53, past which the double conversion (and the reference FP sum itself)
   // would stop being exact. Only non-null rows are scanned (the kernels
   // never read the others). On an extension only the delta rows are
   // scanned: the persisted max_abs_y_ already covers [0, row_begin), and
@@ -605,7 +605,7 @@ Result<CateEstimate> CateStatsEngine::SolveRegression(
 
 Result<CateEstimate> CateStatsEngine::SolveStratified(
     const Accum& acc, size_t min_group_size) const {
-  // The exact legacy combine (same arithmetic, same std::map-ascending
+  // The exact reference combine (same arithmetic, same std::map-ascending
   // stratum order), fed from the sliced cell stats — bit-for-bit equal.
   double weighted_effect = 0.0;
   double weighted_var = 0.0;
@@ -663,7 +663,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (partition_->num_numeric() > 0) {
-    // The propensity design varies within a cell; replay the legacy
+    // The propensity design varies within a cell; replay the reference
     // per-row path (design served from the partition's cached columns).
     static obs::Counter& row_solves =
         registry.GetCounter("estimation.solve_ipw_rows");
@@ -793,7 +793,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
       is_treated_row.push_back(t ? 1 : 0);
     }
   }
-  // Same ascending row order, same design values as the legacy loop —
+  // Same ascending row order, same design values as the reference loop —
   // HajekIpwFromRows is the one shared implementation.
   return HajekIpwFromRows(design, labels.size(), p, labels, outcomes,
                           is_treated_row, options_.propensity_clip);

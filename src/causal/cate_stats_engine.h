@@ -1,10 +1,10 @@
 // CateStatsEngine: per-treatment sufficient-statistics engine behind the
 // batch CATE API. Step-2 mining scores every candidate treatment three
-// times — overall, protected, and non-protected CATE — and the legacy
-// per-call estimator redoes the full design-matrix / stratum pass over the
-// table each time. But for all three estimation methods the estimate for
-// ANY subgroup is a function of per-joint-confounder-stratum, per-arm
-// sufficient statistics:
+// times — overall, protected, and non-protected CATE — and a per-call
+// estimator (the test-side reference, tests/reference/) redoes the full
+// design-matrix / stratum pass over the table each time. But for all
+// three estimation methods the estimate for ANY subgroup is a function of
+// per-joint-confounder-stratum, per-arm sufficient statistics:
 //
 //   * stratified:  per-(stratum, arm) {n, Σy, Σy²} reproduce the exact
 //     matching estimator bit for bit;
@@ -47,15 +47,15 @@ class ShardPlan;    // mining/shard_plan.h
 class TaskGroup;    // util/task_scheduler.h
 
 /// Quantile bin edges for a numeric confounder (the stratified method's
-/// binning). Shared by the legacy estimator's StratumIds and the
-/// partition build so the two can never drift.
+/// binning). Shared by the partition build and the test-side reference
+/// estimator so the two can never drift.
 std::vector<double> QuantileBinEdges(const Column& col, size_t bins);
 
 /// Hajek (self-normalized) IPW from materialized per-row propensity
 /// design rows: fits the logistic propensity model, clips, and assembles
 /// the weighted means and their linearized variance. The single shared
-/// implementation behind the legacy per-call IPW estimator and the
-/// engine's numeric-confounder fallback — the two must stay bit-for-bit
+/// implementation behind the engine's numeric-confounder fallback and the
+/// test-side reference IPW estimator — the two must stay bit-for-bit
 /// identical for the pinning tests to mean anything.
 Result<CateEstimate> HajekIpwFromRows(const std::vector<double>& design,
                                       size_t n, size_t p,
@@ -72,7 +72,7 @@ Result<CateEstimate> HajekIpwFromRows(const std::vector<double>& design,
 /// attributes share one partition via shared_ptr.
 class ConfounderPartition {
  public:
-  /// One regression design feature (mirrors the legacy enumeration:
+  /// One regression design feature (mirrors the reference enumeration:
   /// categorical levels 1..k-1 one-hot, numeric attrs one column each).
   struct Feature {
     size_t attr;
@@ -81,7 +81,7 @@ class ConfounderPartition {
   };
 
   struct Cell {
-    /// The legacy stratified-estimator joint stratum id; -1 when any
+    /// The reference stratified estimator's joint stratum id; -1 when any
     /// confounder is null in this cell (such rows are excluded from
     /// stratification but kept, zero-featured, by regression and IPW).
     int64_t stratum_id = -1;
@@ -132,7 +132,7 @@ class ConfounderPartition {
   const std::vector<uint32_t>& onehot_begin() const { return onehot_begin_; }
   const std::vector<uint32_t>& onehot_ids() const { return onehot_ids_; }
   /// Cells with stratum_id >= 0, ascending by stratum_id — the iteration
-  /// order of the legacy stratified combine (a std::map over ids).
+  /// order of the reference stratified combine (a std::map over ids).
   const std::vector<uint32_t>& cells_by_stratum() const {
     return cells_by_stratum_;
   }
@@ -143,11 +143,11 @@ class ConfounderPartition {
   /// Overflow guard for the integer path: the largest row count for which
   /// every per-slot partial |Σy| and Σy² stays below 2^53 given this
   /// column's max |y| — below it the int64 totals, their double
-  /// conversions, AND the legacy ascending-row FP sums are all exact, so
+  /// conversions, AND the reference ascending-row FP sums are all exact, so
   /// the two paths are bit-identical. 0 unless outcome_is_integer.
   uint64_t safe_int_rows() const { return safe_int_rows_; }
   /// Cached numeric confounder column per numeric feature, with nulls as
-  /// 0.0 — exactly the value the legacy design-matrix build would use.
+  /// 0.0 — exactly the value the reference design-matrix build uses.
   const std::vector<std::vector<double>>& numeric_values() const {
     return numeric_values_;
   }
@@ -177,7 +177,7 @@ class ConfounderPartition {
   ConfounderPartition() = default;
 
   /// Per-confounder layout persisted from Build: design feature span,
-  /// the radix base of the legacy stratum id, and (numeric) the quantile
+  /// the radix base of the reference stratum id, and (numeric) the quantile
   /// edges — everything InternRows needs to intern further rows with the
   /// exact signatures Build used.
   struct ConfLayout {
@@ -434,7 +434,7 @@ class CateStatsEngine {
                                        size_t min_group_size) const;
   Result<CateEstimate> SolveIpw(const Accum& acc, const Slice& slice,
                                 size_t min_group_size) const;
-  /// Legacy-identical per-row IPW (numeric confounders vary within a
+  /// Reference-identical per-row IPW (numeric confounders vary within a
   /// cell, so the propensity design is not cell-constant); still serves
   /// features from the partition's cached columns.
   Result<CateEstimate> SolveIpwRows(const Slice& slice,

@@ -6,10 +6,13 @@
 //
 // where T = 1 iff the row satisfies P_int, and Z is a backdoor adjustment
 // set derived from the DAG (parents of the treatment attributes).
-// Two estimators are provided:
+// Three methods are provided:
 //   * regression: O ~ alpha + beta*T + gamma' one-hot(Z); beta is the CATE
 //     (the default, mirroring DoWhy's linear-regression estimator);
-//   * stratified: exact matching over joint Z cells with overlap filtering.
+//   * stratified: exact matching over joint Z cells with overlap filtering;
+//   * IPW: clipped Hajek inverse-propensity weighting.
+// All three are answered by one path: the per-treatment sufficient-
+// statistics engine (causal/cate_stats_engine.h).
 
 #ifndef FAIRCAP_CAUSAL_ESTIMATOR_H_
 #define FAIRCAP_CAUSAL_ESTIMATOR_H_
@@ -90,9 +93,10 @@ struct CateSubgroupEstimates {
 
 /// Estimates CATE values for intervention patterns over subpopulations of
 /// a fixed DataFrame under a fixed causal DAG. Thread-safe: internal
-/// caches (adjustment sets, stratum ids, per-treatment engines) are
-/// mutex-guarded so the mining phase can fan out across grouping
-/// patterns. The table must not be mutated while the estimator lives.
+/// caches (adjustment sets, confounder partitions, per-treatment engines)
+/// are mutex-guarded so the mining phase can fan out across grouping
+/// patterns. The table may grow only through DataFrame::AppendFrame
+/// followed by NotifyAppend, between estimation calls.
 class CateEstimator {
  public:
   /// `df` and `dag` must outlive the estimator. DAG node names are matched
@@ -103,33 +107,22 @@ class CateEstimator {
                                       CateOptions options = {});
 
   /// Estimates the effect of `intervention` (T=1 iff the pattern matches)
-  /// on the outcome within the rows selected by `group`.
-  /// Fails (FailedPrecondition) when either arm is smaller than
-  /// `min_group_size` or no stratum has overlap.
-  Result<CateEstimate> Estimate(const Pattern& intervention,
-                                const Bitmap& group) const;
-
-  /// Same, with a per-call overlap floor (used for protected /
-  /// non-protected subgroup estimates, which are smaller than the full
-  /// group). `min_group_size` == 0 falls back to the configured floor.
-  Result<CateEstimate> Estimate(const Pattern& intervention,
-                                const Bitmap& group,
-                                size_t min_group_size) const;
-
-  /// Batch sufficient-statistics path: estimates the intervention's
-  /// effect within `group` and, when `protected_mask` is non-null, within
-  /// group ∩ protected and group ∩ ¬protected — one word-driven pass over
-  /// the table (CateStatsEngine) instead of three design-matrix rebuilds,
-  /// and no non-protected bitmap is ever materialized. Engines are cached
-  /// per treatment and confounder partitions per adjustment set (LRU +
-  /// shared ownership, like the PredicateIndex conjunction cache).
+  /// on the outcome within `group` and, when `protected_mask` is
+  /// non-null, within group ∩ protected and group ∩ ¬protected — one
+  /// word-driven pass over the table (CateStatsEngine), and no
+  /// non-protected bitmap is ever materialized. Engines are cached per
+  /// treatment and confounder partitions per adjustment set (LRU + shared
+  /// ownership, like the PredicateIndex conjunction cache). The overall
+  /// estimate is floored by the configured min_group_size;
   /// `min_subgroup_size` floors the two subgroup estimates (0 = the
-  /// configured min_group_size). With `skip_subgroups_unless_positive`
-  /// the subgroup systems are solved only when the overall CATE came out
-  /// positive (the lattice prunes on the overall sign). Returns
-  /// InvalidArgument when `group` or `protected_mask` does not span
-  /// exactly the table's rows. The legacy Estimate() path is kept
-  /// verbatim as the pinning oracle.
+  /// configured min_group_size). An estimate whose arm falls below its
+  /// floor, or with no overlapping stratum, carries FailedPrecondition in
+  /// its own field. With `skip_subgroups_unless_positive` the subgroup
+  /// systems are solved only when the overall CATE came out positive (the
+  /// lattice prunes on the overall sign). The call itself fails when the
+  /// intervention is empty or does not validate against the table, or
+  /// (InvalidArgument) when `group` or `protected_mask` does not span
+  /// exactly the table's rows.
   Result<CateSubgroupEstimates> EstimateSubgroups(
       const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
@@ -172,11 +165,11 @@ class CateEstimator {
   };
 
   /// Brings the cached state current after rows were appended to the
-  /// table (DataFrame::AppendFrame). Per-row stratum ids are dropped
-  /// (cheap to rebuild); adjustment sets are kept (schema/DAG-only).
-  /// Every live confounder partition is extended in place over the delta
-  /// rows where possible (purely categorical confounders with no new
-  /// categories — see ConfounderPartition::ExtendInPlace) and each cached
+  /// table (DataFrame::AppendFrame). Adjustment sets are kept
+  /// (schema/DAG-only). Every live confounder partition is extended in
+  /// place over the delta rows where possible (purely categorical
+  /// confounders with no new categories — see
+  /// ConfounderPartition::ExtendInPlace) and each cached
   /// engine is re-pointed at the extended partition and the lazily
   /// extended treated mask; engines whose partition could not be
   /// extended are evicted and rebuilt cold on next use. Must not run
@@ -215,27 +208,6 @@ class CateEstimator {
   CateEstimator(const DataFrame* df, const CausalDag* dag,
                 CateOptions options, size_t outcome_attr, size_t outcome_node);
 
-  Result<CateEstimate> EstimateRegression(
-      const Bitmap& treated, const Bitmap& group,
-      const std::vector<size_t>& adjustment, size_t min_group_size) const;
-  Result<CateEstimate> EstimateStratified(
-      const Bitmap& treated, const Bitmap& group,
-      const std::vector<size_t>& adjustment, size_t min_group_size) const;
-  Result<CateEstimate> EstimateIpw(const Bitmap& treated, const Bitmap& group,
-                                   const std::vector<size_t>& adjustment,
-                                   size_t min_group_size) const;
-
-  /// Joint stratum id per row over `adjustment` attrs (numeric attrs are
-  /// quantile-binned); -1 where any confounder is null.
-  std::vector<int64_t> StratumIds(const std::vector<size_t>& adjustment) const;
-
-  /// Memoized StratumIds, keyed by the adjustment attr list. The ids
-  /// depend only on (table, adjustment, binning options), so every
-  /// Estimate call for a treatment over the same attributes shares one
-  /// computation; mutex-guarded like the adjustment cache.
-  std::shared_ptr<const std::vector<int64_t>> StratumIdsCached(
-      const std::vector<size_t>& adjustment) const;
-
   /// Confounder partition for `adjustment`, built once and shared across
   /// every treatment with the same attributes (weak-cached: alive as long
   /// as some engine holds it).
@@ -259,9 +231,6 @@ class CateEstimator {
   std::unique_ptr<Mutex> mu_;
   mutable std::unordered_map<std::string, std::vector<size_t>>
       adjustment_cache_ GUARDED_BY(*mu_);
-  mutable std::unordered_map<std::string,
-                             std::shared_ptr<const std::vector<int64_t>>>
-      stratum_cache_ GUARDED_BY(*mu_);
 
   // Per-treatment engine cache: Pattern::Key() -> engine, with an LRU
   // list (most-recent first) driving byte-budget eviction. Partitions are

@@ -56,22 +56,6 @@ Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
   return b;
 }
 
-OlsAccumulator::OlsAccumulator(size_t p)
-    : p_(p), xtx_(p * p, 0.0), xty_(p, 0.0) {}
-
-void OlsAccumulator::AddRow(const double* x, double y) {
-  for (size_t i = 0; i < p_; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;  // design rows are sparse one-hots
-    for (size_t j = i; j < p_; ++j) {
-      xtx_[i * p_ + j] += xi * x[j];
-    }
-    xty_[i] += xi * y;
-  }
-  yty_ += y * y;
-  ++n_;
-}
-
 Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
                                     const std::vector<double>& xty,
                                     double yty, size_t n, size_t p,
@@ -125,10 +109,6 @@ Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
   }
   fit.treatment_std_error = std::sqrt(std::max(0.0, fit.sigma2 * inv_11));
   return fit;
-}
-
-Result<OlsFit> OlsAccumulator::Solve(double ridge) const {
-  return SolveNormalEquations(xtx_, xty_, yty_, n_, p_, ridge);
 }
 
 }  // namespace faircap

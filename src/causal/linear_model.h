@@ -1,6 +1,7 @@
-// Ordinary least squares via streaming normal equations. The regression
-// CATE estimator fits O ~ alpha + beta*T + gamma'Z and reads the treatment
-// effect off beta, so all we need is a small, dependency-free SPD solver.
+// Ordinary least squares from normal-equation sufficient statistics. The
+// regression CATE estimator fits O ~ alpha + beta*T + gamma'Z and reads
+// the treatment effect off beta, so all we need is a small,
+// dependency-free SPD solver.
 
 #ifndef FAIRCAP_CAUSAL_LINEAR_MODEL_H_
 #define FAIRCAP_CAUSAL_LINEAR_MODEL_H_
@@ -30,9 +31,8 @@ Result<std::vector<double>> SolveSpd(std::vector<double> a, size_t p,
 /// Solves the ridge-stabilized normal equations from sufficient statistics
 /// alone: `xtx` is X'X with at least the upper triangle filled (i <= j;
 /// the lower triangle is ignored), `xty` is X'y, `yty` is y'y, `n` the row
-/// count behind the sums. This is the shared back half of OlsAccumulator
-/// and of the CATE sufficient-statistics engine, which assembles X'X from
-/// per-stratum accumulations instead of design rows.
+/// count behind the sums. The CATE sufficient-statistics engine assembles
+/// X'X from per-stratum accumulations instead of design rows.
 ///
 /// Factors X'X + ridge*I = L L' once (Cholesky, into per-thread scratch),
 /// takes beta from one forward/back solve of X'y, and Var(beta[1]) from
@@ -43,30 +43,6 @@ Result<OlsFit> SolveNormalEquations(const std::vector<double>& xtx,
                                     const std::vector<double>& xty,
                                     double yty, size_t n, size_t p,
                                     double ridge = 1e-8);
-
-/// Accumulates X'X, X'y, y'y row by row, then solves the (ridge-stabilized)
-/// normal equations. Design rows never need to be materialized together.
-class OlsAccumulator {
- public:
-  explicit OlsAccumulator(size_t p);
-
-  size_t num_features() const { return p_; }
-  size_t num_rows() const { return n_; }
-
-  /// Adds one design row `x` (length p) with response `y`.
-  void AddRow(const double* x, double y);
-
-  /// Solves (X'X + ridge*I) beta = X'y and computes standard errors.
-  /// Fails when fewer rows than features or a singular system.
-  Result<OlsFit> Solve(double ridge = 1e-8) const;
-
- private:
-  size_t p_;
-  size_t n_ = 0;
-  std::vector<double> xtx_;  // p x p, row-major (upper kept in sync)
-  std::vector<double> xty_;  // p
-  double yty_ = 0.0;
-};
 
 }  // namespace faircap
 

@@ -30,11 +30,6 @@ Result<FairCap> FairCap::Create(const DataFrame* df, const CausalDag* dag,
     return Status::InvalidArgument(
         "protected pattern must not reference the outcome");
   }
-  if (options.incremental_state != nullptr && !options.use_batch_estimator) {
-    return Status::InvalidArgument(
-        "incremental_state requires use_batch_estimator (the sufficient-"
-        "statistics engine is what gets cached across appends)");
-  }
   FAIRCAP_ASSIGN_OR_RETURN(CateEstimator estimator,
                            CateEstimator::Create(df, dag, options.cate));
   if (options.engine_memory_budget > 0) {
@@ -168,77 +163,45 @@ PrescriptionRule FairCap::CostRule(const Pattern& grouping,
   }
 
   const size_t support_nonprotected = rule.support - rule.support_protected;
-  if (options_.use_batch_estimator) {
-    // One sufficient-statistics pass answers all three subgroups; the
-    // non-protected slice comes from the accumulation split, so its
-    // bitmap is never materialized. With an incremental state the pass
-    // is served from the cross-run accum cache (delta-only after an
-    // append).
-    const Result<CateSubgroupEstimates> batch =
-        options_.incremental_state != nullptr
-            ? options_.incremental_state->EstimateWithCache(
-                  estimator_, grouping.Key(), intervention, rule.coverage,
-                  protected_mask_, /*want_subgroups=*/true,
-                  options_.min_subgroup_arm,
-                  /*skip_subgroups_unless_positive=*/false,
-                  /*plan=*/nullptr, /*tasks=*/nullptr)
-            : estimator_.EstimateSubgroups(intervention, rule.coverage,
-                                           &protected_mask_,
-                                           options_.min_subgroup_arm);
-    if (batch.ok()) {
-      if (batch->overall.ok()) {
-        rule.utility = batch->overall->cate;
-        rule.std_error = batch->overall->std_error;
-      }
-      if (rule.support_protected > 0) {
-        if (batch->protected_group.ok()) {
-          rule.utility_protected = batch->protected_group->cate;
-        } else {
-          rule.utility_protected_estimable = false;
-        }
-      }
-      if (support_nonprotected > 0) {
-        if (batch->nonprotected.ok()) {
-          rule.utility_nonprotected = batch->nonprotected->cate;
-        } else {
-          rule.utility_nonprotected_estimable = false;
-        }
-      }
-    } else {
-      // An outright failure (e.g. the intervention does not validate)
-      // means no subgroup could be estimated — mirror the legacy oracle,
-      // whose per-subgroup calls would each have failed.
-      if (rule.support_protected > 0) rule.utility_protected_estimable = false;
-      if (support_nonprotected > 0) rule.utility_nonprotected_estimable = false;
-    }
-  } else {
-    // Legacy per-call oracle: three independent estimator passes.
-    const Result<CateEstimate> overall =
-        estimator_.Estimate(intervention, rule.coverage);
-    if (overall.ok()) {
-      rule.utility = overall->cate;
-      rule.std_error = overall->std_error;
+  // One sufficient-statistics pass answers all three subgroups; the
+  // non-protected slice comes from the accumulation split, so its bitmap
+  // is never materialized. With an incremental state the pass is served
+  // from the cross-run accum cache (delta-only after an append).
+  const Result<CateSubgroupEstimates> batch =
+      options_.incremental_state != nullptr
+          ? options_.incremental_state->EstimateWithCache(
+                estimator_, grouping.Key(), intervention, rule.coverage,
+                protected_mask_, /*want_subgroups=*/true,
+                options_.min_subgroup_arm,
+                /*skip_subgroups_unless_positive=*/false,
+                /*plan=*/nullptr, /*tasks=*/nullptr)
+          : estimator_.EstimateSubgroups(intervention, rule.coverage,
+                                         &protected_mask_,
+                                         options_.min_subgroup_arm);
+  if (batch.ok()) {
+    if (batch->overall.ok()) {
+      rule.utility = batch->overall->cate;
+      rule.std_error = batch->overall->std_error;
     }
     if (rule.support_protected > 0) {
-      const Result<CateEstimate> prot = estimator_.Estimate(
-          intervention, rule.coverage_protected, options_.min_subgroup_arm);
-      if (prot.ok()) {
-        rule.utility_protected = prot->cate;
+      if (batch->protected_group.ok()) {
+        rule.utility_protected = batch->protected_group->cate;
       } else {
         rule.utility_protected_estimable = false;
       }
     }
-    Bitmap nonprotected = rule.coverage;
-    nonprotected.AndNot(protected_mask_);
-    if (nonprotected.Count() > 0) {
-      const Result<CateEstimate> nonprot = estimator_.Estimate(
-          intervention, nonprotected, options_.min_subgroup_arm);
-      if (nonprot.ok()) {
-        rule.utility_nonprotected = nonprot->cate;
+    if (support_nonprotected > 0) {
+      if (batch->nonprotected.ok()) {
+        rule.utility_nonprotected = batch->nonprotected->cate;
       } else {
         rule.utility_nonprotected_estimable = false;
       }
     }
+  } else {
+    // An outright failure (e.g. the intervention does not validate)
+    // means no subgroup could be estimated.
+    if (rule.support_protected > 0) rule.utility_protected_estimable = false;
+    if (support_nonprotected > 0) rule.utility_nonprotected_estimable = false;
   }
   rule.benefit = RuleBenefit(rule, options_.fairness);
   return rule;
@@ -269,10 +232,7 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
           : options_.num_threads;
   const size_t requested_shards =
       options_.num_shards == 0 ? threads : options_.num_shards;
-  const bool want_sharding =
-      options_.use_batch_estimator && requested_shards > 1;
-  const ShardPlan plan =
-      ShardPlan::Create(df_->num_rows(), want_sharding ? requested_shards : 1);
+  const ShardPlan plan = ShardPlan::Create(df_->num_rows(), requested_shards);
   const bool sharded = plan.num_shards() > 1;
   std::unique_ptr<TaskScheduler> scheduler;
   if (threads > 1) scheduler = std::make_unique<TaskScheduler>(threads);
@@ -319,52 +279,38 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     const std::string group_key =
         inc != nullptr ? group.pattern.Key() : std::string();
     // Subgroup cardinalities come from fused word-level counts; the
-    // protected / non-protected coverage bitmaps are only materialized on
-    // the legacy pinning path (the batch engine splits the accumulation
-    // on the protected bit instead).
+    // protected / non-protected coverage bitmaps are never materialized
+    // (the engine splits the accumulation on the protected bit instead).
     const size_t protected_count = group.coverage.AndCount(protected_mask_);
     const size_t nonprotected_count =
         group.coverage.AndNotCount(protected_mask_);
-    Bitmap coverage_protected;
-    Bitmap coverage_nonprotected;
-    if (!options_.use_batch_estimator) {
-      coverage_protected = group.coverage & protected_mask_;
-      coverage_nonprotected = group.coverage;
-      coverage_nonprotected.AndNot(protected_mask_);
-    }
 
     TreatmentEvaluator evaluator =
         [&](const Pattern& intervention) -> std::optional<TreatmentEval> {
       const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
-      // Gather the overall estimate (and, on the batch path, the
-      // protected / non-protected slice from the same one-pass engine).
-      CateSubgroupEstimates ests;
-      if (options_.use_batch_estimator) {
-        // Each evaluation gets its own TaskGroup as the barrier for its
-        // shard fan-out — child tasks of this pattern task, executed by
-        // whichever workers are free (Wait helps, so this is legal from
-        // inside the pattern task).
-        TaskGroup shard_tasks(scheduler.get());
-        Result<CateSubgroupEstimates> batch =
-            inc != nullptr
-                ? inc->EstimateWithCache(
-                      estimator_, group_key, intervention, group.coverage,
-                      protected_mask_,
-                      /*want_subgroups=*/needs_group_utilities,
-                      options_.min_subgroup_arm,
-                      /*skip_subgroups_unless_positive=*/true, eval_plan,
-                      eval_plan != nullptr ? &shard_tasks : nullptr)
-                : estimator_.EstimateSubgroups(
-                      intervention, group.coverage,
-                      needs_group_utilities ? &protected_mask_ : nullptr,
-                      options_.min_subgroup_arm,
-                      /*skip_subgroups_unless_positive=*/true, eval_plan,
-                      eval_plan != nullptr ? &shard_tasks : nullptr);
-        if (!batch.ok()) return std::nullopt;
-        ests = std::move(batch).ValueOrDie();
-      } else {
-        ests.overall = estimator_.Estimate(intervention, group.coverage);
-      }
+      // The overall estimate and the protected / non-protected slices
+      // come from the same one-pass engine. Each evaluation gets its own
+      // TaskGroup as the barrier for its shard fan-out — child tasks of
+      // this pattern task, executed by whichever workers are free (Wait
+      // helps, so this is legal from inside the pattern task).
+      TaskGroup shard_tasks(scheduler.get());
+      Result<CateSubgroupEstimates> batch =
+          inc != nullptr
+              ? inc->EstimateWithCache(
+                    estimator_, group_key, intervention, group.coverage,
+                    protected_mask_,
+                    /*want_subgroups=*/needs_group_utilities,
+                    options_.min_subgroup_arm,
+                    /*skip_subgroups_unless_positive=*/true, eval_plan,
+                    eval_plan != nullptr ? &shard_tasks : nullptr)
+              : estimator_.EstimateSubgroups(
+                    intervention, group.coverage,
+                    needs_group_utilities ? &protected_mask_ : nullptr,
+                    options_.min_subgroup_arm,
+                    /*skip_subgroups_unless_positive=*/true, eval_plan,
+                    eval_plan != nullptr ? &shard_tasks : nullptr);
+      if (!batch.ok()) return std::nullopt;
+      const CateSubgroupEstimates ests = std::move(batch).ValueOrDie();
       if (!ests.overall.ok()) return std::nullopt;
       const CateEstimate& overall = *ests.overall;
       TreatmentEval eval;
@@ -379,18 +325,6 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
         return eval;
       }
       if (needs_group_utilities) {
-        if (!options_.use_batch_estimator) {
-          // Legacy oracle: two further design-matrix passes.
-          if (protected_count > 0) {
-            ests.protected_group = estimator_.Estimate(
-                intervention, coverage_protected, options_.min_subgroup_arm);
-          }
-          if (nonprotected_count > 0) {
-            ests.nonprotected = estimator_.Estimate(
-                intervention, coverage_nonprotected,
-                options_.min_subgroup_arm);
-          }
-        }
         double utility_protected = 0.0;
         double utility_nonprotected = 0.0;
         bool estimable = true;

@@ -58,13 +58,12 @@ struct FairCapOptions {
   /// work-stealing scheduler runs both axes at once). Shard partials
   /// merge in ascending shard order (deterministic for a fixed shard
   /// count regardless of thread count); all integer statistics match the
-  /// unsharded path exactly. Requires use_batch_estimator; the unsharded
-  /// path (num_shards=1) is the pinning oracle. Caveat of the 0 default:
-  /// the resolved shard count follows the machine's core count, and
-  /// different shard counts reassociate floating-point sums (<=1e-9
-  /// relative on continuous outcomes) — runs that must be
-  /// bit-reproducible across machines should pin an explicit shard
-  /// count (or 1).
+  /// unsharded path exactly. The unsharded path (num_shards=1) is the
+  /// pinning oracle. Caveat of the 0 default: the resolved shard count
+  /// follows the machine's core count, and different shard counts
+  /// reassociate floating-point sums (<=1e-9 relative on continuous
+  /// outcomes) — runs that must be bit-reproducible across machines
+  /// should pin an explicit shard count (or 1).
   size_t num_shards = 0;
   /// Byte cap for the estimator's per-treatment engine cache
   /// (CateEstimator::SetEngineMemoryBudget). 0 = unlimited.
@@ -80,21 +79,15 @@ struct FairCapOptions {
   /// candidate rather than only the best one. More candidates give greedy
   /// more room; the paper keeps the best treatment per group.
   bool keep_all_treatments = false;
-  /// Serve the three per-rule CATEs (overall / protected / non-protected)
-  /// from the batch sufficient-statistics engine — one pass per treatment
-  /// evaluation instead of three design-matrix rebuilds, with engines
-  /// cached per treatment. Disable to run the legacy per-call estimator
-  /// path (the pinning oracle used by tests and benchmarks).
-  bool use_batch_estimator = true;
   /// Optional intervention cost model (Section 8 extension). When set and
   /// greedy.budget > 0, selection maximizes marginal score per unit cost
   /// and the total ruleset cost never exceeds the budget.
   std::shared_ptr<const InterventionCostModel> cost_model;
   /// Cross-run reuse state for delta-aware re-mining (core/incremental.h).
-  /// When set (requires use_batch_estimator), Step-2 caches sufficient
-  /// statistics per (grouping, intervention) across runs — after an
-  /// append, only the delta rows are accumulated — and re-emits whole
-  /// groups whose support the delta left untouched. A cold-cache run is
+  /// When set, Step-2 caches sufficient statistics per (grouping,
+  /// intervention) across runs — after an append, only the delta rows are
+  /// accumulated — and re-emits whole groups whose support the delta left
+  /// untouched. A cold-cache run is
   /// bit-identical to one without the state; after appends, integer
   /// outcomes stay exact and FP matches to shard-merge precision.
   /// Typically owned by an IncrementalSession.

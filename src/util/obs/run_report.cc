@@ -34,6 +34,9 @@ constexpr const char* kStandardCounters[] = {
     "ingest.bytes",
     "ingest.chunks",
     "ingest.segments",
+    // Retired with the per-call estimator (the one estimation path is
+    // the batch engine); always 0, kept so the schema floor (and readers
+    // keyed on it) stay stable.
     "estimation.legacy_calls",
     "estimation.batch_evals",
     "estimation.solve_regression",

@@ -19,9 +19,9 @@
 //     "engine_cache": { hits, misses, evictions, bytes },
 //     "ingest":       { runs, rows, bytes, chunks, segments },
 //     "simd":         { level, level_name },
-//     "estimation":   { legacy_calls, batch_evals, solve_regression,
-//                       solve_stratified, solve_ipw_cells,
-//                       solve_ipw_rows },
+//     "estimation":   { legacy_calls (retired, always 0), batch_evals,
+//                       solve_regression, solve_stratified,
+//                       solve_ipw_cells, solve_ipw_rows },
 //     "mining":       { lattice_evaluations, pattern_tasks, ... }
 //   }
 // Extra metrics registered by future subsystems appear as extra keys /

@@ -20,8 +20,8 @@ thread_local size_t tls_worker_index = 0;
 
 // Stack of groups whose tasks are executing on this thread right now.
 // Wait() walks it to discount its own frames: a task waiting on its own
-// group must not wait for itself (ThreadPool::Wait from inside a
-// submitted task — the old pool's silent deadlock).
+// group must not wait for itself (Wait() from inside a submitted task is
+// a silent deadlock in a fixed pool with a blocking wait).
 struct RunningFrame {
   TaskGroup* group;
   RunningFrame* prev;

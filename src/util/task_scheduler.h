@@ -1,8 +1,8 @@
 // TaskScheduler: work-stealing execution engine behind every parallel
-// phase of the pipeline. The fixed ThreadPool it replaces had one global
-// FIFO and a blocking Wait(), so a task could never wait for child tasks
-// on the same pool — sharded Step-2 mining had to serialize grouping
-// patterns and run only the shard axis in parallel. Here each worker owns
+// phase of the pipeline. In a fixed pool with one global FIFO and a
+// blocking Wait(), a task can never wait for child tasks on the same pool
+// — sharded Step-2 mining would have to serialize grouping patterns and
+// run only the shard axis in parallel. Here each worker owns
 // a Chase–Lev-style deque (owner pushes/pops LIFO at the bottom, thieves
 // take FIFO from the top), external threads inject through a shared
 // queue, and TaskGroup::Wait() *helps* — it finds and executes pending

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "estimate_overall.h"
 #include "util/random.h"
 
 namespace faircap {
@@ -50,7 +51,7 @@ TEST(EstimatorTest, RegressionRecoversEffectUnderConfounding) {
   const ConfoundedData data = MakeConfounded(3.0, 8000, 5);
   const auto est = CateEstimator::Create(&data.df, &data.dag);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(TreatYes(data.df), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), data.df.AllRows());
   ASSERT_TRUE(cate.ok()) << cate.status().ToString();
   EXPECT_NEAR(cate->cate, 3.0, 0.15);
   EXPECT_GT(cate->n_treated, 1000u);
@@ -64,7 +65,7 @@ TEST(EstimatorTest, StratifiedRecoversEffectUnderConfounding) {
   options.method = CateMethod::kStratified;
   const auto est = CateEstimator::Create(&data.df, &data.dag, options);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(TreatYes(data.df), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), data.df.AllRows());
   ASSERT_TRUE(cate.ok()) << cate.status().ToString();
   EXPECT_NEAR(cate->cate, 3.0, 0.15);
 }
@@ -85,7 +86,7 @@ TEST(EstimatorTest, ZeroEffectEstimatesNearZero) {
   const ConfoundedData data = MakeConfounded(0.0, 8000, 11);
   const auto est = CateEstimator::Create(&data.df, &data.dag);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(TreatYes(data.df), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), data.df.AllRows());
   ASSERT_TRUE(cate.ok());
   EXPECT_NEAR(cate->cate, 0.0, 0.12);
   EXPECT_LT(std::abs(cate->t_statistic()), 4.0);
@@ -99,7 +100,7 @@ TEST(EstimatorTest, SubgroupEstimation) {
   const size_t z = *data.df.schema().IndexOf("Z");
   const Bitmap hi =
       Pattern({Predicate(z, CompareOp::kEq, Value("hi"))}).Evaluate(data.df);
-  const auto cate = est->Estimate(TreatYes(data.df), hi);
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), hi);
   ASSERT_TRUE(cate.ok());
   EXPECT_NEAR(cate->cate, 3.0, 0.2);
 }
@@ -110,7 +111,7 @@ TEST(EstimatorTest, InsufficientOverlapFails) {
   options.min_group_size = 30;  // 40 rows cannot give 30 treated + 30 control
   const auto est = CateEstimator::Create(&data.df, &data.dag, options);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(TreatYes(data.df), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), data.df.AllRows());
   EXPECT_EQ(cate.status().code(), StatusCode::kFailedPrecondition);
 }
 
@@ -118,7 +119,7 @@ TEST(EstimatorTest, EmptyInterventionRejected) {
   const ConfoundedData data = MakeConfounded(1.0, 100, 19);
   const auto est = CateEstimator::Create(&data.df, &data.dag);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(Pattern::Empty(), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, Pattern::Empty(), data.df.AllRows());
   EXPECT_EQ(cate.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -182,7 +183,7 @@ TEST(EstimatorTest, MultiAttributeIntervention) {
   const size_t t2 = *df.schema().IndexOf("T2");
   const Pattern both({Predicate(t1, CompareOp::kEq, Value("yes")),
                       Predicate(t2, CompareOp::kEq, Value("yes"))});
-  const auto cate = est->Estimate(both, df.AllRows());
+  const auto cate = EstimateOverall(*est, both, df.AllRows());
   ASSERT_TRUE(cate.ok()) << cate.status().ToString();
   // do(T1=yes, T2=yes) vs the mixed control population: the regression
   // contrast is between "both" and "not both", which averages over the

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "causal/estimator.h"
+#include "estimate_overall.h"
 #include "util/random.h"
 
 namespace faircap {
@@ -48,7 +49,7 @@ TEST(IpwTest, RecoversEffectUnderConfounding) {
   options.method = CateMethod::kIpw;
   const auto est = CateEstimator::Create(&data.df, &data.dag, options);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(TreatYes(data.df), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), data.df.AllRows());
   ASSERT_TRUE(cate.ok()) << cate.status().ToString();
   EXPECT_NEAR(cate->cate, 3.0, 0.25);
   EXPECT_GT(cate->std_error, 0.0);
@@ -62,8 +63,10 @@ TEST(IpwTest, AgreesWithRegressionAcrossSeeds) {
     const auto ipw = CateEstimator::Create(&data.df, &data.dag, ipw_options);
     const auto reg = CateEstimator::Create(&data.df, &data.dag);
     ASSERT_TRUE(ipw.ok() && reg.ok());
-    const auto c_ipw = ipw->Estimate(TreatYes(data.df), data.df.AllRows());
-    const auto c_reg = reg->Estimate(TreatYes(data.df), data.df.AllRows());
+    const auto c_ipw =
+        EstimateOverall(*ipw, TreatYes(data.df), data.df.AllRows());
+    const auto c_reg =
+        EstimateOverall(*reg, TreatYes(data.df), data.df.AllRows());
     ASSERT_TRUE(c_ipw.ok() && c_reg.ok());
     EXPECT_NEAR(c_ipw->cate, c_reg->cate, 0.3) << "seed " << seed;
   }
@@ -92,7 +95,7 @@ TEST(IpwTest, NoConfounderReducesToDifferenceOfMeans) {
   ASSERT_TRUE(est.ok());
   const size_t t = *df.schema().IndexOf("T");
   const Pattern treat_one({Predicate(t, CompareOp::kEq, Value("1"))});
-  const auto cate = est->Estimate(treat_one, df.AllRows());
+  const auto cate = EstimateOverall(*est, treat_one, df.AllRows());
   ASSERT_TRUE(cate.ok());
   EXPECT_NEAR(cate->cate, 4.0, 0.15);
 }
@@ -104,7 +107,7 @@ TEST(IpwTest, InsufficientOverlapFails) {
   options.min_group_size = 25;
   const auto est = CateEstimator::Create(&data.df, &data.dag, options);
   ASSERT_TRUE(est.ok());
-  const auto cate = est->Estimate(TreatYes(data.df), data.df.AllRows());
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), data.df.AllRows());
   EXPECT_EQ(cate.status().code(), StatusCode::kFailedPrecondition);
 }
 
@@ -117,7 +120,7 @@ TEST(IpwTest, SubgroupEstimation) {
   const size_t z = *data.df.schema().IndexOf("Z");
   const Bitmap lo =
       Pattern({Predicate(z, CompareOp::kEq, Value("lo"))}).Evaluate(data.df);
-  const auto cate = est->Estimate(TreatYes(data.df), lo);
+  const auto cate = EstimateOverall(*est, TreatYes(data.df), lo);
   ASSERT_TRUE(cate.ok());
   EXPECT_NEAR(cate->cate, 3.0, 0.3);
 }

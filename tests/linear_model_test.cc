@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference/legacy_estimator.h"
 #include "util/random.h"
 
 namespace faircap {

@@ -9,6 +9,7 @@
 
 #include "causal/estimator.h"
 #include "core/greedy.h"
+#include "estimate_overall.h"
 #include "mining/apriori.h"
 #include "test_data.h"
 
@@ -49,8 +50,8 @@ TEST_P(EstimatorRecovery, RegressionRecoversPlantedEffect) {
   const auto est = CateEstimator::Create(&df, &dag);
   ASSERT_TRUE(est.ok());
   const size_t t = *df.schema().IndexOf("T");
-  const auto cate = est->Estimate(
-      Pattern({Predicate(t, CompareOp::kEq, Value("1"))}), df.AllRows());
+  const auto cate = EstimateOverall(
+      *est, Pattern({Predicate(t, CompareOp::kEq, Value("1"))}), df.AllRows());
   ASSERT_TRUE(cate.ok());
   EXPECT_NEAR(cate->cate, effect, 0.25);
 }
@@ -84,8 +85,8 @@ TEST_P(EstimatorRecovery, StratifiedAgreesWithRegression) {
   ASSERT_TRUE(reg.ok() && strat.ok());
   const size_t t = *df.schema().IndexOf("T");
   const Pattern pattern({Predicate(t, CompareOp::kEq, Value("1"))});
-  const auto c1 = reg->Estimate(pattern, df.AllRows());
-  const auto c2 = strat->Estimate(pattern, df.AllRows());
+  const auto c1 = EstimateOverall(*reg, pattern, df.AllRows());
+  const auto c2 = EstimateOverall(*strat, pattern, df.AllRows());
   ASSERT_TRUE(c1.ok() && c2.ok());
   EXPECT_NEAR(c1->cate, c2->cate, 0.2);
 }

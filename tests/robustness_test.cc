@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "core/faircap.h"
+#include "estimate_overall.h"
 #include "mining/lattice.h"
 #include "test_data.h"
 
@@ -76,8 +77,8 @@ TEST(RobustnessTest, NullHeavyOutcomeRowsAreSkipped) {
   const auto est = CateEstimator::Create(&df, &dag);
   ASSERT_TRUE(est.ok());
   const size_t t = *df.schema().IndexOf("T");
-  const auto cate = est->Estimate(
-      Pattern({Predicate(t, CompareOp::kEq, Value("1"))}), df.AllRows());
+  const auto cate = EstimateOverall(
+      *est, Pattern({Predicate(t, CompareOp::kEq, Value("1"))}), df.AllRows());
   ASSERT_TRUE(cate.ok()) << cate.status().ToString();
   EXPECT_NEAR(cate->cate, 5.0, 0.5);
   // Counted rows exclude the nulls.

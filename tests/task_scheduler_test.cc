@@ -2,7 +2,8 @@
 // (groups within groups, uneven task costs, tasks spawning into their
 // own group), exception propagation out of Wait() across nesting levels,
 // help-first waiting (an external thread's Wait executes tasks instead
-// of blocking), and inline degradation with a null scheduler. These run
+// of blocking), Wait and nested ParallelFor from inside worker tasks, and
+// inline degradation with a null scheduler. These run
 // under the TSan CI job — the scheduler is the one component every
 // parallel phase of the pipeline now shares.
 
@@ -26,6 +27,26 @@ TEST(TaskSchedulerTest, ParallelForCoversAllIndicesOnce) {
   std::vector<std::atomic<int>> hits(5000);
   scheduler.ParallelFor(5000, [&](size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(TaskSchedulerTest, ParallelForZeroIsNoop) {
+  TaskScheduler scheduler(2);
+  bool touched = false;
+  scheduler.ParallelFor(0, [&touched](size_t) { touched = true; });
+  EXPECT_FALSE(touched);
+}
+
+TEST(TaskSchedulerTest, ParallelForFewerItemsThanThreads) {
+  TaskScheduler scheduler(8);
+  std::atomic<int> sum{0};
+  scheduler.ParallelFor(
+      3, [&sum](size_t i) { sum.fetch_add(static_cast<int>(i)); });
+  EXPECT_EQ(sum.load(), 3);  // 0 + 1 + 2
+}
+
+TEST(TaskSchedulerTest, DefaultsToAtLeastOneThread) {
+  TaskScheduler scheduler(0);
+  EXPECT_GE(scheduler.num_threads(), 1u);
 }
 
 TEST(TaskSchedulerTest, NullSchedulerGroupRunsInline) {
@@ -174,6 +195,82 @@ TEST(TaskSchedulerTest, RandomizedNestedGraphsExecuteEveryNodeOnce) {
           << "seed " << seed << " workers " << workers;
     }
   }
+}
+
+TEST(TaskSchedulerTest, WaitIsIdempotent) {
+  TaskScheduler scheduler(2);
+  TaskGroup group(&scheduler);
+  std::atomic<int> counter{0};
+  group.Submit([&counter] { counter.fetch_add(1); });
+  group.Wait();
+  group.Wait();
+  EXPECT_EQ(counter.load(), 1);
+}
+
+// Nested ParallelFor from inside a worker task must run the inner loops
+// to completion (a fixed pool with a blocking wait deadlocks here). This
+// is the Step-2 pattern x shard task graph's exact shape.
+TEST(TaskSchedulerTest, NestedParallelForFromWorkerCompletes) {
+  TaskScheduler scheduler(2);
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  scheduler.ParallelFor(kOuter, [&](size_t outer) {
+    scheduler.ParallelFor(kInner, [&](size_t inner) {
+      hits[outer * kInner + inner].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Three levels deep on a single worker: every inner loop can only make
+// progress through the waiting thread's own help.
+TEST(TaskSchedulerTest, DeeplyNestedParallelForOnOneWorker) {
+  TaskScheduler scheduler(1);
+  std::atomic<int> count{0};
+  scheduler.ParallelFor(3, [&](size_t) {
+    scheduler.ParallelFor(3, [&](size_t) {
+      scheduler.ParallelFor(3, [&](size_t) { count.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(count.load(), 27);
+}
+
+// Wait() from inside one of the group's own tasks must not wait for
+// itself: it completes once every *other* pending task has finished.
+TEST(TaskSchedulerTest, WaitFromWorkerCompletes) {
+  TaskScheduler scheduler(2);
+  TaskGroup group(&scheduler);
+  std::atomic<int> others{0};
+  std::atomic<bool> waited{false};
+  for (int i = 0; i < 16; ++i) {
+    group.Submit([&] { others.fetch_add(1); });
+  }
+  group.Submit([&] {
+    group.Wait();  // must not deadlock on itself
+    EXPECT_EQ(others.load(), 16);
+    waited.store(true);
+  });
+  group.Wait();
+  EXPECT_TRUE(waited.load());
+}
+
+// A task submitting more work into its own group and then waiting for it
+// from the worker thread.
+TEST(TaskSchedulerTest, SubmitThenWaitFromWorker) {
+  TaskScheduler scheduler(2);
+  TaskGroup group(&scheduler);
+  std::atomic<int> counter{0};
+  group.Submit([&] {
+    for (int i = 0; i < 8; ++i) {
+      group.Submit([&] { counter.fetch_add(1); });
+    }
+    group.Wait();
+    EXPECT_EQ(counter.load(), 8);
+    counter.fetch_add(100);
+  });
+  group.Wait();
+  EXPECT_EQ(counter.load(), 108);
 }
 
 TEST(TaskSchedulerTest, StatsCountSubmittedAndExecuted) {
