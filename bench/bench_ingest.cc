@@ -1,4 +1,5 @@
 // Ingest-at-scale harness: synthetic workload generation -> CSV on disk ->
+// schema inference (InferCsvSchema, the pass a file load runs first) and
 // legacy row-by-row loader vs streaming columnar ingest (rows/sec and
 // speedup), then the full FairCap pipeline on the streamed table with its
 // warm-started, budget-capped PredicateIndex.
@@ -36,6 +37,7 @@ std::string TempCsvPath() {
 struct IngestRow {
   size_t rows = 0;
   double generate_seconds = 0.0;
+  double infer_seconds = 0.0;
   double legacy_seconds = 0.0;
   IngestStats stream;
   double pipeline_seconds = 0.0;
@@ -65,14 +67,29 @@ int RunOne(size_t rows, size_t threads, size_t budget_bytes, IngestRow* out) {
   }
   const Schema& schema = data->df.schema();
 
-  // Interleaved repetitions, best-of-N per loader: the first pass of
+  // Interleaved repetitions, best-of-N per pass: the first pass of
   // either loader pays one-off page-fault and file-cache costs that are
   // not loader work, and interleaving cancels machine-load drift.
   constexpr int kReps = 3;
+  out->infer_seconds = 1e300;
   out->legacy_seconds = 1e300;
   double stream_best = 1e300;
   Result<DataFrame> streamed = Status::Internal("unset");
   for (int rep = 0; rep < kReps; ++rep) {
+    watch.Restart();
+    const auto inferred = InferCsvSchema(path);
+    if (!inferred.ok()) {
+      std::cerr << "infer: " << inferred.status().ToString() << "\n";
+      return 1;
+    }
+    out->infer_seconds = std::min(out->infer_seconds, watch.ElapsedSeconds());
+    for (size_t c = 0; c < schema.num_attributes(); ++c) {
+      if (inferred->attribute(c).type != schema.attribute(c).type) {
+        std::cerr << "inferred type mismatch in column " << c << "\n";
+        return 1;
+      }
+    }
+
     watch.Restart();
     auto legacy = ReadCsv(path, schema);
     if (!legacy.ok()) {
@@ -152,9 +169,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "%9s %8s %9s %9s %11s %8s %9s %6s %9s %9s\n", "rows", "gen_s",
-      "legacy_s", "stream_s", "stream_r/s", "speedup", "warm_mask",
-      "rules", "pipe_s", "evicted");
+      "%9s %8s %9s %9s %9s %11s %8s %9s %6s %9s %9s\n", "rows", "gen_s",
+      "infer_s", "legacy_s", "stream_s", "stream_r/s", "speedup",
+      "warm_mask", "rules", "pipe_s", "evicted");
   for (const size_t rows : row_counts) {
     IngestRow row;
     if (RunOne(rows, flags.threads, budget_mb * 1024 * 1024, &row) != 0) {
@@ -163,11 +180,12 @@ int main(int argc, char** argv) {
     const double speedup = row.stream.seconds > 0.0
                                ? row.legacy_seconds / row.stream.seconds
                                : 0.0;
-    std::printf("%9zu %8.2f %9.3f %9.3f %10.2fM %7.1fx %9zu %6zu %9.2f %9zu\n",
-                row.rows, row.generate_seconds, row.legacy_seconds,
-                row.stream.seconds, row.stream.RowsPerSecond() / 1e6, speedup,
-                row.stream.warm_atom_masks, row.pipeline_rules,
-                row.pipeline_seconds, row.index.evictions);
+    std::printf(
+        "%9zu %8.2f %9.3f %9.3f %9.3f %10.2fM %7.1fx %9zu %6zu %9.2f %9zu\n",
+        row.rows, row.generate_seconds, row.infer_seconds, row.legacy_seconds,
+        row.stream.seconds, row.stream.RowsPerSecond() / 1e6, speedup,
+        row.stream.warm_atom_masks, row.pipeline_rules, row.pipeline_seconds,
+        row.index.evictions);
   }
   return 0;
 }

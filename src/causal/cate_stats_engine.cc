@@ -6,8 +6,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include <cassert>
-
 #include "causal/linear_model.h"
 #include "causal/logistic.h"
 #include "mining/shard_plan.h"
@@ -906,7 +904,7 @@ CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateSubgroups(
     Accumulate(group, protected_mask, &out.overall, &out.prot, &out.nonprot);
     return out;
   }
-  assert(plan->num_rows() == group.size());
+  FAIRCAP_CHECK(plan->num_rows() == group.size());
   const size_t shards = plan->num_shards();
   const bool split = out.split;
 

@@ -324,7 +324,8 @@ class CateStatsEngine {
   /// same pass EstimateSubgroups runs before its solves). The protected
   /// split is always filled when `protected_mask` is non-null, so a
   /// cached result can serve later solves regardless of which subgroups
-  /// they request.
+  /// they request. A multi-shard `plan` must cover group.size() rows;
+  /// a mismatch aborts in every build type.
   SubgroupAccums AccumulateSubgroups(const Bitmap& group,
                                      const Bitmap* protected_mask,
                                      const ShardPlan* plan,

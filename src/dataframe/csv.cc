@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "dataframe/csv_scan.h"
 #include "util/string_util.h"
 
 namespace faircap {
@@ -144,48 +145,6 @@ Result<DataFrame> ParseRows(std::istream& in, const Schema& schema,
   return df;
 }
 
-Result<Schema> InferSchema(std::istream& in, const CsvOptions& options) {
-  std::string line;
-  size_t line_no = 0;
-  if (!ReadRecord(in, &line, &line_no)) {
-    return Status::IOError("CSV input is empty (no header)");
-  }
-  std::vector<std::string> header;
-  if (!SplitRecord(line, options.delimiter, &header)) {
-    return Status::IOError("unterminated quote in CSV header");
-  }
-  std::vector<bool> numeric(header.size(), true);
-  std::vector<bool> saw_value(header.size(), false);
-  std::vector<std::string> cells;
-  while (ReadRecord(in, &line, &line_no)) {
-    if (line.empty()) continue;
-    if (!SplitRecord(line, options.delimiter, &cells)) {
-      return Status::IOError("unterminated quote in CSV body");
-    }
-    if (cells.size() != header.size()) {
-      return Status::InvalidArgument("ragged CSV row during inference");
-    }
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (IsNullCell(cells[i], options)) continue;
-      saw_value[i] = true;
-      double v = 0.0;
-      if (!ParseDouble(cells[i], &v)) numeric[i] = false;
-    }
-  }
-  std::vector<AttributeSpec> attrs;
-  attrs.reserve(header.size());
-  for (size_t i = 0; i < header.size(); ++i) {
-    AttributeSpec spec;
-    spec.name = std::string(Trim(header[i]));
-    // Columns that never produced a value stay categorical.
-    spec.type = (saw_value[i] && numeric[i]) ? AttrType::kNumeric
-                                             : AttrType::kCategorical;
-    spec.role = AttrRole::kImmutable;
-    attrs.push_back(std::move(spec));
-  }
-  return Schema::Create(std::move(attrs));
-}
-
 std::string EscapeCell(const std::string& cell, char delim) {
   const bool needs_quotes =
       cell.find(delim) != std::string::npos ||
@@ -218,9 +177,9 @@ Result<DataFrame> ParseCsv(const std::string& content, const Schema& schema,
 
 Result<Schema> InferCsvSchema(const std::string& path,
                               const CsvOptions& options) {
-  std::ifstream probe(path);
+  std::ifstream probe(path, std::ios::binary);
   if (!probe) return Status::IOError("cannot open '" + path + "' for reading");
-  return InferSchema(probe, options);
+  return csv_scan::InferSchemaFromStream(probe, options);
 }
 
 Result<DataFrame> ReadCsvInferSchema(const std::string& path,
@@ -232,7 +191,8 @@ Result<DataFrame> ReadCsvInferSchema(const std::string& path,
 Result<DataFrame> ParseCsvInferSchema(const std::string& content,
                                       const CsvOptions& options) {
   std::istringstream probe(content);
-  FAIRCAP_ASSIGN_OR_RETURN(Schema schema, InferSchema(probe, options));
+  FAIRCAP_ASSIGN_OR_RETURN(Schema schema,
+                           csv_scan::InferSchemaFromStream(probe, options));
   return ParseCsv(content, schema, options);
 }
 

@@ -31,9 +31,10 @@ Result<DataFrame> ReadCsvInferSchema(const std::string& path,
                                      const CsvOptions& options = {});
 
 /// Inference pass only: the schema a CSV file would load under (numeric if
-/// every non-empty cell parses as a double, categorical otherwise; roles
-/// all kImmutable). Shared by the legacy loader and the streaming ingest
-/// path so both agree on types.
+/// every non-null cell parses as a double and one does, categorical
+/// otherwise; roles all kImmutable). One bounded-window, zero-copy pass on
+/// the record scanner the streaming reader also uses (csv_scan.h); every
+/// record is read, so a ragged row or an unterminated quote anywhere fails.
 Result<Schema> InferCsvSchema(const std::string& path,
                               const CsvOptions& options = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -13,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "dataframe/csv_scan.h"
 #include "dataframe/predicate_index.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
@@ -24,126 +24,12 @@ namespace faircap {
 
 namespace {
 
-constexpr size_t kNoRecord = static_cast<size_t>(-1);
-
-// Index of the '\n' terminating the record that starts at `pos`, honoring
-// RFC-4180 quoting (a newline inside quotes is field data, and escaped ""
-// flips the quote state twice). kNoRecord when the record is incomplete.
-size_t FindRecordEnd(std::string_view buf, size_t pos) {
-  bool in_quotes = false;
-  for (size_t i = pos; i < buf.size(); ++i) {
-    const char c = buf[i];
-    if (c == '"') {
-      in_quotes = !in_quotes;
-    } else if (c == '\n' && !in_quotes) {
-      return i;
-    }
-  }
-  return kNoRecord;
-}
-
-bool QuoteOpen(std::string_view record) {
-  size_t quotes = 0;
-  for (const char c : record) quotes += (c == '"');
-  return (quotes % 2) != 0;
-}
-
-constexpr uint64_t kSwarOnes = 0x0101010101010101ULL;
-constexpr uint64_t kSwarHighs = 0x8080808080808080ULL;
-
-// SWAR byte search: the high bit of each byte of the result is set iff
-// that byte of `v` equals the byte replicated through `pattern8`.
-__attribute__((always_inline)) inline uint64_t MatchBytes(uint64_t v,
-                                                          uint64_t pattern8) {
-  const uint64_t x = v ^ pattern8;
-  return (x - kSwarOnes) & ~x & kSwarHighs;
-}
-
-// isspace over the ASCII set Trim uses: ' ' plus \t \n \v \f \r.
-__attribute__((always_inline)) inline bool IsSpaceAscii(unsigned char c) {
-  return c == ' ' || (c >= '\t' && c <= '\r');
-}
-
-// Local always-inlined trim (the util::Trim call showed up in profiles at
-// one call per cell). The `> ' '` pre-test exits in one compare for the
-// overwhelmingly common untrimmed cell.
-__attribute__((always_inline)) inline std::string_view TrimView(
-    std::string_view s) {
-  while (!s.empty()) {
-    const unsigned char c = static_cast<unsigned char>(s.front());
-    if (c > ' ' || !IsSpaceAscii(c)) break;
-    s.remove_prefix(1);
-  }
-  while (!s.empty()) {
-    const unsigned char c = static_cast<unsigned char>(s.back());
-    if (c > ' ' || !IsSpaceAscii(c)) break;
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-// Exact powers of ten: 10^k is representable exactly for k <= 22.
-constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
-                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-
-// strtod-compatible double parse; `s` must already be trimmed. Fast path:
-// plain decimal with <= 15 significant digits and a decimal exponent
-// within +-22 — there the classic mantissa-times-exact-power evaluation
-// is a single IEEE operation, hence correctly rounded and bit-identical
-// to strtod. Everything else (long mantissas, E notation, hex floats,
-// inf/nan, leading '+') falls through to std::from_chars and then the
-// shared ParseDouble, so the accepted language matches the legacy
-// loader's.
-bool FastParseDouble(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  // The shared ParseDouble rejects cells that overflow its strtod buffer;
-  // delegate so both loaders reject the same (absurdly long) inputs.
-  if (s.size() >= 64) return ParseDouble(s, out);
-  const char* p = s.data();
-  const char* end = p + s.size();
-  bool negative = false;
-  if (*p == '-') {
-    negative = true;
-    ++p;
-  }
-  uint64_t mantissa = 0;
-  int digits = 0;
-  int frac_digits = 0;
-  bool seen_point = false;
-  bool any_digit = false;
-  bool fast_ok = p != end;
-  for (; p != end; ++p) {
-    const char c = *p;
-    if (c >= '0' && c <= '9') {
-      any_digit = true;
-      if (digits >= 15) {
-        fast_ok = false;
-        break;
-      }
-      // Skip redundant leading zeros ("0.25" keeps digits low).
-      if (mantissa != 0 || c != '0' || seen_point) {
-        mantissa = mantissa * 10 + static_cast<uint64_t>(c - '0');
-        if (mantissa != 0) ++digits;
-      }
-      if (seen_point) ++frac_digits;
-    } else if (c == '.' && !seen_point) {
-      seen_point = true;
-    } else {
-      fast_ok = false;  // exponent notation or junk: slow path decides
-      break;
-    }
-  }
-  if (fast_ok && any_digit && frac_digits <= 22) {
-    const double value =
-        static_cast<double>(mantissa) / kPow10[frac_digits];
-    *out = negative ? -value : value;
-    return true;
-  }
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  if (ec == std::errc() && ptr == s.data() + s.size()) return true;
-  return ParseDouble(s, out);
-}
+using csv_scan::FindRecordEnd;
+using csv_scan::kNoRecord;
+using csv_scan::kSwarOnes;
+using csv_scan::MatchBytes;
+using csv_scan::StripTailCr;
+using csv_scan::TrimView;
 
 // First-4 + last-4 bytes packed into one integer. Together with the
 // length this is *exact* for strings of <= 8 bytes (the two overlapping
@@ -319,35 +205,36 @@ class StreamParser {
   /// with the terminating newline and CR already stripped.
   Status ProcessRecord(std::string_view record) {
     ++record_no_;
-    if (!SplitRecordView(record)) {
+    if (!splitter_.Split(record, options_.delimiter)) {
       return Status::IOError("unterminated quote at record " +
                              std::to_string(record_no_));
     }
+    const std::vector<std::string_view>& fields = splitter_.fields();
     if (!header_done_) {
       header_done_ = true;
       if (!options_.check_header) return Status::OK();
-      if (fields_.size() != schema_.num_attributes()) {
+      if (fields.size() != schema_.num_attributes()) {
         return Status::InvalidArgument(
             "CSV header arity does not match schema");
       }
-      for (size_t i = 0; i < fields_.size(); ++i) {
-        if (Trim(fields_[i]) != schema_.attribute(i).name) {
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (Trim(fields[i]) != schema_.attribute(i).name) {
           return Status::InvalidArgument(
-              "CSV header column '" + std::string(fields_[i]) +
+              "CSV header column '" + std::string(fields[i]) +
               "' does not match schema attribute '" +
               schema_.attribute(i).name + "'");
         }
       }
       return Status::OK();
     }
-    if (fields_.size() != schema_.num_attributes()) {
+    if (fields.size() != schema_.num_attributes()) {
       return Status::InvalidArgument(
           "record " + std::to_string(record_no_) + " has " +
-          std::to_string(fields_.size()) + " cells, expected " +
+          std::to_string(fields.size()) + " cells, expected " +
           std::to_string(schema_.num_attributes()));
     }
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (!AppendCell(i, fields_[i])) return std::move(error_);
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (!AppendCell(i, fields[i])) return std::move(error_);
     }
     ++rows_;
     return Status::OK();
@@ -358,153 +245,61 @@ class StreamParser {
   /// Parses every complete row of `buf` and returns the offset of the
   /// first unconsumed byte (the start of an incomplete trailing record).
   ///
-  /// One SWAR pass (8 bytes per step) finds delimiters, newlines, and
-  /// quotes together; quote-free rows — the overwhelmingly common case —
-  /// append cells straight into the column builders with zero copies and
-  /// no per-record rescan. The scan is bounded by the buffer's last
-  /// newline, so it never parses a partial row; a quote rolls the
-  /// current row's cells back and re-drives that record through the
-  /// escape-aware splitter (which also handles record separators inside
-  /// quoted fields).
+  /// Quote-free rows — the overwhelmingly common case — come from the
+  /// shared SWAR scan (csv_scan::ScanRecords) and append cells straight
+  /// into the column builders with zero copies. A quote (or one cell too
+  /// many) rolls the current row's cells back and re-drives that record
+  /// through the escape-aware splitter.
   Result<size_t> Consume(std::string_view buf) {
-    const char* p = buf.data();
-    const size_t size = buf.size();
     size_t pos = 0;
     while (!header_done_) {
       const size_t end = FindRecordEnd(buf, pos);
       if (end == kNoRecord) return pos;
-      std::string_view record(p + pos, end - pos);
+      std::string_view record = buf.substr(pos, end - pos);
       if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
       FAIRCAP_RETURN_NOT_OK(ProcessRecord(record));
       pos = end + 1;
     }
+    const size_t consumed = csv_scan::ScanRecords(
+        buf, pos, options_.delimiter, schema_.num_attributes(), *this);
+    if (consumed == kNoRecord) return TakeError();
+    return consumed;
+  }
 
-    const void* last_nl = memrchr(p + pos, '\n', size - pos);
-    if (last_nl == nullptr) return pos;
-    const size_t scan_end =
-        static_cast<size_t>(static_cast<const char*>(last_nl) - p) + 1;
-
-    const size_t arity = schema_.num_attributes();
-    const char delim = options_.delimiter;
-    const uint64_t delim8 = kSwarOnes * static_cast<unsigned char>(delim);
-    const uint64_t quote8 = kSwarOnes * static_cast<uint64_t>('"');
-    const uint64_t nl8 = kSwarOnes * static_cast<uint64_t>('\n');
-
-    size_t row_start = pos;  // current row's first byte
-    size_t start = pos;      // current field's first byte
-    size_t col = 0;
-    size_t i = pos;
-
-    enum class Act { kNext, kMoved, kNeedMore, kFail };
-
-    // Handles the special byte at `idx`.
-    auto handle = [&](size_t idx) -> Act {
-      const char c = p[idx];
-      if (c == delim) {
-        if (col + 1 >= arity) {
-          error_ = Status::InvalidArgument(
-              "record " + std::to_string(record_no_ + 1) +
-              " has more than the expected " + std::to_string(arity) +
-              " cells");
-          return Act::kFail;
-        }
-        if (!AppendCell(col, std::string_view(p + start, idx - start))) {
-          return Act::kFail;
-        }
-        ++col;
-        start = idx + 1;
-        return Act::kNext;
-      }
-      if (c == '\n') {
-        size_t cell_end = idx;
-        if (cell_end > start && p[cell_end - 1] == '\r') --cell_end;
-        if (col == 0 && cell_end == start) {
-          // Blank line (or lone CR): skipped, like the legacy loader.
-        } else {
-          ++record_no_;
-          if (col + 1 != arity) {
-            error_ = Status::InvalidArgument(
-                "record " + std::to_string(record_no_) + " has " +
-                std::to_string(col + 1) + " cells, expected " +
-                std::to_string(arity));
-            return Act::kFail;
-          }
-          if (!AppendCell(col, std::string_view(p + start,
-                                                cell_end - start))) {
-            return Act::kFail;
-          }
-          ++rows_;
-        }
-        col = 0;
-        start = idx + 1;
-        row_start = idx + 1;
-        return Act::kNext;
-      }
-      // Quote: undo this row's partial appends and re-drive the record
-      // through the escape-aware splitter. Pre-quote cells re-parse to
-      // identical values, so the dictionaries stay in first-appearance
-      // order.
-      for (size_t b = 0; b < col; ++b) {
-        ColumnBuilder& builder = builders_[b];
-        if (builder.type == AttrType::kCategorical) {
-          builder.codes.pop_back();
-        } else {
-          builder.values.pop_back();
-        }
-      }
-      col = 0;
-      start = row_start;
-      const size_t end = FindRecordEnd(buf, row_start);
-      if (end == kNoRecord) {
-        // Quoted record runs past the buffer; resume here next chunk.
-        return Act::kNeedMore;
-      }
-      std::string_view record(p + row_start, end - row_start);
-      if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
-      if (!record.empty()) {
-        const Status st = ProcessRecord(record);
-        if (!st.ok()) {
-          error_ = st;
-          return Act::kFail;
-        }
-      }
-      i = end + 1;
-      start = i;
-      row_start = i;
-      return Act::kMoved;  // scan position jumped; restart the word loop
-    };
-
-    while (i < scan_end) {
-      if (i + 8 <= scan_end) {
-        uint64_t v;
-        std::memcpy(&v, p + i, 8);
-        uint64_t hits = MatchBytes(v, delim8) | MatchBytes(v, quote8) |
-                        MatchBytes(v, nl8);
-        bool advance = true;
-        while (hits != 0) {
-          const size_t idx =
-              i + (static_cast<size_t>(__builtin_ctzll(hits)) >> 3);
-          hits &= hits - 1;
-          const Act act = handle(idx);
-          if (act == Act::kNext) continue;
-          if (act == Act::kFail) return TakeError();
-          if (act == Act::kNeedMore) return row_start;
-          advance = false;  // kMoved: i was repositioned past the record
-          break;
-        }
-        if (advance) i += 8;
+  // csv_scan::ScanRecords sink.
+  __attribute__((always_inline)) inline bool OnCell(size_t col,
+                                                    std::string_view cell) {
+    return AppendCell(col, cell);
+  }
+  __attribute__((always_inline)) inline bool OnRowEnd(size_t col,
+                                                      std::string_view cell) {
+    ++record_no_;
+    if (col + 1 != schema_.num_attributes()) {
+      error_ = Status::InvalidArgument(
+          "record " + std::to_string(record_no_) + " has " +
+          std::to_string(col + 1) + " cells, expected " +
+          std::to_string(schema_.num_attributes()));
+      return false;
+    }
+    if (!AppendCell(col, cell)) return false;
+    ++rows_;
+    return true;
+  }
+  void OnDiscard(size_t cells) {
+    // Undo the row's partial appends; they re-parse to identical values,
+    // so the dictionaries stay in first-appearance order.
+    for (size_t b = 0; b < cells; ++b) {
+      ColumnBuilder& builder = builders_[b];
+      if (builder.type == AttrType::kCategorical) {
+        builder.codes.pop_back();
       } else {
-        const char c = p[i];
-        if (c == delim || c == '\n' || c == '"') {
-          const Act act = handle(i);
-          if (act == Act::kFail) return TakeError();
-          if (act == Act::kNeedMore) return row_start;
-          if (act == Act::kMoved) continue;  // i repositioned
-        }
-        ++i;
+        builder.values.pop_back();
       }
     }
-    return scan_end;
+  }
+  bool OnRecord(std::string_view record) {
+    error_ = ProcessRecord(record);
+    return error_.ok();
   }
 
   /// Pre-sizes the column vectors once the average record size is known.
@@ -523,16 +318,10 @@ class StreamParser {
   /// record (last segment of a file without a trailing newline).
   Status ParseSegment(std::string_view segment) {
     FAIRCAP_ASSIGN_OR_RETURN(const size_t consumed, Consume(segment));
-    std::string_view record = segment.substr(consumed);
-    if (record.empty()) return Status::OK();
-    // Same dangling-record handling as the streaming tail: the CR guard
-    // needs the quote-parity check because the record may be an
-    // unterminated quote (which ProcessRecord rejects).
-    if (record.back() == '\r' && QuoteOpen(record)) {
-      // keep the CR: it is quoted field data of a malformed record
-    } else if (record.back() == '\r') {
-      record.remove_suffix(1);
-    }
+    const std::string_view tail = segment.substr(consumed);
+    if (tail.empty()) return Status::OK();
+    // Same dangling-record handling as the streaming tail.
+    const std::string_view record = StripTailCr(tail);
     if (record.empty() && header_done_) return Status::OK();
     return ProcessRecord(record);
   }
@@ -564,57 +353,6 @@ class StreamParser {
   }
 
  private:
-  /// Mirrors csv.cc's SplitRecord, but fields without quoting are
-  /// zero-copy views into `record`; only fields containing quotes are
-  /// unescaped, into per-field scratch slots (a deque, so views into
-  /// earlier slots stay valid while later fields are parsed).
-  bool SplitRecordView(std::string_view record) {
-    fields_.clear();
-    size_t scratch_used = 0;
-    size_t field_start = 0;
-    bool in_quotes = false;
-    std::string* current = nullptr;  // non-null once the field hit a quote
-    auto emit = [&](size_t end) {
-      if (current != nullptr) {
-        fields_.push_back(*current);
-        ++scratch_used;
-        current = nullptr;
-      } else {
-        fields_.push_back(record.substr(field_start, end - field_start));
-      }
-    };
-    for (size_t i = 0; i < record.size(); ++i) {
-      const char c = record[i];
-      if (in_quotes) {
-        if (c == '"') {
-          if (i + 1 < record.size() && record[i + 1] == '"') {
-            current->push_back('"');
-            ++i;
-          } else {
-            in_quotes = false;
-          }
-        } else {
-          current->push_back(c);
-        }
-      } else if (c == '"') {
-        if (current == nullptr) {
-          if (scratch_.size() <= scratch_used) scratch_.emplace_back();
-          current = &scratch_[scratch_used];
-          current->assign(record.data() + field_start, i - field_start);
-        }
-        in_quotes = true;
-      } else if (c == options_.delimiter) {
-        emit(i);
-        field_start = i + 1;
-      } else if (current != nullptr) {
-        current->push_back(c);
-      }
-    }
-    if (in_quotes) return false;
-    emit(record.size());
-    return true;
-  }
-
   /// Parses one cell into its column. Returns false with error_ set on a
   /// malformed numeric cell (bool keeps Status construction off the hot
   /// path).
@@ -643,7 +381,7 @@ class StreamParser {
       return true;
     }
     double v = 0.0;
-    if (!FastParseDouble(trimmed, &v)) {
+    if (!csv_scan::FastParseDouble(trimmed, &v)) {
       error_ = Status::InvalidArgument(
           "cell '" + std::string(cell) + "' at record " +
           std::to_string(record_no_) + " is not numeric (attribute '" +
@@ -658,8 +396,7 @@ class StreamParser {
   const IngestOptions& options_;
   const std::string_view null_token_;  ///< hot-path view of the option
   std::vector<ColumnBuilder> builders_;
-  std::vector<std::string_view> fields_;
-  std::deque<std::string> scratch_;
+  csv_scan::FieldSplitter splitter_;
   Status error_;
   size_t record_no_ = 0;
   size_t rows_ = 0;
@@ -687,50 +424,27 @@ Result<DataFrame> StreamFrom(std::istream& in, const Schema& schema,
   StopWatch watch;
   IngestStats local;
   StreamParser parser(schema, options);
-  const size_t chunk_bytes = std::max<size_t>(options.chunk_bytes, 1);
-  // Reusable read buffer: each chunk is read after the carried-over
-  // partial record; the (small) unconsumed tail is memmoved to the front.
-  // No per-chunk string append, no multi-megabyte copies.
-  std::vector<char> buf(2 * chunk_bytes);
-  size_t carry = 0;
-
-  while (in) {
-    if (buf.size() < carry + chunk_bytes) {
-      buf.resize(carry + chunk_bytes);  // a quoted record spans chunks
-    }
-    in.read(buf.data() + carry, static_cast<std::streamsize>(chunk_bytes));
-    const size_t got = static_cast<size_t>(in.gcount());
-    if (got == 0) break;
-    local.bytes += got;
-    ++local.chunks;
-    const size_t total = carry + got;
-    FAIRCAP_ASSIGN_OR_RETURN(
-        const size_t consumed,
-        parser.Consume(std::string_view(buf.data(), total)));
-    carry = total - consumed;
-    if (consumed != 0 && carry != 0) {
-      std::memmove(buf.data(), buf.data() + consumed, carry);
-    }
+  csv_scan::WindowReader reader(in, options.chunk_bytes);
+  while (reader.Fill()) {
+    FAIRCAP_ASSIGN_OR_RETURN(const size_t consumed,
+                             parser.Consume(reader.window()));
+    reader.Consume(consumed);
     if (size_hint != 0 && parser.rows() > 0) {
       // One-shot reserve from the observed bytes-per-row, with 5% slack
       // so a slightly long sample never forces a full-table realloc.
-      const size_t done = local.bytes - carry;
+      const size_t done = reader.bytes_read() - reader.window().size();
       if (done > 0) {
         parser.ReserveRows(1 + parser.rows() * size_hint / done * 21 / 20);
       }
       size_hint = 0;
     }
   }
-  if (carry != 0) {
+  local.bytes = reader.bytes_read();
+  local.chunks = reader.fills();
+  if (!reader.window().empty()) {
     // Final record without a trailing newline (or a dangling quote, which
-    // ProcessRecord rejects). The CR guard needs the quote-parity check
-    // here: the record may be unterminated.
-    std::string_view record(buf.data(), carry);
-    if (!record.empty() && record.back() == '\r' && QuoteOpen(record)) {
-      // keep the CR: it is quoted field data of a malformed record
-    } else if (!record.empty() && record.back() == '\r') {
-      record.remove_suffix(1);
-    }
+    // ProcessRecord rejects).
+    const std::string_view record = StripTailCr(reader.window());
     if (!(record.empty() && parser.header_done())) {
       FAIRCAP_RETURN_NOT_OK(parser.ProcessRecord(record));
     }

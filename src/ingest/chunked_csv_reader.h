@@ -82,8 +82,8 @@ Result<DataFrame> StreamCsv(const std::string& path, const Schema& schema,
                             const IngestOptions& options = {},
                             IngestStats* stats = nullptr);
 
-/// Streams a CSV file, inferring the schema first (one extra pass, shared
-/// with the legacy loader via InferCsvSchema so both agree on types).
+/// Streams a CSV file, inferring the schema first with InferCsvSchema (one
+/// extra bounded-window pass over the same record scanner, csv_scan.h).
 Result<DataFrame> StreamCsvInferSchema(const std::string& path,
                                        const IngestOptions& options = {},
                                        IngestStats* stats = nullptr);

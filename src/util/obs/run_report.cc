@@ -34,6 +34,11 @@ constexpr const char* kStandardCounters[] = {
     "ingest.bytes",
     "ingest.chunks",
     "ingest.segments",
+    // Schema inference (InferCsvSchema): passes, bytes read, and records
+    // that took the escape-aware path (quotes, extra cells, last line).
+    "ingest.infer_runs",
+    "ingest.infer_bytes",
+    "ingest.infer_quoted_records",
     // Retired with the per-call estimator (the one estimation path is
     // the batch engine); always 0, kept so the schema floor (and readers
     // keyed on it) stay stable.

@@ -17,7 +17,8 @@
 //                       warm_atom_masks, atom_bytes, conjunction_bytes,
 //                       numeric_order_bytes },
 //     "engine_cache": { hits, misses, evictions, bytes },
-//     "ingest":       { runs, rows, bytes, chunks, segments },
+//     "ingest":       { runs, rows, bytes, chunks, segments,
+//                       infer_runs, infer_bytes, infer_quoted_records },
 //     "simd":         { level, level_name },
 //     "estimation":   { legacy_calls (retired, always 0), batch_evals,
 //                       solve_regression, solve_stratified,

@@ -496,6 +496,31 @@ TEST(CateStatsEngineDeathTest, MergeSubgroupAccumsRejectsMismatchedAccums) {
                "CHECK failed.*into->n.size\\(\\) == from.n.size\\(\\)");
 }
 
+TEST(CateStatsEngineDeathTest, AccumulateSubgroupsRejectsMismatchedPlan) {
+  // A shard plan over another row count would walk word ranges past the
+  // group bitmap; Release builds must stop, not read out of bounds.
+  const EdgeData data = MakeEdgeData(1000, 87);
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const auto engine =
+      est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
+  ASSERT_TRUE(engine.ok());
+  const Bitmap all = data.df.AllRows();
+  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
+  const ShardPlan longer = ShardPlan::Create(data.df.num_rows() + 200, 4);
+  EXPECT_DEATH((void)(*engine)->AccumulateSubgroups(all, &prot, &longer,
+                                                    nullptr),
+               "CHECK failed.*plan->num_rows\\(\\) == group.size\\(\\)");
+  // A plan over the table's own rows covers the same rows as no plan.
+  const ShardPlan matching = ShardPlan::Create(data.df.num_rows(), 4);
+  EXPECT_EQ((*engine)
+                ->AccumulateSubgroups(all, &prot, &matching, nullptr)
+                .overall.rows,
+            (*engine)->AccumulateSubgroups(all, &prot, nullptr, nullptr)
+                .overall.rows);
+}
+
 // The per-slot double assembly that AssembleNormalEquations replaced,
 // kept as its bit-for-bit oracle: every X'X entry — counts included — is
 // summed in double per non-empty slot, in ascending slot order.

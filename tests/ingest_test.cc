@@ -14,6 +14,7 @@
 #include <fstream>
 
 #include "causal/dag_io.h"
+#include "csv_corpus.h"
 #include "dataframe/predicate_index.h"
 #include "ingest/repository.h"
 #include "ingest/synthetic.h"
@@ -66,18 +67,6 @@ Schema TestSchema() {
                         })
       .ValueOrDie();
 }
-
-// Quoting, escapes, embedded delimiters and newlines, CRLF, nulls,
-// trailing empty columns — everything both loaders must agree on.
-const char kEdgeCaseCsv[] =
-    "name,city,score\n"
-    "alice,berlin,1.5\r\n"
-    "\"smith, john\",\"a\nb\",2\n"
-    "\"say \"\"hi\"\"\",paris,NA\n"
-    "NA,,\r\n"
-    "\r\n"
-    "bob,tokyo,-3e2\n"
-    "carol,berlin,";
 
 TEST(IngestTest, StreamingMatchesLegacyOnEdgeCases) {
   const auto legacy = ParseCsv(kEdgeCaseCsv, TestSchema());

@@ -3,17 +3,21 @@
 // JSON — plus metrics-registry exactness under concurrent increments (the
 // TSan leg runs this test), Reset-keeps-handles-valid, and the run-report
 // schema floor: every v1 section and key must be present in the emitted
-// JSON, and a real pipeline run must populate the same registry the
-// report serializes (no bench-only shadow counters).
+// JSON, and a real pipeline run (and a file ingest, inference included)
+// must populate the same registry the report serializes (no bench-only
+// shadow counters).
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/faircap.h"
+#include "ingest/chunked_csv_reader.h"
 #include "util/obs/metrics.h"
 #include "util/obs/run_report.h"
 #include "util/obs/trace.h"
@@ -202,7 +206,9 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"evictions\":", "\"atom_evictions\":", "\"warm_atom_masks\":",
         "\"atom_bytes\":", "\"conjunction_bytes\":",
         "\"numeric_order_bytes\":", "\"rows\":", "\"bytes\":", "\"chunks\":",
-        "\"segments\":", "\"runs\":", "\"level\":", "\"level_name\":",
+        "\"segments\":", "\"runs\":", "\"infer_runs\":",
+        "\"infer_bytes\":", "\"infer_quoted_records\":", "\"level\":",
+        "\"level_name\":",
         "\"legacy_calls\":", "\"batch_evals\":", "\"solve_regression\":",
         "\"solve_stratified\":", "\"solve_ipw_cells\":",
         "\"solve_ipw_rows\":", "\"lattice_evaluations\":",
@@ -227,6 +233,38 @@ TEST(RunReportTest, SimdLevelNameMatchesGauge) {
                      json.find("\"level_name\":\"unknown\"") !=
                          std::string::npos;
   EXPECT_TRUE(named);
+}
+
+TEST(RunReportTest, SchemaInferenceHasItsOwnSpanAndCounters) {
+  // A traced file ingest must tell the inference pass from the parse.
+  const std::string csv =
+      "a,b\n1,x\n\"2\",\"y,z\"\n3,w\n";
+  const std::string path = testing::TempDir() + "/faircap_obs_infer.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << csv;
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  obs::EnableTracing();
+  const auto df = StreamCsvInferSchema(path);
+  obs::DisableTracing();
+  std::remove(path.c_str());
+  ASSERT_TRUE(df.ok()) << df.status().ToString();
+  EXPECT_EQ(registry.CounterValue("ingest.infer_runs"), 1u);
+  EXPECT_EQ(registry.CounterValue("ingest.infer_bytes"), csv.size());
+  EXPECT_EQ(registry.CounterValue("ingest.infer_quoted_records"), 1u);
+  EXPECT_EQ(registry.CounterValue("ingest.runs"), 1u);
+  std::ostringstream trace;
+  obs::WriteChromeTrace(trace);
+  obs::ClearTrace();
+  EXPECT_NE(trace.str().find("\"name\":\"ingest_infer\""), std::string::npos);
+  EXPECT_NE(trace.str().find("\"name\":\"ingest_stream\""),
+            std::string::npos);
+  std::ostringstream report;
+  obs::WriteRunReport(report);
+  EXPECT_NE(report.str().find("\"infer_bytes\":" + std::to_string(csv.size())),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@
 //               --delta-fraction=0.01 --delta-batches=4) [--verify]
 //   faircap_cli datasets
 //
+// Each verb accepts only the flags it reads (plus the common ones); an
+// unknown flag fails with its name and the verb.
+//
 // Every dataset — the paper generators, the synthetic scale workload, and
 // CSV+DAG files — loads through the DatasetRepository; file-backed data
 // comes in via the streaming columnar ingest path, so the pipeline starts
@@ -29,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 
 #include "causal/dag_io.h"
@@ -118,6 +122,34 @@ struct CliArgs {
   }
 };
 
+/// The flags `verb` reads, common ones included; false for an unknown verb.
+bool KnownFlags(const std::string& verb, std::set<std::string>* flags) {
+  *flags = {"help", "simd", "log-level", "trace-json", "metrics-json"};
+  const auto add = [flags](std::initializer_list<const char*> names) {
+    flags->insert(names.begin(), names.end());
+  };
+  if (verb == "run" || verb == "append") {
+    // Dataset source, solver options, and the protected group.
+    add({"dataset", "rows", "seed", "set", "data", "dag", "outcome",
+         "mutable", "protected", "fairness", "fairness-threshold",
+         "coverage", "theta", "theta-p", "min-support", "max-rules",
+         "max-intervention-predicates", "min-group-size",
+         "min-subgroup-arm", "threads", "shards", "engine-budget-mb"});
+  }
+  if (verb == "run") {
+    add({"index-budget-mb", "natural-language", "unit"});
+  } else if (verb == "append") {
+    add({"delta", "delta-fraction", "delta-batches", "verify"});
+  } else if (verb == "gen") {
+    add({"dataset", "rows", "seed", "set", "out", "dag-out"});
+  } else if (verb == "ingest") {
+    add({"data", "chunk-kb", "threads", "compare-legacy"});
+  } else if (verb != "datasets" && verb != "help") {
+    return false;
+  }
+  return true;
+}
+
 int Fail(const std::string& message) {
   std::cerr << "error: " << message << "\n";
   return 1;
@@ -172,7 +204,8 @@ void PrintUsage() {
       "ingest options:\n"
       "  --chunk-kb=1024 --threads=1   (parse threads; 0 = hardware)\n"
       "  --compare-legacy\n"
-      "append options (incremental re-mining; takes all run options):\n"
+      "append options (incremental re-mining; takes the dataset and\n"
+      "solver run options):\n"
       "  --delta=FILE.csv[,FILE2]  (delta CSVs parsed against the resident\n"
       "                            schema, appended batch by batch with a\n"
       "                            re-mine after each)\n"
@@ -392,10 +425,6 @@ Result<FairCapOptions> OptionsFromArgs(const CliArgs& args) {
 }
 
 int RunPipeline(const CliArgs& args) {
-  if (args.Has("help")) {
-    PrintUsage();
-    return 0;
-  }
   // Flags first: a malformed value fails before any data is loaded.
   auto parsed_options = OptionsFromArgs(args);
   if (!parsed_options.ok()) return Fail(parsed_options.status().ToString());
@@ -691,6 +720,24 @@ int main(int argc, char** argv) {
   }
   const CliArgs args = CliArgs::Parse(argc, argv, first_flag);
 
+  // A mistyped flag fails instead of running with its default.
+  std::set<std::string> known;
+  if (!KnownFlags(verb, &known)) {
+    PrintUsage();
+    return Fail("unknown verb '" + verb + "'");
+  }
+  for (const auto& [flag, value] : args.values) {
+    if (known.count(flag) == 0) {
+      return Fail(Status::InvalidArgument("unknown flag --" + flag +
+                                          " for verb '" + verb + "'")
+                      .ToString());
+    }
+  }
+  if (verb == "help" || args.Has("help")) {
+    PrintUsage();
+    return 0;
+  }
+
   // Verbosity: FAIRCAP_LOG env first, explicit --log-level wins.
   InitLogLevelFromEnv();
   if (args.Has("log-level")) {
@@ -743,14 +790,8 @@ int main(int argc, char** argv) {
     rc = RunIngest(args);
   } else if (verb == "append") {
     rc = RunAppend(args);
-  } else if (verb == "datasets") {
+  } else {  // datasets
     rc = RunDatasets();
-  } else if (verb == "help") {
-    PrintUsage();
-    return 0;
-  } else {
-    PrintUsage();
-    return Fail("unknown verb '" + verb + "'");
   }
 
   if (!trace_path.empty()) {
