@@ -1,14 +1,12 @@
 // Ingest-at-scale harness: synthetic workload generation -> CSV on disk ->
 // schema inference (InferCsvSchema, the pass a file load runs first) and
-// legacy row-by-row loader vs streaming columnar ingest (rows/sec and
-// speedup), then the full FairCap pipeline on the streamed table with its
-// warm-started, budget-capped PredicateIndex.
+// streaming columnar ingest (rows/sec), then the full FairCap pipeline on
+// the streamed table with its warm-started, budget-capped PredicateIndex.
 //
 //   bench_ingest [--rows=N] [--full] [--threads=T] [--budget-mb=M]
 //
 // Default sweeps small row counts (CI smoke); --full runs the 1M-row
-// acceptance configuration. The streaming path must come out >= 5x the
-// legacy loader at 1M rows.
+// configuration.
 
 #include <cstdio>
 #include <cstring>
@@ -38,7 +36,6 @@ struct IngestRow {
   size_t rows = 0;
   double generate_seconds = 0.0;
   double infer_seconds = 0.0;
-  double legacy_seconds = 0.0;
   IngestStats stream;
   double pipeline_seconds = 0.0;
   size_t pipeline_rules = 0;
@@ -67,12 +64,11 @@ int RunOne(size_t rows, size_t threads, size_t budget_bytes, IngestRow* out) {
   }
   const Schema& schema = data->df.schema();
 
-  // Interleaved repetitions, best-of-N per pass: the first pass of
-  // either loader pays one-off page-fault and file-cache costs that are
-  // not loader work, and interleaving cancels machine-load drift.
+  // Interleaved repetitions, best-of-N per pass: the first pass pays
+  // one-off page-fault and file-cache costs that are not reader work, and
+  // interleaving cancels machine-load drift.
   constexpr int kReps = 3;
   out->infer_seconds = 1e300;
-  out->legacy_seconds = 1e300;
   double stream_best = 1e300;
   Result<DataFrame> streamed = Status::Internal("unset");
   for (int rep = 0; rep < kReps; ++rep) {
@@ -88,19 +84,6 @@ int RunOne(size_t rows, size_t threads, size_t budget_bytes, IngestRow* out) {
         std::cerr << "inferred type mismatch in column " << c << "\n";
         return 1;
       }
-    }
-
-    watch.Restart();
-    auto legacy = ReadCsv(path, schema);
-    if (!legacy.ok()) {
-      std::cerr << "legacy read: " << legacy.status().ToString() << "\n";
-      return 1;
-    }
-    out->legacy_seconds = std::min(out->legacy_seconds,
-                                   watch.ElapsedSeconds());
-    if (legacy->num_rows() != rows) {
-      std::cerr << "legacy row count mismatch\n";
-      return 1;
     }
 
     IngestStats stats;
@@ -168,24 +151,19 @@ int main(int argc, char** argv) {
     row_counts = {20000, 50000};
   }
 
-  std::printf(
-      "%9s %8s %9s %9s %9s %11s %8s %9s %6s %9s %9s\n", "rows", "gen_s",
-      "infer_s", "legacy_s", "stream_s", "stream_r/s", "speedup",
-      "warm_mask", "rules", "pipe_s", "evicted");
+  std::printf("%9s %8s %9s %9s %11s %9s %6s %9s %9s\n", "rows", "gen_s",
+              "infer_s", "stream_s", "stream_r/s", "warm_mask", "rules",
+              "pipe_s", "evicted");
   for (const size_t rows : row_counts) {
     IngestRow row;
     if (RunOne(rows, flags.threads, budget_mb * 1024 * 1024, &row) != 0) {
       return 1;
     }
-    const double speedup = row.stream.seconds > 0.0
-                               ? row.legacy_seconds / row.stream.seconds
-                               : 0.0;
-    std::printf(
-        "%9zu %8.2f %9.3f %9.3f %9.3f %10.2fM %7.1fx %9zu %6zu %9.2f %9zu\n",
-        row.rows, row.generate_seconds, row.infer_seconds, row.legacy_seconds,
-        row.stream.seconds, row.stream.RowsPerSecond() / 1e6, speedup,
-        row.stream.warm_atom_masks, row.pipeline_rules, row.pipeline_seconds,
-        row.index.evictions);
+    std::printf("%9zu %8.2f %9.3f %9.3f %10.2fM %9zu %6zu %9.2f %9zu\n",
+                row.rows, row.generate_seconds, row.infer_seconds,
+                row.stream.seconds, row.stream.RowsPerSecond() / 1e6,
+                row.stream.warm_atom_masks, row.pipeline_rules,
+                row.pipeline_seconds, row.index.evictions);
   }
   return 0;
 }

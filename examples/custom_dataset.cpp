@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "core/faircap.h"
-#include "dataframe/csv.h"
+#include "ingest/chunked_csv_reader.h"
 #include "util/random.h"
 
 using namespace faircap;
@@ -45,7 +45,7 @@ int main() {
   const std::string path = WriteSampleCsv();
 
   // 1. Load with schema inference (numeric columns auto-detected).
-  auto df_result = ReadCsvInferSchema(path);
+  auto df_result = StreamCsvInferSchema(path);
   if (!df_result.ok()) {
     std::cerr << df_result.status().ToString() << "\n";
     return 1;

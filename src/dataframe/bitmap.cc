@@ -39,33 +39,33 @@ size_t Bitmap::Count() const {
 }
 
 size_t Bitmap::AndCount(const Bitmap& other) const {
-  assert(num_bits_ == other.num_bits_);
+  FAIRCAP_CHECK(num_bits_ == other.num_bits_);
   return simd::ActiveKernels().and_count(words_.data(), other.words_.data(),
                                          words_.size());
 }
 
 size_t Bitmap::AndNotCount(const Bitmap& other) const {
-  assert(num_bits_ == other.num_bits_);
+  FAIRCAP_CHECK(num_bits_ == other.num_bits_);
   return simd::ActiveKernels().andnot_count(words_.data(), other.words_.data(),
                                             words_.size());
 }
 
 Bitmap& Bitmap::operator&=(const Bitmap& other) {
-  assert(num_bits_ == other.num_bits_);
+  FAIRCAP_CHECK(num_bits_ == other.num_bits_);
   simd::ActiveKernels().and_inplace(words_.data(), other.words_.data(),
                                     words_.size());
   return *this;
 }
 
 Bitmap& Bitmap::operator|=(const Bitmap& other) {
-  assert(num_bits_ == other.num_bits_);
+  FAIRCAP_CHECK(num_bits_ == other.num_bits_);
   simd::ActiveKernels().or_inplace(words_.data(), other.words_.data(),
                                    words_.size());
   return *this;
 }
 
 Bitmap& Bitmap::AndNot(const Bitmap& other) {
-  assert(num_bits_ == other.num_bits_);
+  FAIRCAP_CHECK(num_bits_ == other.num_bits_);
   simd::ActiveKernels().andnot_inplace(words_.data(), other.words_.data(),
                                        words_.size());
   return *this;
@@ -85,7 +85,7 @@ Bitmap Bitmap::operator|(const Bitmap& other) const {
 
 void Bitmap::OrWordsAt(size_t word_offset, const uint64_t* src,
                        size_t num_words) {
-  assert(word_offset + num_words <= words_.size());
+  FAIRCAP_CHECK(word_offset + num_words <= words_.size());
   simd::ActiveKernels().or_inplace(words_.data() + word_offset, src,
                                    num_words);
   // Only the merge that owns the final word may touch padding: a

@@ -1,14 +1,20 @@
 // Bitmap: fixed-size bitset over row indices. Pattern coverage, protected
 // group membership, and ruleset coverage are all row selections; set
 // algebra on bitmaps is the workhorse of the selection algorithms.
+//
+// The whole-bitmap operations check operand sizes in every build type
+// (FAIRCAP_CHECK, O(1) per call): they walk `other`'s words over *this*'s
+// word count, so a mismatched bitmap would otherwise be a silent
+// out-of-bounds read. The per-bit Set/Get/Clear bounds are debug asserts.
 
 #ifndef FAIRCAP_DATAFRAME_BITMAP_H_
 #define FAIRCAP_DATAFRAME_BITMAP_H_
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "util/logging.h"
 
 namespace faircap {
 
@@ -95,17 +101,16 @@ class Bitmap {
   /// mask without materializing a full-size bitmap per shard. Word-aligned
   /// shards own disjoint ranges, so concurrent merges into one bitmap
   /// write different vector elements and need no locking. Bits past
-  /// size() must be zero in `src`'s last word (padding stays clear).
+  /// size() must be zero in `src`'s last word (padding stays clear). The
+  /// range must lie within the bitmap (checked).
   void OrWordsAt(size_t word_offset, const uint64_t* src, size_t num_words);
 
   /// Calls fn(i) for each bit set in both `*this` and `other`, ascending,
-  /// without materializing the intersection. Sizes must match — checked in
-  /// debug builds: this walks `other.words_` over *this*'s word count, so
-  /// a mismatched bitmap (exactly what a buggy shard view would produce)
-  /// would otherwise be a silent out-of-bounds read.
+  /// without materializing the intersection. Sizes must match (checked; a
+  /// buggy shard view would produce exactly such a mismatch).
   template <typename Fn>
   void ForEachAnd(const Bitmap& other, Fn&& fn) const {
-    assert(num_bits_ == other.num_bits_);
+    FAIRCAP_CHECK(num_bits_ == other.num_bits_);
     for (size_t w = 0; w < words_.size(); ++w) {
       uint64_t bits = words_[w] & other.words_[w];
       while (bits != 0) {

@@ -4,11 +4,11 @@
 // a public API: only those two readers and the tests include it; everyone
 // else goes through dataframe/csv.h or ingest/chunked_csv_reader.h.
 //
-// Record rules (RFC-4180, as the legacy row loader reads them): a record
-// ends at a '\n' outside quotes; "" inside quotes is an escaped quote (it
-// flips the quote state twice); one CR before the terminating '\n' is
-// stripped when the quote is closed; a last record without a newline is
-// kept.
+// Record rules (RFC-4180, as the test oracle tests/reference/legacy_csv.h
+// reads them): a record ends at a '\n' outside quotes; "" inside quotes is
+// an escaped quote (it flips the quote state twice); one CR before the
+// terminating '\n' is stripped when the quote is closed; a last record
+// without a newline is kept.
 
 #ifndef FAIRCAP_DATAFRAME_CSV_SCAN_H_
 #define FAIRCAP_DATAFRAME_CSV_SCAN_H_

@@ -190,9 +190,14 @@ class StreamParser {
  public:
   /// `skip_header` pre-marks the header as consumed — the parallel path
   /// hands every segment after the first a headerless slice of the file.
+  /// `first_record` is the number of records before the input, so error
+  /// messages count records from the start of the file.
   StreamParser(const Schema& schema, const IngestOptions& options,
-               bool skip_header = false)
-      : schema_(schema), options_(options), null_token_(options.null_token) {
+               bool skip_header = false, size_t first_record = 0)
+      : schema_(schema),
+        options_(options),
+        null_token_(options.null_token),
+        record_no_(first_record) {
     header_done_ = skip_header;
     builders_.reserve(schema.num_attributes());
     for (size_t i = 0; i < schema.num_attributes(); ++i) {
@@ -234,7 +239,7 @@ class StreamParser {
           std::to_string(schema_.num_attributes()));
     }
     for (size_t i = 0; i < fields.size(); ++i) {
-      if (!AppendCell(i, fields[i])) return std::move(error_);
+      if (!AppendCell(i, fields[i], record_no_)) return std::move(error_);
     }
     ++rows_;
     return Status::OK();
@@ -269,7 +274,8 @@ class StreamParser {
   // csv_scan::ScanRecords sink.
   __attribute__((always_inline)) inline bool OnCell(size_t col,
                                                     std::string_view cell) {
-    return AppendCell(col, cell);
+    // The record is counted at its last cell (OnRowEnd).
+    return AppendCell(col, cell, record_no_ + 1);
   }
   __attribute__((always_inline)) inline bool OnRowEnd(size_t col,
                                                       std::string_view cell) {
@@ -281,7 +287,7 @@ class StreamParser {
           std::to_string(schema_.num_attributes()));
       return false;
     }
-    if (!AppendCell(col, cell)) return false;
+    if (!AppendCell(col, cell, record_no_)) return false;
     ++rows_;
     return true;
   }
@@ -308,6 +314,8 @@ class StreamParser {
   }
 
   size_t rows() const { return rows_; }
+  /// Records consumed so far (the header included), plus `first_record`.
+  size_t records() const { return record_no_; }
   bool header_done() const { return header_done_; }
 
   /// Segment-local column storage (the parallel path's merge input).
@@ -353,11 +361,11 @@ class StreamParser {
   }
 
  private:
-  /// Parses one cell into its column. Returns false with error_ set on a
-  /// malformed numeric cell (bool keeps Status construction off the hot
-  /// path).
+  /// Parses one cell of record number `record` into its column. Returns
+  /// false with error_ set on a malformed numeric cell (bool keeps Status
+  /// construction off the hot path).
   __attribute__((always_inline)) inline bool AppendCell(
-      size_t col, std::string_view cell) {
+      size_t col, std::string_view cell, size_t record) {
     ColumnBuilder& b = builders_[col];
     if (b.type == AttrType::kCategorical) {
       // Raw-cell probe first: dictionary entries are trimmed non-null
@@ -384,7 +392,7 @@ class StreamParser {
     if (!csv_scan::FastParseDouble(trimmed, &v)) {
       error_ = Status::InvalidArgument(
           "cell '" + std::string(cell) + "' at record " +
-          std::to_string(record_no_) + " is not numeric (attribute '" +
+          std::to_string(record) + " is not numeric (attribute '" +
           schema_.attribute(col).name + "')");
       return false;
     }
@@ -398,7 +406,7 @@ class StreamParser {
   std::vector<ColumnBuilder> builders_;
   csv_scan::FieldSplitter splitter_;
   Status error_;
-  size_t record_no_ = 0;
+  size_t record_no_;
   size_t rows_ = 0;
   bool header_done_ = false;
 };
@@ -519,7 +527,10 @@ std::vector<size_t> SegmentStarts(std::string_view content,
 /// sequential result: segments are record-aligned, segment columns
 /// concatenate in file order, and dictionaries merge in first-appearance
 /// order — which IS the sequential code-assignment order, because every
-/// row of segment s precedes every row of segment s+1.
+/// row of segment s precedes every row of segment s+1. A malformed input
+/// fails with the sequential reader's error: the first failing segment is
+/// parsed again with its record count starting after the records of the
+/// (clean) segments before it.
 Result<DataFrame> ParseSegmented(std::string_view content,
                                  const Schema& schema,
                                  const IngestOptions& options,
@@ -533,6 +544,10 @@ Result<DataFrame> ParseSegmented(std::string_view content,
       scheduler != nullptr ? scheduler->num_threads() * 4 : 1;
   const std::vector<size_t> starts = SegmentStarts(content, target, fanout);
   const size_t num_segments = starts.size();
+  const auto segment = [&](size_t s) {
+    const size_t end = s + 1 < num_segments ? starts[s + 1] : content.size();
+    return content.substr(starts[s], end - starts[s]);
+  };
 
   std::vector<std::unique_ptr<StreamParser>> parsers;
   parsers.reserve(num_segments);
@@ -544,12 +559,18 @@ Result<DataFrame> ParseSegmented(std::string_view content,
   TaskGroup tasks(scheduler);
   tasks.ParallelFor(num_segments, [&](size_t s) {
     const obs::TraceSpan segment_span("segment", static_cast<int64_t>(s));
-    const size_t end = s + 1 < num_segments ? starts[s + 1] : content.size();
-    segment_status[s] =
-        parsers[s]->ParseSegment(content.substr(starts[s], end - starts[s]));
+    segment_status[s] = parsers[s]->ParseSegment(segment(s));
   });
-  for (const Status& st : segment_status) {
-    FAIRCAP_RETURN_NOT_OK(st);
+  size_t records_before = 0;
+  for (size_t s = 0; s < num_segments; ++s) {
+    if (segment_status[s].ok()) {
+      records_before += parsers[s]->records();
+      continue;
+    }
+    StreamParser retry(schema, options, /*skip_header=*/s != 0,
+                       records_before);
+    FAIRCAP_RETURN_NOT_OK(retry.ParseSegment(segment(s)));
+    return segment_status[s];  // unreachable: the segment failed above
   }
   if (!parsers[0]->header_done()) {
     return Status::IOError("CSV input is empty (no header)");
@@ -626,9 +647,8 @@ size_t ResolveParseThreads(const IngestOptions& options) {
   return hw == 0 ? 1 : hw;
 }
 
-/// Parallel entry point over in-memory content; on a parse error the
-/// content is re-driven through the sequential reader so error messages
-/// (record numbers) are exactly the legacy ones.
+/// Parallel entry point over in-memory content: parses on the borrowed
+/// scheduler, or on one spawned for the call.
 Result<DataFrame> IngestSegmented(std::string_view content,
                                   const Schema& schema,
                                   const IngestOptions& options,
@@ -639,11 +659,7 @@ Result<DataFrame> IngestSegmented(std::string_view content,
     owned = std::make_unique<TaskScheduler>(workers);
     scheduler = owned.get();
   }
-  Result<DataFrame> df =
-      ParseSegmented(content, schema, options, stats, scheduler);
-  if (df.ok()) return df;
-  std::istringstream in{std::string(content)};
-  return StreamFrom(in, schema, options, stats, content.size());
+  return ParseSegmented(content, schema, options, stats, scheduler);
 }
 
 }  // namespace
@@ -672,10 +688,8 @@ Result<DataFrame> StreamCsv(const std::string& path, const Schema& schema,
 Result<DataFrame> StreamCsvInferSchema(const std::string& path,
                                        const IngestOptions& options,
                                        IngestStats* stats) {
-  CsvOptions csv;
-  csv.delimiter = options.delimiter;
-  csv.null_token = options.null_token;
-  FAIRCAP_ASSIGN_OR_RETURN(const Schema schema, InferCsvSchema(path, csv));
+  FAIRCAP_ASSIGN_OR_RETURN(const Schema schema,
+                           InferCsvSchema(path, options));
   return StreamCsv(path, schema, options, stats);
 }
 

@@ -1,19 +1,18 @@
-// Streaming columnar CSV ingestion. The legacy loader (dataframe/csv.h)
-// parses line by line into row-oriented Values and appends them one row at
-// a time; every cell allocates a Value and every row re-validates types
-// and invalidates the predicate index. This reader instead consumes the
-// input in fixed-size chunks and parses fields straight into
+// Streaming columnar CSV ingestion: the one CSV row reader. It consumes
+// the input in fixed-size chunks and parses fields straight into
 // dictionary-encoded columnar storage (zero-copy string_view fields for
 // the unquoted common case), assembles the DataFrame wholesale, and
 // warm-starts its PredicateIndex with the per-category bitmap masks built
-// from the still-hot column codes — so Apriori, the intervention lattice,
+// from the still-hot column codes, so Apriori, the intervention lattice,
 // and treatment-mask evaluation never pay a first-touch column scan.
 //
-// Semantics are identical to the legacy loader (a test pins bit-for-bit
-// DataFrame equality, including dictionary code assignment order):
-// RFC-4180 quoting, quoted fields may contain delimiters / CRLF / record
-// separators, CRLF line endings, trailing empty columns, and the same
-// null-token handling.
+// Records and fields are split by the scanner schema inference also uses
+// (dataframe/csv_scan.h): RFC-4180 quoting, quoted fields may contain
+// delimiters / CRLF / record separators, CRLF line endings, trailing empty
+// columns, and null-token handling. The tests pin the result bit for bit
+// (dictionary code order included) against the row-by-row oracle in
+// tests/reference/legacy_csv.h, and the parallel reader against the
+// sequential one (same tables; same status code and message on failure).
 
 #ifndef FAIRCAP_INGEST_CHUNKED_CSV_READER_H_
 #define FAIRCAP_INGEST_CHUNKED_CSV_READER_H_
@@ -30,12 +29,9 @@ namespace faircap {
 
 class TaskScheduler;  // util/task_scheduler.h
 
-/// Knobs for streaming ingestion.
-struct IngestOptions {
-  char delimiter = ',';
-  /// Cells equal to this literal (after trimming) become nulls, in
-  /// addition to empty cells (same contract as CsvOptions).
-  std::string null_token = "NA";
+/// Knobs for streaming ingestion: the CSV dialect (delimiter, null token)
+/// plus how the input is read.
+struct IngestOptions : CsvOptions {
   /// Bytes read from the source per chunk.
   size_t chunk_bytes = 1 << 20;
   /// Verify that the header matches the schema attribute names.
@@ -55,7 +51,10 @@ struct IngestOptions {
   /// their dictionaries merged in first-appearance order — bit-for-bit
   /// the sequential result (same codes, same values, same nulls).
   /// Parallel mode buffers the whole input in memory (the sequential
-  /// reader streams in chunk_bytes windows).
+  /// reader streams in chunk_bytes windows). On a malformed input only the
+  /// first failing segment is parsed again, with its record count starting
+  /// after the records of the segments before it, so the error (code and
+  /// message, record number included) is the sequential reader's.
   size_t num_threads = 1;
   /// Run the parallel parse on this scheduler instead of spawning one
   /// (borrowed; e.g. the pipeline's own Step-2 scheduler). Null with

@@ -14,7 +14,7 @@ namespace faircap {
 /// Holds either a value of type T or an error Status.
 ///
 /// Usage:
-///   Result<DataFrame> r = ReadCsv(path, schema);
+///   Result<DataFrame> r = StreamCsv(path, schema);
 ///   if (!r.ok()) return r.status();
 ///   DataFrame df = std::move(r).ValueOrDie();
 template <typename T>

@@ -178,15 +178,9 @@ TEST(BitmapTest, OrWordsAtIsIdempotentOr) {
 
 // Word-level ops walk `other`'s words over *this*'s word count; a
 // mismatched universe (exactly what a buggy shard view would produce)
-// must be caught by the debug assertions instead of reading out of
-// bounds. The statements are only executed when assertions are compiled
-// in — in NDEBUG builds they would be real out-of-bounds reads (the bug
-// the assertions exist to catch), so the test skips rather than letting
-// EXPECT_DEBUG_DEATH run them to completion.
-TEST(BitmapDeathTest, MismatchedSizesAreCaughtInDebug) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "assertions compiled out (NDEBUG)";
-#else
+// must abort on the FAIRCAP_CHECK size checks in every build type instead
+// of reading out of bounds.
+TEST(BitmapDeathTest, MismatchedSizesAreCaught) {
   Bitmap big(256);
   Bitmap small(64);
   big.Set(200);
@@ -197,17 +191,12 @@ TEST(BitmapDeathTest, MismatchedSizesAreCaughtInDebug) {
   EXPECT_DEATH((void)(big &= small), "num_bits_");
   EXPECT_DEATH((void)(big |= small), "num_bits_");
   EXPECT_DEATH((void)big.AndNot(small), "num_bits_");
-#endif
 }
 
-TEST(BitmapDeathTest, OrWordsAtOutOfRangeIsCaughtInDebug) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "assertions compiled out (NDEBUG)";
-#else
+TEST(BitmapDeathTest, OrWordsAtOutOfRangeIsCaught) {
   Bitmap m(64);
   const uint64_t w = 1;
   EXPECT_DEATH(m.OrWordsAt(1, &w, 1), "words_");
-#endif
 }
 
 // ---------------------------------------------------------------------

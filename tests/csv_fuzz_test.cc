@@ -5,8 +5,13 @@
 //     window) against the legacy istream oracle in tests/reference: the
 //     same schema, or the same error code and message;
 //   - when inference succeeds, the streaming reader (StreamCsvFromString,
-//     at a random chunk size) against the legacy row loader (ParseCsv)
-//     under that schema: bit-identical tables, or the same error code.
+//     at a random chunk size) against the legacy row loader
+//     (LegacyParseCsv in tests/reference) under that schema: bit-identical
+//     tables, or the same error code;
+//   - and the parallel (segmented) reader, three threads on one borrowed
+//     TaskScheduler at a random segment size, against the sequential
+//     streaming reader: bit-identical tables, or the same error code and
+//     message.
 // The iteration count and seed are fixed, so every run checks the same
 // inputs; a failure prints the input that caused it.
 
@@ -16,14 +21,16 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "csv_corpus.h"
 #include "dataframe/csv.h"
 #include "dataframe/csv_scan.h"
 #include "ingest/chunked_csv_reader.h"
-#include "reference/legacy_csv_infer.h"
+#include "reference/legacy_csv.h"
 #include "util/random.h"
+#include "util/task_scheduler.h"
 
 namespace faircap {
 namespace {
@@ -130,68 +137,131 @@ std::string CompareFrames(const DataFrame& a, const DataFrame& b) {
   return "";
 }
 
-// Empty when every reader agrees on `content`, read in `window`-byte
-// inference windows and `chunk`-byte streaming chunks. `inferred`, when
-// given, tells whether inference succeeded (so the parses were compared).
-std::string CheckInput(const std::string& content, size_t window,
-                       size_t chunk, bool* inferred = nullptr) {
+// Empty when the two results are the same table or the same failure.
+// `code_only` compares failures by status code alone (the legacy oracle
+// counts physical lines in its messages, the streaming reader records).
+std::string CompareParses(const Result<DataFrame>& want,
+                          const Result<DataFrame>& got, bool code_only) {
+  if (want.ok() != got.ok() ||
+      (!want.ok() &&
+       (want.status().code() != got.status().code() ||
+        (!code_only && want.status().message() != got.status().message())))) {
+    return Describe(want.status()) + " vs " + Describe(got.status());
+  }
+  return want.ok() ? CompareFrames(*want, *got) : "";
+}
+
+// Read sizes for one check: inference windows, streaming chunks, and
+// parallel segments, in bytes.
+struct Sizes {
+  size_t window;
+  size_t chunk;
+  size_t segment;
+};
+
+// What one check reached.
+struct Outcome {
+  bool inferred = false;      // inference succeeded
+  bool parse_failed = false;  // the parses failed (and agreed on it)
+};
+
+// Empty when every reader agrees on `content`. When inference succeeds,
+// the legacy and streaming row readers parse under the inferred schema.
+// The parallel reader is checked against the sequential one under that
+// schema, or, when inference fails, under `fallback` (the seed's schema),
+// so it sees malformed input too: ragged rows, unterminated quotes,
+// non-numeric cells, damaged headers. (The legacy oracle is not compared
+// there: on a record that is both non-numeric and holds a quote that
+// never closes it reports the quote, the streaming reader the cell.)
+std::string CheckInput(const std::string& content, const Schema& fallback,
+                       const Sizes& sizes, TaskScheduler* scheduler,
+                       Outcome* outcome = nullptr) {
   const Result<Schema> want = LegacyInferSchema(content);
-  if (inferred != nullptr) *inferred = want.ok();
   std::istringstream in(content);
   const Result<Schema> got =
-      csv_scan::InferSchemaFromStream(in, CsvOptions(), window);
+      csv_scan::InferSchemaFromStream(in, CsvOptions(), sizes.window);
   std::string diff = CompareInference(want, got);
-  if (!diff.empty() || !want.ok()) return diff;
+  if (!diff.empty()) return diff;
+  const Schema& schema = want.ok() ? *want : fallback;
 
-  const Result<DataFrame> legacy = ParseCsv(content, *want);
   IngestOptions options;
-  options.chunk_bytes = chunk;
+  options.chunk_bytes = sizes.chunk;
   const Result<DataFrame> streamed =
-      StreamCsvFromString(content, *want, options);
-  if (legacy.ok() != streamed.ok() ||
-      (!legacy.ok() && legacy.status().code() != streamed.status().code())) {
-    return "parse: legacy " + Describe(legacy.status()) + ", stream " +
-           Describe(streamed.status());
+      StreamCsvFromString(content, schema, options);
+  if (want.ok()) {
+    diff = CompareParses(LegacyParseCsv(content, schema), streamed,
+                         /*code_only=*/true);
+    if (!diff.empty()) return "parse (legacy vs stream): " + diff;
   }
-  if (!legacy.ok()) return "";
-  diff = CompareFrames(*legacy, *streamed);
-  return diff.empty() ? "" : "parse: " + diff;
+
+  options.chunk_bytes = sizes.segment;
+  options.num_threads = 3;
+  options.scheduler = scheduler;
+  const Result<DataFrame> parallel =
+      StreamCsvFromString(content, schema, options);
+  diff = CompareParses(streamed, parallel, /*code_only=*/false);
+  if (!diff.empty()) return "parse (stream vs parallel): " + diff;
+  if (outcome != nullptr) {
+    outcome->inferred = want.ok();
+    outcome->parse_failed = !streamed.ok();
+  }
+  return "";
+}
+
+Schema SchemaOf(const std::string& content) {
+  return LegacyInferSchema(content).ValueOrDie();
 }
 
 TEST(CsvFuzzTest, MutantsAgreeWithLegacyReaders) {
+  TaskScheduler scheduler(3);
+  std::vector<Schema> seed_schemas;
+  for (const char* seed : kSeeds) seed_schemas.push_back(SchemaOf(seed));
   Rng rng(20250611);
+  // Segment sizes draw from their own stream: the mutants and their window
+  // and chunk sizes do not depend on the parallel leg.
+  Rng segment_rng(7);
   size_t failures = 0;
   size_t inferred = 0;
+  size_t parse_failed = 0;
   for (size_t it = 0; it < kIterations; ++it) {
-    const std::string seed = kSeeds[rng.NextBounded(std::size(kSeeds))];
-    const std::string input = Mutate(seed, &rng);
-    const size_t window = rng.NextBernoulli(0.5)
-                              ? 1 + rng.NextBounded(16)
-                              : csv_scan::kDefaultWindowBytes;
-    bool ok = false;
+    const size_t seed = rng.NextBounded(std::size(kSeeds));
+    const std::string input = Mutate(kSeeds[seed], &rng);
+    Sizes sizes{};
+    sizes.window = rng.NextBernoulli(0.5) ? 1 + rng.NextBounded(16)
+                                          : csv_scan::kDefaultWindowBytes;
+    sizes.chunk = 1 + rng.NextBounded(32);
+    sizes.segment = 1 + segment_rng.NextBounded(32);
+    Outcome outcome;
     const std::string diff =
-        CheckInput(input, window, 1 + rng.NextBounded(32), &ok);
-    inferred += ok ? 1 : 0;
+        CheckInput(input, seed_schemas[seed], sizes, &scheduler, &outcome);
+    inferred += outcome.inferred ? 1 : 0;
+    parse_failed += outcome.parse_failed ? 1 : 0;
     if (diff.empty()) continue;
     ADD_FAILURE() << "iteration " << it << ": " << diff << "\n  input: \""
                   << Escape(input) << "\"";
     if (++failures >= kMaxReportedFailures) break;
   }
-  // The mutation mix must reach the parse comparison, not only errors.
+  // The mutation mix must reach both clean parses and parse errors.
   EXPECT_GT(inferred, kIterations / 4);
+  EXPECT_GT(parse_failed, kIterations / 10);
 }
 
 TEST(CsvFuzzTest, SeedsAndFoundInputsAgreeAtEveryChunkSize) {
-  std::vector<std::string> inputs(std::begin(kSeeds), std::end(kSeeds));
+  TaskScheduler scheduler(3);
+  // Each input with the CSV its fallback schema is inferred from.
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (const char* seed : kSeeds) inputs.emplace_back(seed, seed);
   // An extra cell before a quote that never closes: an unterminated
   // quote (IOError) for every reader, not a ragged row.
-  inputs.push_back("a,b\n1,2\n3,4,5\"\n6,7\n");
+  inputs.emplace_back("a,b\n1,2\n3,4,5\"\n6,7\n", "a,b\n1,2\n");
   // A quoted field whose newline falls past the chunk edge: the cells
   // before it must be rolled back before the record is re-read.
-  inputs.push_back("k,v\n\"1\",\"\n2\"\n\" 3 \",4\n");
-  for (const std::string& input : inputs) {
+  inputs.emplace_back("k,v\n\"1\",\"\n2\"\n\" 3 \",4\n", "k,v\n1,2\n");
+  for (const auto& [input, schema_csv] : inputs) {
+    const Schema fallback = SchemaOf(schema_csv);
     for (size_t size = 1; size <= 24; ++size) {
-      EXPECT_EQ(CheckInput(input, size, size), "")
+      EXPECT_EQ(CheckInput(input, fallback, {size, size, size}, &scheduler),
+                "")
           << "size " << size << ", input \"" << Escape(input) << "\"";
     }
   }

@@ -1,10 +1,12 @@
 // Streaming ingest tests: the chunked columnar reader must produce a
-// DataFrame bit-for-bit identical to the legacy row-by-row loader —
-// schema, cell values, dictionary code assignment order, and predicate
-// evaluation — across quoting/CRLF/null edge cases and arbitrary chunk
-// boundaries; the warm-started PredicateIndex must serve masks identical
-// to cold columnar scans; and the DatasetRepository front door must load
-// built-ins, parameterized synthetics, and file-backed datasets.
+// DataFrame bit-for-bit identical to the row-by-row test oracle
+// (LegacyParseCsv in tests/reference) — schema, cell values, dictionary
+// code assignment order, and predicate evaluation — across
+// quoting/CRLF/null edge cases and arbitrary chunk boundaries; the
+// parallel reader must match the sequential one, errors included; the
+// warm-started PredicateIndex must serve masks identical to cold columnar
+// scans; and the DatasetRepository front door must load built-ins,
+// parameterized synthetics, and file-backed datasets.
 
 #include "ingest/chunked_csv_reader.h"
 
@@ -12,6 +14,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "causal/dag_io.h"
 #include "csv_corpus.h"
@@ -19,6 +23,7 @@
 #include "ingest/repository.h"
 #include "ingest/synthetic.h"
 #include "mining/pattern.h"
+#include "reference/legacy_csv.h"
 #include "util/task_scheduler.h"
 
 namespace faircap {
@@ -57,6 +62,13 @@ void ExpectFramesIdentical(const DataFrame& a, const DataFrame& b) {
   }
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
 Schema TestSchema() {
   return Schema::Create({
                             {"name", AttrType::kCategorical,
@@ -69,7 +81,7 @@ Schema TestSchema() {
 }
 
 TEST(IngestTest, StreamingMatchesLegacyOnEdgeCases) {
-  const auto legacy = ParseCsv(kEdgeCaseCsv, TestSchema());
+  const auto legacy = LegacyParseCsv(kEdgeCaseCsv, TestSchema());
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   const auto streamed = StreamCsvFromString(kEdgeCaseCsv, TestSchema());
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
@@ -96,7 +108,7 @@ TEST(IngestTest, ChunkBoundariesNeverSplitSemantics) {
         StreamCsvFromString(kEdgeCaseCsv, TestSchema(), options);
     ASSERT_TRUE(streamed.ok())
         << "chunk " << chunk_bytes << ": " << streamed.status().ToString();
-    const auto legacy = ParseCsv(kEdgeCaseCsv, TestSchema());
+    const auto legacy = LegacyParseCsv(kEdgeCaseCsv, TestSchema());
     ASSERT_TRUE(legacy.ok());
     ExpectFramesIdentical(*legacy, *streamed);
   }
@@ -143,7 +155,7 @@ TEST(IngestTest, StreamingMatchesLegacyOnGeneratedWorkload) {
   const std::string path = testing::TempDir() + "/faircap_ingest_test.csv";
   ASSERT_TRUE(WriteCsv(data->df, path).ok());
 
-  const auto legacy = ReadCsv(path, data->df.schema());
+  const auto legacy = LegacyParseCsv(ReadFile(path), data->df.schema());
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   IngestOptions options;
   options.chunk_bytes = 512;  // force many chunks
@@ -272,26 +284,67 @@ TEST(IngestTest, ParallelErrorsMatchSequentialSemantics) {
   IngestOptions options;
   options.num_threads = 3;
   options.chunk_bytes = 4;
-  // Dangling quote / ragged row / bad numeric / empty input: the
-  // parallel path re-drives failures through the sequential reader, so
-  // codes (and messages) are the legacy ones.
-  EXPECT_EQ(StreamCsvFromString("name,city,score\n\"alice,b,1\n",
-                                TestSchema(), options)
-                .status()
-                .code(),
-            StatusCode::kIOError);
-  EXPECT_EQ(StreamCsvFromString("name,city,score\nalice,b\n", TestSchema(),
-                                options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(StreamCsvFromString("name,city,score\nalice,b,abc\nx,y,1\n",
-                                TestSchema(), options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(StreamCsvFromString("", TestSchema(), options).status().code(),
-            StatusCode::kIOError);
+  // Dangling quote / ragged row / bad numeric / empty input.
+  for (const char* content :
+       {"name,city,score\n\"alice,b,1\n", "name,city,score\nalice,b\n",
+        "name,city,score\nalice,b,abc\nx,y,1\n", ""}) {
+    SCOPED_TRACE(content);
+    const Status sequential =
+        StreamCsvFromString(content, TestSchema()).status();
+    const Status parallel =
+        StreamCsvFromString(content, TestSchema(), options).status();
+    ASSERT_FALSE(sequential.ok());
+    EXPECT_EQ(parallel.code(), sequential.code());
+    EXPECT_EQ(parallel.message(), sequential.message());
+  }
+
+  // Errors in the first, a middle and the last of ~12 segments: only the
+  // failing segment is parsed again, and its record numbers must count
+  // from the start of the file exactly as the sequential reader does.
+  // Data rows are "n<r>,c<r % 3>,<r>", except row `at`, which is `fault`.
+  constexpr size_t kRows = 40;
+  const auto table = [](size_t at, const std::string& fault) {
+    std::string content = "name,city,score\n";
+    for (size_t r = 0; r < kRows; ++r) {
+      content += r == at ? fault
+                         : "n" + std::to_string(r) + ",c" +
+                               std::to_string(r % 3) + "," +
+                               std::to_string(r);
+      content += "\n";
+    }
+    return content;
+  };
+  options.chunk_bytes = 32;
+  IngestStats stats;
+  ASSERT_TRUE(
+      StreamCsvFromString(table(kRows, ""), TestSchema(), options, &stats)
+          .ok());
+  EXPECT_GE(stats.chunks, 10u);  // the clean table splits that far
+  struct Fault {
+    const char* what;
+    std::string row;
+  };
+  const Fault faults[] = {{"ragged", "bad,row"},
+                          {"non-numeric", "bad,row,abc"},
+                          {"unterminated quote", "bad,\"row,1"}};
+  for (const Fault& fault : faults) {
+    for (const size_t at : {size_t{1}, kRows / 2, kRows - 1}) {
+      const std::string content = table(at, fault.row);
+      SCOPED_TRACE(std::string(fault.what) + " at row " +
+                   std::to_string(at));
+      const Status sequential =
+          StreamCsvFromString(content, TestSchema()).status();
+      const Status parallel =
+          StreamCsvFromString(content, TestSchema(), options).status();
+      ASSERT_FALSE(sequential.ok());
+      EXPECT_EQ(parallel.code(), sequential.code());
+      EXPECT_EQ(parallel.message(), sequential.message());
+      // The header is record 1, so data row `at` is record at + 2.
+      EXPECT_NE(sequential.message().find("record " + std::to_string(at + 2)),
+                std::string::npos)
+          << sequential.message();
+    }
+  }
 }
 
 TEST(IngestTest, ParallelRunsOnBorrowedScheduler) {
@@ -316,7 +369,10 @@ TEST(IngestTest, InferSchemaMatchesLegacyInference) {
     std::ofstream out(path);
     out << "a,b,c\nx,1,2.5\ny,2,NA\nz,3,7\n";
   }
-  const auto legacy = ReadCsvInferSchema(path);
+  const std::string content = ReadFile(path);
+  const auto legacy_schema = LegacyInferSchema(content);
+  ASSERT_TRUE(legacy_schema.ok());
+  const auto legacy = LegacyParseCsv(content, *legacy_schema);
   ASSERT_TRUE(legacy.ok());
   const auto streamed = StreamCsvInferSchema(path);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();

@@ -1,4 +1,4 @@
-#include "reference/legacy_csv_infer.h"
+#include "reference/legacy_csv.h"
 
 #include <sstream>
 #include <vector>
@@ -52,14 +52,17 @@ bool OddQuoteCount(const std::string& line) {
 
 // Reads one logical record: physical lines are joined (with the '\n'
 // restored) until the quote state closes. The terminating CR of a CRLF
-// line ending is stripped when the quote is closed. False at end of input.
-bool ReadRecord(std::istream& in, std::string* record) {
+// line ending is stripped when the quote is closed. False at end of input,
+// advancing `line_no` by the physical lines consumed.
+bool ReadRecord(std::istream& in, std::string* record, size_t* line_no) {
   record->clear();
   std::string line;
   if (!std::getline(in, line)) return false;
+  ++*line_no;
   bool open = OddQuoteCount(line);
   *record = std::move(line);
   while (open && std::getline(in, line)) {
+    ++*line_no;
     open ^= OddQuoteCount(line);
     *record += '\n';
     *record += line;
@@ -75,23 +78,32 @@ bool IsNullCell(const std::string& cell, const CsvOptions& options) {
   return trimmed.empty() || trimmed == options.null_token;
 }
 
+// Reads and splits the header record.
+Status ReadHeader(std::istream& in, const CsvOptions& options,
+                  std::vector<std::string>* header, size_t* line_no) {
+  std::string line;
+  if (!ReadRecord(in, &line, line_no)) {
+    return Status::IOError("CSV input is empty (no header)");
+  }
+  if (!SplitRecord(line, options.delimiter, header)) {
+    return Status::IOError("unterminated quote in CSV header");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Schema> LegacyInferSchema(const std::string& content,
                                  const CsvOptions& options) {
   std::istringstream in(content);
-  std::string line;
-  if (!ReadRecord(in, &line)) {
-    return Status::IOError("CSV input is empty (no header)");
-  }
+  size_t line_no = 0;
   std::vector<std::string> header;
-  if (!SplitRecord(line, options.delimiter, &header)) {
-    return Status::IOError("unterminated quote in CSV header");
-  }
+  FAIRCAP_RETURN_NOT_OK(ReadHeader(in, options, &header, &line_no));
   std::vector<bool> numeric(header.size(), true);
   std::vector<bool> saw_value(header.size(), false);
+  std::string line;
   std::vector<std::string> cells;
-  while (ReadRecord(in, &line)) {
+  while (ReadRecord(in, &line, &line_no)) {
     if (line.empty()) continue;
     if (!SplitRecord(line, options.delimiter, &cells)) {
       return Status::IOError("unterminated quote in CSV body");
@@ -118,6 +130,60 @@ Result<Schema> LegacyInferSchema(const std::string& content,
     attrs.push_back(std::move(spec));
   }
   return Schema::Create(std::move(attrs));
+}
+
+Result<DataFrame> LegacyParseCsv(const std::string& content,
+                                 const Schema& schema,
+                                 const CsvOptions& options) {
+  std::istringstream in(content);
+  size_t line_no = 0;
+  std::vector<std::string> cells;
+  FAIRCAP_RETURN_NOT_OK(ReadHeader(in, options, &cells, &line_no));
+  if (cells.size() != schema.num_attributes()) {
+    return Status::InvalidArgument("CSV header arity does not match schema");
+  }
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (std::string(Trim(cells[i])) != schema.attribute(i).name) {
+      return Status::InvalidArgument("CSV header column '" + cells[i] +
+                                     "' does not match schema attribute '" +
+                                     schema.attribute(i).name + "'");
+    }
+  }
+
+  DataFrame df = DataFrame::Create(schema);
+  std::vector<Value> row(schema.num_attributes());
+  std::string line;
+  while (ReadRecord(in, &line, &line_no)) {
+    if (line.empty()) continue;
+    if (!SplitRecord(line, options.delimiter, &cells)) {
+      return Status::IOError("unterminated quote at line " +
+                             std::to_string(line_no));
+    }
+    if (cells.size() != schema.num_attributes()) {
+      return Status::InvalidArgument(
+          "row at line " + std::to_string(line_no) + " has " +
+          std::to_string(cells.size()) + " cells, expected " +
+          std::to_string(schema.num_attributes()));
+    }
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (IsNullCell(cells[i], options)) {
+        row[i] = Value::Null();
+      } else if (schema.attribute(i).type == AttrType::kNumeric) {
+        double v = 0.0;
+        if (!ParseDouble(cells[i], &v)) {
+          return Status::InvalidArgument(
+              "cell '" + cells[i] + "' at line " + std::to_string(line_no) +
+              " is not numeric (attribute '" + schema.attribute(i).name +
+              "')");
+        }
+        row[i] = Value(v);
+      } else {
+        row[i] = Value(std::string(Trim(cells[i])));
+      }
+    }
+    FAIRCAP_RETURN_NOT_OK(df.AppendRow(row));
+  }
+  return df;
 }
 
 }  // namespace faircap

@@ -10,7 +10,7 @@
 //               [--index-budget-mb=64] [--natural-language]
 //   faircap_cli gen --dataset=synthetic --rows=1000000 --out=data.csv
 //               [--dag-out=data.dag] [--seed=S] [--set=k=v,...]
-//   faircap_cli ingest --data=data.csv [--chunk-kb=1024] [--compare-legacy]
+//   faircap_cli ingest --data=data.csv [--chunk-kb=1024] [--threads=1]
 //   faircap_cli append --dataset=NAME (--delta=FILE.csv[,FILE2] |
 //               --delta-fraction=0.01 --delta-batches=4) [--verify]
 //   faircap_cli datasets
@@ -143,7 +143,7 @@ bool KnownFlags(const std::string& verb, std::set<std::string>* flags) {
   } else if (verb == "gen") {
     add({"dataset", "rows", "seed", "set", "out", "dag-out"});
   } else if (verb == "ingest") {
-    add({"data", "chunk-kb", "threads", "compare-legacy"});
+    add({"data", "chunk-kb", "threads"});
   } else if (verb != "datasets" && verb != "help") {
     return false;
   }
@@ -163,7 +163,6 @@ void PrintUsage() {
       "       faircap_cli gen --dataset=NAME --rows=N --out=FILE.csv\n"
       "                   [--dag-out=FILE.dag] [--seed=S] [--set=k=v,...]\n"
       "       faircap_cli ingest --data=FILE.csv [--chunk-kb=1024]\n"
-      "                   [--compare-legacy]\n"
       "       faircap_cli append --dataset=NAME | --data/--dag/--outcome...\n"
       "                   (--delta=FILE.csv[,FILE2] |\n"
       "                    --delta-fraction=0.01 --delta-batches=4)\n"
@@ -203,7 +202,6 @@ void PrintUsage() {
       "                            ingest, SIMD tier, estimation splits)\n"
       "ingest options:\n"
       "  --chunk-kb=1024 --threads=1   (parse threads; 0 = hardware)\n"
-      "  --compare-legacy\n"
       "append options (incremental re-mining; takes the dataset and\n"
       "solver run options):\n"
       "  --delta=FILE.csv[,FILE2]  (delta CSVs parsed against the resident\n"
@@ -331,18 +329,6 @@ int RunIngest(const CliArgs& args) {
             << FormatDouble(stats.RowsPerSecond() / 1e6)
             << "M rows/s\nwarm index: " << index_stats.warm_atom_masks
             << " category masks (" << index_stats.atom_bytes << " bytes)\n";
-
-  if (args.Has("compare-legacy")) {
-    StopWatch watch;
-    auto legacy = ReadCsvInferSchema(path);
-    if (!legacy.ok()) return Fail(legacy.status().ToString());
-    const double legacy_seconds = watch.ElapsedSeconds();
-    std::cout << "legacy loader: " << FormatDouble(legacy_seconds) << "s — "
-              << FormatDouble(stats.seconds > 0.0
-                                  ? legacy_seconds / stats.seconds
-                                  : 0.0)
-              << "x slower than streaming\n";
-  }
   return 0;
 }
 
