@@ -431,8 +431,8 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
   static obs::Counter& pattern_tasks =
       registry.GetCounter("mining.pattern_tasks");
   pattern_tasks.Add(groups.size());
-  // Set here (not only in Run) so direct callers — bench_schedule, the
-  // baseline adapters — get a populated run report too.
+  // Set here (not only in Run) so direct callers — the baseline
+  // adapters — get a populated run report too.
   registry.GetGauge(obs::kPhaseTreatmentMining)
       .Set(mining_watch.ElapsedSeconds());
   return candidates;

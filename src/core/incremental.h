@@ -97,7 +97,7 @@ class IncrementalState {
       size_t min_subgroup_size, bool skip_subgroups_unless_positive,
       const ShardPlan* plan, TaskGroup* tasks);
 
-  /// Cache observability (tests, bench_append).
+  /// Cache observability (tests, CLI `append` verb).
   struct CacheStats {
     size_t accum_entries = 0;
     size_t group_entries = 0;

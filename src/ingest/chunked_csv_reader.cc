@@ -170,13 +170,13 @@ struct ColumnBuilder {
 // Builds the per-category equality masks from the (cache-hot) code
 // vectors and installs them into the table's PredicateIndex. Shared by
 // the sequential and parallel assembly paths.
-void WarmStartIndex(const DataFrame& df, const IngestOptions& options,
-                    IngestStats* stats) {
+void WarmStartIndex(const DataFrame& df, IngestStats* stats) {
   for (size_t attr = 0; attr < df.num_columns(); ++attr) {
     const Column& col = df.column(attr);
     if (col.type() != AttrType::kCategorical) continue;
     const size_t num_categories = col.num_categories();
-    if (num_categories == 0 || num_categories > options.warm_max_categories) {
+    if (num_categories == 0 ||
+        num_categories > PredicateIndex::kBatchBuildMaxCategories) {
       continue;
     }
     df.predicate_index().WarmStartCategoryMasks(
@@ -217,7 +217,6 @@ class StreamParser {
     const std::vector<std::string_view>& fields = splitter_.fields();
     if (!header_done_) {
       header_done_ = true;
-      if (!options_.check_header) return Status::OK();
       if (fields.size() != schema_.num_attributes()) {
         return Status::InvalidArgument(
             "CSV header arity does not match schema");
@@ -356,7 +355,7 @@ class StreamParser {
     }
     FAIRCAP_ASSIGN_OR_RETURN(DataFrame df, DataFrame::FromColumns(
                                                schema_, std::move(columns)));
-    if (options_.warm_start_index) WarmStartIndex(df, options_, stats);
+    if (options_.warm_start_index) WarmStartIndex(df, stats);
     return df;
   }
 
@@ -625,7 +624,7 @@ Result<DataFrame> ParseSegmented(std::string_view content,
   }
   FAIRCAP_ASSIGN_OR_RETURN(DataFrame df,
                            DataFrame::FromColumns(schema, std::move(columns)));
-  if (options.warm_start_index) WarmStartIndex(df, options, &local);
+  if (options.warm_start_index) WarmStartIndex(df, &local);
 
   local.rows = total_rows;
   local.bytes = content.size();

@@ -22,7 +22,6 @@
 
 #include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
-#include "dataframe/predicate_index.h"
 #include "util/result.h"
 
 namespace faircap {
@@ -34,15 +33,12 @@ class TaskScheduler;  // util/task_scheduler.h
 struct IngestOptions : CsvOptions {
   /// Bytes read from the source per chunk.
   size_t chunk_bytes = 1 << 20;
-  /// Verify that the header matches the schema attribute names.
-  bool check_header = true;
   /// Build per-category bitmap masks during ingest and install them into
-  /// the DataFrame's PredicateIndex.
-  bool warm_start_index = true;
-  /// Columns with more categories than this get no warm masks (the
-  /// index's own batch-build cap: rare categories of high-cardinality
+  /// the DataFrame's PredicateIndex. Columns with more than
+  /// PredicateIndex::kBatchBuildMaxCategories categories get no warm masks
+  /// (the index's own batch-build cap: rare categories of high-cardinality
   /// columns should stay on-demand).
-  size_t warm_max_categories = PredicateIndex::kBatchBuildMaxCategories;
+  bool warm_start_index = true;
   /// Parse threads (1 = the sequential streaming reader; 0 = hardware
   /// concurrency). With more than one thread the input is split into
   /// record-aligned segments of ~chunk_bytes each, every segment is
@@ -76,7 +72,7 @@ struct IngestStats {
 };
 
 /// Streams a CSV file into a columnar DataFrame whose header must match
-/// `schema` (same names, same order) unless options.check_header is off.
+/// `schema` (same names, same order).
 Result<DataFrame> StreamCsv(const std::string& path, const Schema& schema,
                             const IngestOptions& options = {},
                             IngestStats* stats = nullptr);

@@ -75,7 +75,7 @@ class DatasetRepository {
   /// Process-wide instance (built-ins registered once).
   static DatasetRepository& Global();
 
-  /// Observability for a delta append (CLI `append` verb, bench_append).
+  /// Observability for a delta append (CLI `append` verb).
   struct AppendStats {
     size_t rows = 0;     ///< delta rows appended
     size_t bytes = 0;    ///< delta CSV bytes parsed

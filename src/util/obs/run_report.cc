@@ -78,6 +78,7 @@ constexpr const char* kStandardCounters[] = {
 
 constexpr const char* kStandardGauges[] = {
     kPhaseIngest,
+    kPhaseGenerate,
     kPhaseGroupMining,
     kPhaseTreatmentMining,
     kPhaseSelection,

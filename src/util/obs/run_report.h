@@ -2,10 +2,10 @@
 // full metrics registry plus per-phase wall times — the paper's Figure-3
 // per-step runtime breakdown, produced by the production path (FairCap
 // sets the phase.* gauges as it runs) instead of bench-only stopwatch
-// code. `faircap_cli run --metrics-json=FILE` writes it; the bench_*
-// harnesses and the CI observability smoke read phase timings and cache
-// stats from the same registry the library incremented, so there is no
-// second bookkeeping path to drift.
+// code. `faircap_cli run --metrics-json=FILE` writes it; perfbench and the
+// CI observability smoke read phase timings and cache stats from the same
+// registry the library incremented, so there is no second bookkeeping
+// path to drift.
 //
 // Schema (v1) — top-level keys, all always present:
 //   {
@@ -41,8 +41,10 @@ namespace obs {
 
 /// Phase-gauge names (the "phase." prefix groups them into the report's
 /// "phase" section). FairCap::Run sets the three step gauges and total;
-/// callers that ingest data first set kPhaseIngest.
+/// callers that load a table first set kPhaseIngest (parsed from a file)
+/// or kPhaseGenerate (sampled from a dataset generator).
 inline constexpr const char* kPhaseIngest = "phase.ingest_seconds";
+inline constexpr const char* kPhaseGenerate = "phase.generate_seconds";
 inline constexpr const char* kPhaseGroupMining = "phase.group_mining_seconds";
 inline constexpr const char* kPhaseTreatmentMining =
     "phase.treatment_mining_seconds";

@@ -200,7 +200,8 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
   }
   for (const char* key :
        {"\"group_mining_seconds\":", "\"treatment_mining_seconds\":",
-        "\"selection_seconds\":", "\"ingest_seconds\":", "\"total_seconds\":",
+        "\"selection_seconds\":", "\"ingest_seconds\":",
+        "\"generate_seconds\":", "\"total_seconds\":",
         "\"workers\":", "\"submitted\":", "\"executed\":", "\"stolen\":",
         "\"helped\":", "\"instances\":", "\"hits\":", "\"misses\":",
         "\"evictions\":", "\"atom_evictions\":", "\"warm_atom_masks\":",

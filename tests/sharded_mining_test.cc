@@ -7,16 +7,20 @@
 // continuous data (german), where only floating-point summation order
 // differs at shard boundaries. The full pipeline must select the same
 // ruleset either way, and a fixed shard count must be bit-identical no
-// matter how many threads execute it.
+// matter how many threads execute it. Step 2's candidate rules must not
+// depend on the schedule (threads x shards) at all.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "causal/estimator.h"
 #include "core/faircap.h"
 #include "data/german.h"
+#include "ingest/synthetic.h"
 #include "mining/shard_plan.h"
 #include "util/random.h"
 #include "util/task_scheduler.h"
@@ -280,6 +284,87 @@ TEST(ShardedMiningTest, FixedShardCountIsThreadCountDeterministic) {
   const FairCapResult pooled = RunPipeline(data, /*num_shards=*/7,
                                            /*num_threads=*/4);
   ExpectSameRuleset(pooled, sequential, /*tol=*/0.0, "determinism");
+}
+
+// Every per-category pattern over the immutable categorical attributes:
+// near-equal pattern costs, so the pattern axis alone spreads the work.
+std::vector<FrequentPattern> PerCategoryPatterns(const DataFrame& df) {
+  std::vector<FrequentPattern> groups;
+  for (size_t attr : df.schema().IndicesWithRole(AttrRole::kImmutable)) {
+    const Column& col = df.column(attr);
+    if (col.type() != AttrType::kCategorical) continue;
+    for (size_t code = 0; code < col.num_categories(); ++code) {
+      FrequentPattern fp;
+      fp.pattern = Pattern({Predicate(
+          attr, CompareOp::kEq,
+          Value(col.CategoryName(static_cast<int32_t>(code))))});
+      fp.coverage = fp.pattern.Evaluate(df);
+      fp.support = fp.coverage.Count();
+      if (fp.support > 0) groups.push_back(std::move(fp));
+    }
+  }
+  return groups;
+}
+
+// Candidate identities (grouping => intervention, in order) of Step 2.
+std::vector<std::string> MineCandidateIdentities(
+    const SyntheticData& data, const std::vector<FrequentPattern>& groups,
+    size_t num_threads, size_t num_shards) {
+  FairCapOptions options;
+  options.lattice.max_predicates = 1;
+  options.fairness = FairnessConstraint::GroupSP(1e9);  // all 3 CATEs
+  options.num_threads = num_threads;
+  options.num_shards = num_shards;
+  auto solver =
+      FairCap::Create(&data.df, &data.dag, data.protected_pattern, options);
+  EXPECT_TRUE(solver.ok()) << solver.status().ToString();
+  if (!solver.ok()) return {};
+  auto candidates = solver->MineCandidateRules(groups);
+  EXPECT_TRUE(candidates.ok()) << candidates.status().ToString();
+  if (!candidates.ok()) return {};
+  std::vector<std::string> identities;
+  identities.reserve(candidates->size());
+  for (const PrescriptionRule& rule : *candidates) {
+    identities.push_back(rule.grouping.ToString(data.df.schema()) + " => " +
+                         rule.intervention.ToString(data.df.schema()));
+  }
+  return identities;
+}
+
+TEST(ShardedMiningTest, CandidateRulesIdenticalAcrossSchedules) {
+  // Scheduling decides how fast Step 2 runs, never what it mines: the
+  // sequential pass, the per-pattern fan-out (num_shards=1) and the
+  // pattern x shard work-stealing graph must return the same candidates
+  // in the same order. "skewed" adds one giant full-population pattern,
+  // the shape where the shard axis does the work.
+  SyntheticConfig config;
+  config.num_rows = 20000;
+  config.seed = 53;
+  const auto data = MakeSynthetic(config);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+  const std::vector<FrequentPattern> balanced = PerCategoryPatterns(data->df);
+  ASSERT_FALSE(balanced.empty());
+  std::vector<FrequentPattern> skewed(1);  // empty pattern: every row
+  skewed[0].coverage = data->df.AllRows();
+  skewed[0].support = data->df.num_rows();
+  skewed.insert(skewed.end(), balanced.begin(), balanced.end());
+
+  const auto expect_schedule_free =
+      [&](const std::string& label, const std::vector<FrequentPattern>& groups) {
+        const std::vector<std::string> sequential = MineCandidateIdentities(
+            *data, groups, /*num_threads=*/1, /*num_shards=*/1);
+        ASSERT_FALSE(sequential.empty()) << label;
+        // (threads, shards); num_shards=0 resolves to the thread count.
+        for (const auto& [threads, shards] :
+             {std::pair<size_t, size_t>{4, 1}, {4, 2}, {4, 0}}) {
+          EXPECT_EQ(MineCandidateIdentities(*data, groups, threads, shards),
+                    sequential)
+              << label << " threads=" << threads << " shards=" << shards;
+        }
+      };
+  expect_schedule_free("balanced", balanced);
+  expect_schedule_free("skewed", skewed);
 }
 
 }  // namespace

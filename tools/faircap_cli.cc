@@ -424,8 +424,11 @@ int RunPipeline(const CliArgs& args) {
     PrintUsage();
     return Fail(loaded.status().ToString());
   }
+  // A file is parsed (ingest); every other dataset is sampled from its
+  // generator (generate).
   obs::MetricsRegistry::Global()
-      .GetGauge(obs::kPhaseIngest)
+      .GetGauge(loaded->name == "file" ? obs::kPhaseIngest
+                                       : obs::kPhaseGenerate)
       .Set(load_watch.ElapsedSeconds());
   DataFrame df = std::move(loaded->df);
   const CausalDag dag = std::move(loaded->dag);
