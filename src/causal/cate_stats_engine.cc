@@ -246,47 +246,6 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
     cell_of_row_[r] = it->second;
   }
 
-  // Detect integer-valued outcomes (the german/stackoverflow binary
-  // outcomes and integer synthetic knobs) once per partition: the batch
-  // engine then accumulates {Σy, Σy²} in int64 — exact, so vector tiers
-  // may reassociate freely — and converts to double only at solve time.
-  // The 2^31 magnitude cap keeps y² inside int64; safe_int_rows_ bounds
-  // how many rows any partial may absorb before |Σy| or Σy² could reach
-  // 2^53, past which the double conversion (and the reference FP sum itself)
-  // would stop being exact. Only non-null rows are scanned (the kernels
-  // never read the others). On an extension only the delta rows are
-  // scanned: the persisted max_abs_y_ already covers [0, row_begin), and
-  // a base that was already non-integer stays so (exactly what a cold
-  // scan over the concatenated rows would conclude).
-  if (row_begin == 0) {
-    outcome_integer_ = true;
-    max_abs_y_ = 0;
-  }
-  if (outcome_integer_) {
-    for (size_t r = row_begin; r < n; ++r) {
-      if (!outcome_valid_.Get(r)) continue;
-      const double v = outcome.numeric(r);
-      if (!(v >= -2147483647.0 && v <= 2147483647.0) ||
-          static_cast<double>(static_cast<int64_t>(v)) != v) {
-        outcome_integer_ = false;
-        break;
-      }
-      const int64_t iv = static_cast<int64_t>(v);
-      max_abs_y_ = std::max(max_abs_y_, iv < 0 ? -iv : iv);
-    }
-  }
-  if (outcome_integer_) {
-    const int64_t max_mag = std::max(max_abs_y_, max_abs_y_ * max_abs_y_);
-    safe_int_rows_ =
-        max_mag > 0 ? ((uint64_t{1} << 53) - 1) / static_cast<uint64_t>(max_mag)
-                    : ~uint64_t{0};
-  } else {
-    // A delta row with a fractional outcome demotes an integer base: the
-    // engine's int64 path is off for the combined table, exactly as a
-    // cold build would decide.
-    safe_int_rows_ = 0;
-  }
-
   // Re-derive the sorted stratum order over the (possibly grown) cell
   // table. Stratum ids are unique across cells (the radix encoding is
   // injective for non-null signatures), so the sort is deterministic and
@@ -347,18 +306,7 @@ CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
     acc.zysum.assign(slots * m, 0.0);
     acc.zzsum.assign(slots * (m * (m + 1) / 2), 0.0);
   }
-  if (int_path_enabled()) {
-    acc.isy.assign(slots, 0);
-    acc.isyy.assign(slots, 0);
-  }
   return acc;
-}
-
-void CateStatsEngine::Accumulate(const Bitmap& group,
-                                 const Bitmap* protected_mask, Accum* overall,
-                                 Accum* prot, Accum* nonprot) const {
-  AccumulateRange(group, protected_mask, 0, group.num_words(), overall, prot,
-                  nonprot);
 }
 
 void CateStatsEngine::AccumulateRange(const Bitmap& group,
@@ -381,9 +329,8 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   // subgroup sink — 64 rows per word, through the runtime-dispatched
   // accumulation kernel. The outcome is read straight from the table
   // column, fetched here on every pass: an append may reallocate it.
-  // Integer-valued outcomes take the exact int64 path; real-valued ones
-  // keep every float add in ascending-row order per slot. Either way the
-  // result is bit-identical at every SIMD level.
+  // Every float add runs in ascending-row order per slot, so the result
+  // is bit-identical at every SIMD level.
   const auto sink_of = [](Accum* acc) {
     simd::CateSink sink;
     sink.rows = &acc->rows;
@@ -395,8 +342,6 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
     sink.zsum = acc->zsum.empty() ? nullptr : acc->zsum.data();
     sink.zysum = acc->zysum.empty() ? nullptr : acc->zysum.data();
     sink.zzsum = acc->zzsum.empty() ? nullptr : acc->zzsum.data();
-    sink.isy = acc->isy.empty() ? nullptr : acc->isy.data();
-    sink.isyy = acc->isyy.empty() ? nullptr : acc->isyy.data();
     return sink;
   };
   simd::CateAccumArgs args;
@@ -412,46 +357,22 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   args.zcols = args.moments ? partition_->numeric_value_ptrs() : nullptr;
   args.word_begin = word_begin;
   args.word_end = word_end;
-  args.num_slots = partition_->cells().size() * 2;
   args.overall = sink_of(overall);
   if (protected_mask != nullptr) {
     args.prot = sink_of(prot);
     args.nonprot = sink_of(nonprot);
   }
 
-  const bool int_path = int_path_enabled();
   const size_t rows_before = overall->rows;
-  bool stayed_int = false;
-  if (int_path) {
-    args.safe_rows = partition_->safe_int_rows();
-    stayed_int = simd::ActiveKernels().cate_accumulate_int(args);
-    overall->int_valid = stayed_int;
-    if (protected_mask != nullptr) {
-      prot->int_valid = stayed_int;
-      nonprot->int_valid = stayed_int;
-    }
-  } else {
-    simd::ActiveKernels().cate_accumulate(args);
-  }
+  simd::ActiveKernels().cate_accumulate(args);
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& rows_counter =
       registry.GetCounter("simd.cate_accumulate_rows");
   rows_counter.Add(overall->rows - rows_before);
-  if (stayed_int) {
-    static obs::Counter& int_passes =
-        registry.GetCounter("estimation.accumulate_path_int");
-    int_passes.Increment();
-    return;
-  }
-  if (int_path) {
-    static obs::Counter& fallbacks =
-        registry.GetCounter("estimation.accumulate_int_fallbacks");
-    fallbacks.Increment();
-  }
-  // Every pass that ends on the FP loop counts as a sparse pass. The
-  // staged dense-word path is retired: estimation.accumulate_path_fp_staged
-  // stays in the run-report schema and always reads 0.
+  // Every pass is a sparse pass. The int64 and staged dense-word paths are
+  // retired: estimation.accumulate_path_int and _fp_staged stay in the
+  // run-report schema and always read 0.
   static obs::Counter& sparse_passes =
       registry.GetCounter("estimation.accumulate_path_sparse");
   sparse_passes.Increment();
@@ -485,7 +406,6 @@ Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,
 
 void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
                                               NormalEquations* out) const {
-  FAIRCAP_CHECK(!acc.int_valid);
   const ConfounderPartition& part = *partition_;
   const size_t num_cells = part.cells().size();
   FAIRCAP_CHECK(acc.n.size() == num_cells * 2);
@@ -797,26 +717,12 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
                           is_treated_row, options_.propensity_clip);
 }
 
-void CateStatsEngine::EnsureFp(Accum* acc) {
-  if (!acc->int_valid) return;
-  // Exact by the safe_int_rows guard: every |Σy| and Σy² is below 2^53.
-  // The FP arrays are all-zero while int_valid, so this is an assignment.
-  for (size_t i = 0; i < acc->isy.size(); ++i) {
-    acc->sy[i] = static_cast<double>(acc->isy[i]);
-    acc->syy[i] = static_cast<double>(acc->isyy[i]);
-  }
-  acc->int_valid = false;
-}
-
 namespace {
 
-// The per-slot arrays of an accum agree in size, and its int staging
-// arrays (possibly absent) cover every slot when they are authoritative.
+// The per-slot arrays of an accum agree in size.
 bool SlotArraysConsistent(const CateStatsEngine::Accum& acc) {
   const size_t slots = acc.n.size();
-  return acc.sy.size() == slots && acc.syy.size() == slots &&
-         acc.isy.size() == acc.isyy.size() && acc.isy.size() <= slots &&
-         (!acc.int_valid || acc.isy.size() == slots);
+  return acc.sy.size() == slots && acc.syy.size() == slots;
 }
 
 }  // namespace
@@ -824,8 +730,7 @@ bool SlotArraysConsistent(const CateStatsEngine::Accum& acc) {
 void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
   // Checked in every build: the loops below index `into` by `from`'s
   // sizes, and MergeSubgroupAccums is public. Accums of one engine (after
-  // GrowAccum) always agree; the int staging arrays may be absent on one
-  // side when the outcome stopped being integer across an append.
+  // GrowAccum) always agree.
   FAIRCAP_CHECK(into->n.size() == from.n.size());
   FAIRCAP_CHECK(SlotArraysConsistent(*into) && SlotArraysConsistent(from));
   FAIRCAP_CHECK(into->zsum.size() == from.zsum.size() &&
@@ -835,31 +740,8 @@ void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
   into->n_treated += from.n_treated;
   into->n_control += from.n_control;
   for (size_t i = 0; i < from.n.size(); ++i) into->n[i] += from.n[i];
-  // Keep merging in int64 while the combined rows provably stay under the
-  // exactness budget. Past it — or when either side already fell back to
-  // FP — convert the int partials exactly (each is under the budget on
-  // its own) and merge in FP, which is what the pure-FP path would have
-  // summed, in the same ascending-shard slot order.
-  if (into->int_valid && from.int_valid &&
-      into->rows <= partition_->safe_int_rows()) {
-    for (size_t i = 0; i < from.isy.size(); ++i) into->isy[i] += from.isy[i];
-    for (size_t i = 0; i < from.isyy.size(); ++i) {
-      into->isyy[i] += from.isyy[i];
-    }
-  } else {
-    EnsureFp(into);
-    if (from.int_valid) {
-      for (size_t i = 0; i < from.isy.size(); ++i) {
-        into->sy[i] += static_cast<double>(from.isy[i]);
-        into->syy[i] += static_cast<double>(from.isyy[i]);
-      }
-    } else {
-      for (size_t i = 0; i < from.sy.size(); ++i) into->sy[i] += from.sy[i];
-      for (size_t i = 0; i < from.syy.size(); ++i) {
-        into->syy[i] += from.syy[i];
-      }
-    }
-  }
+  for (size_t i = 0; i < from.sy.size(); ++i) into->sy[i] += from.sy[i];
+  for (size_t i = 0; i < from.syy.size(); ++i) into->syy[i] += from.syy[i];
   for (size_t i = 0; i < from.zsum.size(); ++i) into->zsum[i] += from.zsum[i];
   for (size_t i = 0; i < from.zysum.size(); ++i) {
     into->zysum[i] += from.zysum[i];
@@ -901,7 +783,8 @@ CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateSubgroups(
       out.prot = MakeAccum();
       out.nonprot = MakeAccum();
     }
-    Accumulate(group, protected_mask, &out.overall, &out.prot, &out.nonprot);
+    AccumulateRange(group, protected_mask, 0, group.num_words(), &out.overall,
+                    &out.prot, &out.nonprot);
     return out;
   }
   FAIRCAP_CHECK(plan->num_rows() == group.size());
@@ -1012,8 +895,6 @@ void CateStatsEngine::GrowAccum(Accum* acc) const {
   acc->n.resize(slots, 0);
   acc->sy.resize(slots, 0.0);
   acc->syy.resize(slots, 0.0);
-  if (!acc->isy.empty()) acc->isy.resize(slots, 0);
-  if (!acc->isyy.empty()) acc->isyy.resize(slots, 0);
   const size_t m = partition_->num_numeric();
   if (!acc->zsum.empty()) acc->zsum.resize(slots * m, 0.0);
   if (!acc->zysum.empty()) acc->zysum.resize(slots * m, 0.0);
@@ -1024,21 +905,14 @@ CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
     const SubgroupAccums& accums, const Bitmap& group,
     const Bitmap* protected_mask, size_t min_group_size,
     size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  // EnsureFp is destructive (it clears int_valid), so solve from copies:
-  // the caller's cached stats stay int-exact and mergeable with future
-  // delta accumulations. The engine's own estimation paths keep the
-  // zero-copy in-place funnel below.
-  Accum overall = accums.overall;
-  Accum prot = accums.prot;
-  Accum nonprot = accums.nonprot;
-  GrowAccum(&overall);
-  GrowAccum(&prot);
-  GrowAccum(&nonprot);
-  EnsureFp(&overall);
-  EnsureFp(&prot);
-  EnsureFp(&nonprot);
-  return SolveSubgroups(overall, prot, nonprot, group, protected_mask,
-                        min_group_size, min_subgroup_size,
+  // The solvers index every cell of the partition: an accum that predates
+  // delta-interned cells must be grown (MergeSubgroupAccums) first.
+  const size_t slots = partition_->cells().size() * 2;
+  FAIRCAP_CHECK(accums.overall.n.size() == slots);
+  FAIRCAP_CHECK(!accums.split || (accums.prot.n.size() == slots &&
+                                  accums.nonprot.n.size() == slots));
+  return SolveSubgroups(accums.overall, accums.prot, accums.nonprot, group,
+                        protected_mask, min_group_size, min_subgroup_size,
                         skip_subgroups_unless_positive);
 }
 
@@ -1054,23 +928,11 @@ CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
     const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
     size_t min_subgroup_size, bool skip_subgroups_unless_positive,
     const ShardPlan* plan, TaskGroup* tasks) const {
-  SubgroupAccums acc = AccumulateSubgroups(group, protected_mask, plan, tasks);
-  EnsureFp(&acc.overall);
-  EnsureFp(&acc.prot);
-  EnsureFp(&acc.nonprot);
+  const SubgroupAccums acc =
+      AccumulateSubgroups(group, protected_mask, plan, tasks);
   return SolveSubgroups(acc.overall, acc.prot, acc.nonprot, group,
                         protected_mask, min_group_size, min_subgroup_size,
                         skip_subgroups_unless_positive);
-}
-
-Result<CateEstimate> CateStatsEngine::EstimateSubgroup(
-    const Bitmap& group, size_t min_group_size) const {
-  Accum acc = MakeAccum();
-  Accum unused_prot, unused_nonprot;
-  Accumulate(group, nullptr, &acc, &unused_prot, &unused_nonprot);
-  EnsureFp(&acc);
-  const Slice whole{&group, nullptr, false};
-  return Solve(acc, whole, min_group_size);
 }
 
 }  // namespace faircap

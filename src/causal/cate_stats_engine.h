@@ -26,6 +26,12 @@
 // the overall / protected / non-protected triple from a single pass by
 // splitting the accumulation on the protected bit, so the non-protected
 // bitmap is never materialized at all.
+//
+// Every statistic is summed in one representation: counts in integers,
+// outcome sums and moments in double, added in ascending row order. On an
+// integer-valued outcome each partial Σy and Σy² is an integer, exact in
+// double while below 2^53, so those sums are the same bits under every
+// shard split, thread count and append schedule.
 
 #ifndef FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
 #define FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
@@ -96,13 +102,12 @@ class ConfounderPartition {
   /// partition Build would return over the concatenated table: rows
   /// [rows_covered(), df.num_rows()) are interned into the same cell
   /// table (new cells appended in first-appearance order, the order a
-  /// cold build would discover them), the valid-row bitmap grows, and the
-  /// integer-outcome status / overflow budget are re-derived from the
-  /// combined value range. Returns false — leaving the partition
-  /// untouched — when it is NOT extendable and must be rebuilt cold: any
-  /// numeric confounder (its quantile edges shift with the new rows) or a
-  /// categorical confounder that gained categories (the radix bases and
-  /// one-hot feature layout change). Every holder of the partition
+  /// cold build would discover them) and the valid-row bitmap grows.
+  /// Returns false — leaving the partition untouched — when it is NOT
+  /// extendable and must be rebuilt cold: any numeric confounder (its
+  /// quantile edges shift with the new rows) or a categorical confounder
+  /// that gained categories (the radix bases and one-hot feature layout
+  /// change). Every holder of the partition
   /// observes the extension, so the caller must guarantee no estimation
   /// queries are in flight (the IncrementalSession::Append contract).
   bool ExtendInPlace(const DataFrame& df);
@@ -136,16 +141,6 @@ class ConfounderPartition {
   const std::vector<uint32_t>& cells_by_stratum() const {
     return cells_by_stratum_;
   }
-  /// True iff every non-null outcome value is integer-valued with
-  /// |y| <= 2^31 - 1 — the precondition of the engine's exact int64
-  /// accumulation path (which converts each value in register).
-  bool outcome_is_integer() const { return outcome_integer_; }
-  /// Overflow guard for the integer path: the largest row count for which
-  /// every per-slot partial |Σy| and Σy² stays below 2^53 given this
-  /// column's max |y| — below it the int64 totals, their double
-  /// conversions, AND the reference ascending-row FP sums are all exact, so
-  /// the two paths are bit-identical. 0 unless outcome_is_integer.
-  uint64_t safe_int_rows() const { return safe_int_rows_; }
   /// Cached numeric confounder column per numeric feature, with nulls as
   /// 0.0 — exactly the value the reference design-matrix build uses.
   const std::vector<std::vector<double>>& numeric_values() const {
@@ -193,9 +188,8 @@ class ConfounderPartition {
 
   /// Shared tail of Build and ExtendInPlace: interns rows [row_begin, n)
   /// into the cell table and valid-row bitmap, then re-derives the sorted
-  /// stratum order, integer-outcome budget, and byte accounting. The
-  /// feature layout (confs_), numeric caches, and rows [0, row_begin)
-  /// must already be in place.
+  /// stratum order and byte accounting. The feature layout (confs_),
+  /// numeric caches, and rows [0, row_begin) must already be in place.
   void InternRows(const DataFrame& df, size_t row_begin);
 
   std::vector<Feature> features_;
@@ -206,8 +200,6 @@ class ConfounderPartition {
   std::vector<uint32_t> onehot_begin_ = {0};  ///< [cells + 1]
   std::vector<uint32_t> onehot_ids_;
   std::vector<uint32_t> cells_by_stratum_;
-  bool outcome_integer_ = false;
-  uint64_t safe_int_rows_ = 0;
   std::vector<std::vector<double>> numeric_values_;
   std::vector<const double*> numeric_value_ptrs_;
   size_t bytes_ = 0;
@@ -220,9 +212,6 @@ class ConfounderPartition {
   /// Joint-signature -> cell index intern map (lookup/insert only — never
   /// iterated, so the unordered order cannot leak into results).
   std::unordered_map<std::string, int32_t> cell_ids_;
-  /// Largest |y| seen (integer outcomes only) — re-derives safe_int_rows_
-  /// when delta rows widen the range.
-  int64_t max_abs_y_ = 0;
   size_t rows_covered_ = 0;
   uint64_t lineage_id_ = 0;
 };
@@ -276,10 +265,6 @@ class CateStatsEngine {
       bool skip_subgroups_unless_positive, const ShardPlan* plan,
       TaskGroup* tasks) const;
 
-  /// Single-subgroup slice (the batch path with no protected split).
-  Result<CateEstimate> EstimateSubgroup(const Bitmap& group,
-                                        size_t min_group_size) const;
-
   /// Per-subgroup sufficient statistics, indexed cell-major with two arms
   /// (idx = 2*cell + arm; arm 1 = treated). Numeric moment blocks are
   /// allocated only for the regression method with numeric confounders.
@@ -296,13 +281,6 @@ class CateStatsEngine {
     std::vector<double> zsum;   ///< [2C * m]   Σ z_j
     std::vector<double> zysum;  ///< [2C * m]   Σ z_j y
     std::vector<double> zzsum;  ///< [2C * mm]  Σ z_i z_j, upper-tri packed
-    /// Int64 staging for the exact fast path, [2C]; allocated only
-    /// when the engine enables it. int_valid marks isy/isyy (not sy/syy)
-    /// as the authoritative outcome sums — cleared when the overflow
-    /// guard flushed them into the FP arrays mid-range.
-    std::vector<int64_t> isy;
-    std::vector<int64_t> isyy;
-    bool int_valid = false;
   };
 
   /// The overall / protected / non-protected accumulation triple for one
@@ -334,23 +312,24 @@ class CateStatsEngine {
   /// Accumulates ONLY rows >= row_begin of `group` — the delta tail of an
   /// append. Because delta rows are strictly after all resident rows,
   /// merging this into an accumulation that covered [0, row_begin)
-  /// reproduces the full-table pass: exactly on the int64 path, and to
-  /// shard-merge precision (the PR-4 contract) on the FP path.
+  /// reproduces the full-table pass: exactly on integer-valued outcomes,
+  /// and to shard-merge precision on real-valued ones.
   SubgroupAccums AccumulateDelta(const Bitmap& group,
                                  const Bitmap* protected_mask,
                                  size_t row_begin) const;
 
-  /// `into += from` over all three accums (shard-merge semantics; exact
-  /// while the combined counts stay under the int64 budget). Advances
+  /// `into += from` over all three accums (shard-merge semantics), after
+  /// growing `into` to the partition's current slot count. Advances
   /// into->rows_covered to from's.
   void MergeSubgroupAccums(SubgroupAccums* into,
                            const SubgroupAccums& from) const;
 
   /// Solves the overall / protected / non-protected estimates from
   /// already-accumulated stats, byte-identical to EstimateSubgroups over
-  /// the same group. Works on copies of the accums: the caller's stats
-  /// stay int-valid and mergeable (EnsureFp is destructive). `group` /
-  /// `protected_mask` are needed only by the IPW row-fallback re-walk.
+  /// the same group. The accums must be at the partition's current slot
+  /// count (a fresh AccumulateSubgroups, or a MergeSubgroupAccums target);
+  /// a mismatch aborts in every build type. `group` / `protected_mask` are
+  /// needed only by the IPW row-fallback re-walk.
   CateSubgroupEstimates SolveFromAccums(
       const SubgroupAccums& accums, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_group_size,
@@ -367,11 +346,10 @@ class CateStatsEngine {
     double yty = 0.0;
   };
 
-  /// Assembles the regression normal equations from an FP-valid accum
-  /// (int_valid false) into `out`, reusing its buffers. The intercept, T
-  /// and one-hot block of X'X is summed per cell in int64 and converted
-  /// once; X'y, y'y and the numeric-moment entries are summed in double
-  /// in ascending slot order.
+  /// Assembles the regression normal equations from an accum into `out`,
+  /// reusing its buffers. The intercept, T and one-hot block of X'X is
+  /// summed per cell in int64 and converted once; X'y, y'y and the
+  /// numeric-moment entries are summed in double in ascending slot order.
   void AssembleNormalEquations(const Accum& acc, NormalEquations* out) const;
 
   const Bitmap& treated() const { return *treated_; }
@@ -391,34 +369,21 @@ class CateStatsEngine {
     bool protected_member = false;           ///< filter polarity
   };
 
-  void Accumulate(const Bitmap& group, const Bitmap* protected_mask,
-                  Accum* overall, Accum* prot, Accum* nonprot) const;
-
   /// Accumulation restricted to bitmap words [word_begin, word_end) — the
-  /// per-shard view. Accumulate() is exactly the full-range call, so the
-  /// single-shard plan reproduces the unsharded pass bit for bit.
+  /// per-shard view. The unsharded pass is the full range [0,
+  /// group.num_words()), so a single-shard plan reproduces it bit for bit.
   void AccumulateRange(const Bitmap& group, const Bitmap* protected_mask,
                        size_t word_begin, size_t word_end, Accum* overall,
                        Accum* prot, Accum* nonprot) const;
 
   /// Element-wise `into += from` over every statistic (counts, outcome
-  /// sums, numeric moments) — the shard-merge step. Integer partials
-  /// merge in int64 while the combined row count stays under the
-  /// partition's safe_int_rows budget; past it (or when either side
-  /// already fell back) both sides are converted exactly to FP first,
-  /// which reproduces the pure-FP merge bit for bit.
+  /// sums, numeric moments) — the shard-merge step.
   void MergeAccum(Accum* into, const Accum& from) const;
 
   /// Resize an accum that predates delta-interned cells up to the current
   /// partition slot count (new cells append, so resident slots keep
   /// their indices).
   void GrowAccum(Accum* acc) const;
-
-  /// Converts an int-valid accum's outcome sums into its FP arrays (an
-  /// exact conversion under the safe_int_rows guard) and clears
-  /// int_valid. No-op on FP-valid accums. Solvers read only sy/syy, so
-  /// every accum is funneled through this before SolveSubgroups/Solve.
-  static void EnsureFp(Accum* acc);
 
   /// The shared triple-solve tail of both EstimateSubgroups overloads.
   CateSubgroupEstimates SolveSubgroups(
@@ -444,12 +409,6 @@ class CateStatsEngine {
   bool need_moments() const {
     return options_.method == CateMethod::kRegression &&
            partition_->num_numeric() > 0;
-  }
-  /// The exact int64 accumulation path applies when the outcome column is
-  /// integer-valued and no FP moment blocks ride along in the same pass.
-  bool int_path_enabled() const {
-    return partition_->outcome_is_integer() && !need_moments() &&
-           !options_.disable_int_fast_path;
   }
   Accum MakeAccum() const;
 

@@ -57,11 +57,6 @@ struct CateOptions {
   size_t numeric_confounder_bins = 4;
   /// Propensity clipping bounds (IPW method).
   double propensity_clip = 0.02;
-  /// Disables the exact int64 accumulation fast path the batch engine
-  /// selects for integer-valued outcome columns. The two paths are
-  /// bit-identical (pinned by cate_stats_engine_test); this knob exists
-  /// so those tests can produce the FP-path reference on integer data.
-  bool disable_int_fast_path = false;
 };
 
 /// One CATE estimate.

@@ -145,8 +145,7 @@ size_t IncrementalState::AccumBytes(
     return acc.n.size() * sizeof(uint32_t) +
            (acc.sy.size() + acc.syy.size() + acc.zsum.size() +
             acc.zysum.size() + acc.zzsum.size()) *
-               sizeof(double) +
-           (acc.isy.size() + acc.isyy.size()) * sizeof(int64_t);
+               sizeof(double);
   };
   return one(accums.overall) + one(accums.prot) + one(accums.nonprot);
 }

@@ -48,12 +48,11 @@ constexpr const char* kStandardCounters[] = {
     "estimation.solve_stratified",
     "estimation.solve_ipw_cells",
     "estimation.solve_ipw_rows",
+    // Retired with the int64 and staged dense-word accumulate paths; always
+    // 0, kept so the schema floor (and readers keyed on it) stay stable.
     "estimation.accumulate_path_int",
-    // Retired with the staged dense-word kernels; always 0, kept so the
-    // schema floor (and readers keyed on it) stay stable.
     "estimation.accumulate_path_fp_staged",
     "estimation.accumulate_path_sparse",
-    "estimation.accumulate_int_fallbacks",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",
     "simd.cate_accumulate_rows",

@@ -38,7 +38,6 @@ const Kernels kScalarKernels = {
     core::ScalarMaskCodesNe,
     core::ScalarMaskNumericCmp,
     core::CateAccumulate,
-    core::CateAccumulateInt,
 };
 
 SimdLevel DetectMaxLevel() {

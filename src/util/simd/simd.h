@@ -8,10 +8,12 @@
 // at startup by CPUID and overridable with the FAIRCAP_SIMD environment
 // knob (scalar|avx2|avx512) or SetSimdLevel (the CLI's --simd= flag). Every
 // tier is pinned to produce identical results: counts and mask words are
-// exact integers, and the accumulation kernels perform their float adds in
+// exact integers, and the accumulation kernel performs its float adds in
 // the same ascending-row association order as the scalar loop, so the
 // repo's bit-for-bit determinism contracts (shard counts, thread counts,
-// legacy-oracle pinning) hold at every ISA level.
+// legacy-oracle pinning) hold at every ISA level. Integer-valued outcomes
+// need no separate path: every partial sum of integers below 2^53 is
+// exact in double, whatever the order.
 
 #ifndef FAIRCAP_UTIL_SIMD_SIMD_H_
 #define FAIRCAP_UTIL_SIMD_SIMD_H_
@@ -94,10 +96,6 @@ struct CateSink {
   double* zsum = nullptr;       ///< [2C * m]
   double* zysum = nullptr;      ///< [2C * m]
   double* zzsum = nullptr;      ///< [2C * m(m+1)/2], upper-tri packed
-  /// Integer staging arrays for the exact int64 fast path, [2C]; null
-  /// unless the caller enables cate_accumulate_int.
-  int64_t* isy = nullptr;
-  int64_t* isyy = nullptr;
 };
 
 /// Inputs of the fused accumulation pass: four bitmaps walked in lockstep
@@ -116,7 +114,6 @@ struct CateAccumArgs {
   /// Cell per row; only read at valid rows, where it is >= 0.
   const int32_t* cell_of_row = nullptr;
   /// The outcome column itself (NaN at null rows, which are never read).
-  /// The integer path converts each value to int64 in register.
   const double* outcome = nullptr;
   /// Numeric confounder columns, [num_numeric] pointers; null when
   /// moments is false.
@@ -125,14 +122,6 @@ struct CateAccumArgs {
   bool moments = false;
   size_t word_begin = 0;
   size_t word_end = 0;
-  /// Number of (cell, arm) slots = 2 * num_cells.
-  size_t num_slots = 0;
-  /// Overflow guard for the integer path: the largest row count for which
-  /// every per-slot partial |Σy| and Σy² provably stays below 2^53 (so
-  /// both the int64 totals and the legacy FP partial sums are exact).
-  /// cate_accumulate_int falls back to the FP path once a word would
-  /// cross this budget.
-  uint64_t safe_rows = 0;
   CateSink overall;
   CateSink prot;
   CateSink nonprot;
@@ -172,17 +161,6 @@ struct Kernels {
   /// popcounts; float adds run in ascending row order with the scalar
   /// loop's associations.
   void (*cate_accumulate)(const CateAccumArgs& args);
-  /// The exact integer fast path: same pass as cate_accumulate but
-  /// accumulating {Σy, Σy²} in int64 (each outcome converted in register;
-  /// the caller guarantees integer values with |y| <= 2^31 - 1), where
-  /// addition is exact and so order-free. Requires !args.moments.
-  /// Returns true when the whole range completed on the integer path (the
-  /// isy/isyy arrays are authoritative); returns false when the
-  /// args.safe_rows overflow guard tripped — the integer partials were
-  /// exactly flushed into sy/syy and the remainder of the range ran
-  /// through the FP path, so the FP arrays are authoritative and carry
-  /// the bit-exact legacy result.
-  bool (*cate_accumulate_int)(const CateAccumArgs& args);
 };
 
 /// Kernel table for the currently active tier (one atomic load).

@@ -7,7 +7,7 @@
 // sixteen 256-bit blocks per iteration, one vector popcount per sixteen
 // loads instead of one per word. The compare-scan kernels turn vector
 // compare masks straight into bitmap words (8 int32 / 4 double lanes per
-// movemask). The accumulation kernels are the shared row loop of
+// movemask). The accumulation kernel is the shared row loop of
 // simd_kernels_core.h, compiled here with -mavx2 (that header explains
 // why each slot's add sequence must stay the scalar one).
 
@@ -273,7 +273,6 @@ const Kernels kAvx2Kernels = {
     Avx2MaskCodesNe,
     Avx2MaskNumericCmp,
     core::CateAccumulate,
-    core::CateAccumulateInt,
 };
 
 }  // namespace

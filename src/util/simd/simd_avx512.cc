@@ -196,7 +196,6 @@ const Kernels kAvx512Kernels = {
     Avx512MaskCodesNe,
     Avx512MaskNumericCmp,
     core::CateAccumulate,
-    core::CateAccumulateInt,
 };
 
 }  // namespace

@@ -8,14 +8,13 @@
 // copies across TUs and could hand the scalar tier one compiled for
 // AVX-512.
 //
-// The accumulation core is the determinism anchor of the whole layer. For
-// real-valued outcomes it performs every floating-point add in ascending
-// row order with the same associations as the original CateStatsEngine
-// scalar loop, at every tier — a vectorized scatter-add (which would race
-// with itself and reassociate) is never used. For integer-valued outcomes
-// the int64 sums are exact, and the safe_rows guard keeps every partial
-// below 2^53 so the conversion to double reproduces the legacy FP result
-// bit for bit.
+// The accumulation core is the determinism anchor of the whole layer. It
+// performs every floating-point add in ascending row order with the same
+// associations as the original CateStatsEngine scalar loop, at every tier
+// — a vectorized scatter-add (which would race with itself and
+// reassociate) is never used. On integer-valued outcomes every partial
+// sum below 2^53 is an exact integer in double, so those sums match
+// bit for bit under any shard split as well.
 
 #ifndef FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
 #define FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
@@ -140,7 +139,7 @@ inline void ScalarMaskNumericCmp(const double* values, size_t n, Cmp op,
 }
 
 // ---------------------------------------------------------------------
-// Accumulation core: one row loop serves every tier and every path.
+// Accumulation core: one row loop serves every tier.
 
 /// Per-pass row counters, taken from per-word popcounts and flushed into
 /// the sinks once at the end (integer adds commute).
@@ -166,21 +165,15 @@ inline void FlushCounts(const CateAccumArgs& args, const PassCounts& counts,
   *args.nonprot.n_control += (counts.rows - counts.treated) - prot_control;
 }
 
-/// Accumulates words [word_begin, args.word_end). A word contributes the
-/// rows of group & valid; the row loop visits them in ascending order
+/// Accumulates words [args.word_begin, args.word_end). A word contributes
+/// the rows of group & valid; the row loop visits them in ascending order
 /// and carries no per-row branch: the slot is 2*cell + treated bit, and
-/// the protected bit indexes the subgroup sink. Every per-slot add —
-/// float or int64 — happens in ascending row order, so the float sums
-/// equal the legacy scalar loop's bit for bit at every tier.
-///
-/// With kInt the outcome is converted to int64 in register and summed
-/// into isy/isyy. Before a word would push the pass past args.safe_rows
-/// rows, the loop stops and returns that word's index; otherwise it
-/// returns args.word_end.
-template <bool kSplit, bool kMoments, bool kInt>
-inline size_t AccumulateWords(const CateAccumArgs& args, size_t word_begin,
-                              PassCounts* counts) {
-  static_assert(!(kInt && kMoments), "moments ride the FP path only");
+/// the protected bit indexes the subgroup sink. Every per-slot float add
+/// happens in ascending row order, so the sums equal the legacy scalar
+/// loop's bit for bit at every tier.
+template <bool kSplit, bool kMoments>
+inline void AccumulateWords(const CateAccumArgs& args) {
+  PassCounts counts;
   const uint64_t* gw = args.group_words;
   const uint64_t* vw = args.valid_words;
   const uint64_t* tw = args.treated_words;
@@ -190,19 +183,17 @@ inline size_t AccumulateWords(const CateAccumArgs& args, size_t word_begin,
   const CateSink& all = args.overall;
   // Subgroup sinks by protected bit: [0] non-protected, [1] protected.
   const CateSink* const sub[2] = {&args.nonprot, &args.prot};
-  for (size_t w = word_begin; w < args.word_end; ++w) {
+  for (size_t w = args.word_begin; w < args.word_end; ++w) {
     uint64_t bits = gw[w] & vw[w];
     if (bits == 0) continue;
-    const size_t word_rows = static_cast<size_t>(__builtin_popcountll(bits));
-    if (kInt && counts->rows + word_rows > args.safe_rows) return w;
     const uint64_t tword = tw[w];
     const uint64_t pword = kSplit ? pw[w] : 0;
-    counts->rows += word_rows;
-    counts->treated += static_cast<size_t>(__builtin_popcountll(bits & tword));
+    counts.rows += static_cast<size_t>(__builtin_popcountll(bits));
+    counts.treated += static_cast<size_t>(__builtin_popcountll(bits & tword));
     if (kSplit) {
       const uint64_t pbits = bits & pword;
-      counts->prot_rows += static_cast<size_t>(__builtin_popcountll(pbits));
-      counts->prot_treated +=
+      counts.prot_rows += static_cast<size_t>(__builtin_popcountll(pbits));
+      counts.prot_treated +=
           static_cast<size_t>(__builtin_popcountll(pbits & tword));
     }
     const size_t base = w * 64;
@@ -215,87 +206,37 @@ inline size_t AccumulateWords(const CateAccumArgs& args, size_t word_begin,
       const CateSink& part = *sub[(pword >> b) & 1];
       ++all.n[idx];
       if (kSplit) ++part.n[idx];
-      if constexpr (kInt) {
-        const int64_t y = static_cast<int64_t>(outcome[r]);
-        const int64_t yy = y * y;
-        all.isy[idx] += y;
-        all.isyy[idx] += yy;
-        if (kSplit) {
-          part.isy[idx] += y;
-          part.isyy[idx] += yy;
-        }
-      } else {
-        const double y = outcome[r];
-        const double yy = y * y;
-        all.sy[idx] += y;
-        all.syy[idx] += yy;
-        if (kSplit) {
-          part.sy[idx] += y;
-          part.syy[idx] += yy;
-        }
-        if (kMoments) {
-          const size_t m = args.num_numeric;
-          const size_t zbase = idx * m;
-          const size_t zzbase = idx * (m * (m + 1) / 2);
-          for (size_t j = 0, t = 0; j < m; ++j) {
-            const double zj = args.zcols[j][r];
-            const double zy = zj * y;
-            all.zsum[zbase + j] += zj;
-            all.zysum[zbase + j] += zy;
-            if (kSplit) {
-              part.zsum[zbase + j] += zj;
-              part.zysum[zbase + j] += zy;
-            }
-            for (size_t k = j; k < m; ++k, ++t) {
-              const double zz = zj * args.zcols[k][r];
-              all.zzsum[zzbase + t] += zz;
-              if (kSplit) part.zzsum[zzbase + t] += zz;
-            }
+      const double y = outcome[r];
+      const double yy = y * y;
+      all.sy[idx] += y;
+      all.syy[idx] += yy;
+      if (kSplit) {
+        part.sy[idx] += y;
+        part.syy[idx] += yy;
+      }
+      if (kMoments) {
+        const size_t m = args.num_numeric;
+        const size_t zbase = idx * m;
+        const size_t zzbase = idx * (m * (m + 1) / 2);
+        for (size_t j = 0, t = 0; j < m; ++j) {
+          const double zj = args.zcols[j][r];
+          const double zy = zj * y;
+          all.zsum[zbase + j] += zj;
+          all.zysum[zbase + j] += zy;
+          if (kSplit) {
+            part.zsum[zbase + j] += zj;
+            part.zysum[zbase + j] += zy;
+          }
+          for (size_t k = j; k < m; ++k, ++t) {
+            const double zz = zj * args.zcols[k][r];
+            all.zzsum[zzbase + t] += zz;
+            if (kSplit) part.zzsum[zzbase + t] += zz;
           }
         }
       }
     } while (bits != 0);
   }
-  return args.word_end;
-}
-
-/// Folds one sink's int64 staging arrays into its FP arrays. Every staged
-/// total is below 2^53 (safe_rows guard), so the conversion is exact and
-/// the result equals what the ascending-row FP adds would have produced.
-inline void FlushIntSinkToFp(const CateSink& sink, size_t num_slots) {
-  for (size_t i = 0; i < num_slots; ++i) {
-    sink.sy[i] += static_cast<double>(sink.isy[i]);
-    sink.syy[i] += static_cast<double>(sink.isyy[i]);
-  }
-}
-
-template <bool kSplit, bool kMoments>
-inline void CateAccumulateShape(const CateAccumArgs& args) {
-  PassCounts counts;
-  AccumulateWords<kSplit, kMoments, false>(args, args.word_begin, &counts);
   FlushCounts(args, counts, kSplit);
-}
-
-/// The integer pass. On a guard trip the int64 partials are flushed
-/// exactly into the FP arrays and the rest of the range runs the FP loop;
-/// returns false in that case (FP arrays authoritative), true when the
-/// whole range stayed integer.
-template <bool kSplit>
-inline bool CateAccumulateIntShape(const CateAccumArgs& args) {
-  PassCounts counts;
-  const size_t stop =
-      AccumulateWords<kSplit, false, true>(args, args.word_begin, &counts);
-  const bool stayed_int = stop == args.word_end;
-  if (!stayed_int) {
-    FlushIntSinkToFp(args.overall, args.num_slots);
-    if (kSplit) {
-      FlushIntSinkToFp(args.prot, args.num_slots);
-      FlushIntSinkToFp(args.nonprot, args.num_slots);
-    }
-    AccumulateWords<kSplit, false, false>(args, stop, &counts);
-  }
-  FlushCounts(args, counts, kSplit);
-  return stayed_int;
 }
 
 /// The cate_accumulate kernel: picks the (split, moments) instantiation.
@@ -303,25 +244,17 @@ inline void CateAccumulate(const CateAccumArgs& args) {
   const bool split = args.protected_words != nullptr;
   if (split) {
     if (args.moments) {
-      CateAccumulateShape<true, true>(args);
+      AccumulateWords<true, true>(args);
     } else {
-      CateAccumulateShape<true, false>(args);
+      AccumulateWords<true, false>(args);
     }
   } else {
     if (args.moments) {
-      CateAccumulateShape<false, true>(args);
+      AccumulateWords<false, true>(args);
     } else {
-      CateAccumulateShape<false, false>(args);
+      AccumulateWords<false, false>(args);
     }
   }
-}
-
-/// The cate_accumulate_int kernel: picks the split instantiation.
-inline bool CateAccumulateInt(const CateAccumArgs& args) {
-  if (args.protected_words != nullptr) {
-    return CateAccumulateIntShape<true>(args);
-  }
-  return CateAccumulateIntShape<false>(args);
 }
 
 }  // namespace

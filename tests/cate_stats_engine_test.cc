@@ -611,7 +611,6 @@ void ExpectAssemblyMatchesOracle(const CateStatsEngine& engine,
       {&accums.nonprot, "nonprotected"}};
   for (const auto& [acc, name] : parts) {
     const std::string tag = label + "/" + name;
-    ASSERT_FALSE(acc->int_valid) << tag;
     CateStatsEngine::NormalEquations got;
     engine.AssembleNormalEquations(*acc, &got);
     const CateStatsEngine::NormalEquations want =
@@ -672,9 +671,7 @@ TEST(CateStatsEngineAssemblyTest, CategoricalConfoundersBitForBit) {
   config.num_rows = 2000;
   const auto data = MakeGerman(config);
   ASSERT_TRUE(data.ok());
-  CateOptions options;
-  options.disable_int_fast_path = true;  // the oracle reads FP sums
-  const auto est = CateEstimator::Create(&data->df, &data->dag, options);
+  const auto est = CateEstimator::Create(&data->df, &data->dag);
   ASSERT_TRUE(est.ok());
   SweepAssembly(*est, data->df, data->protected_pattern, 88, "german");
 }
@@ -691,9 +688,7 @@ TEST(CateStatsEngineAssemblyTest, CellsAddedByExtendInPlaceBitForBit) {
   for (uint32_t r = 0; r < 1976; ++r) tail[r] = 24 + r;
   DataFrame df = data->df.TakeRows(head);
   const DataFrame delta = data->df.TakeRows(tail);
-  CateOptions options;
-  options.disable_int_fast_path = true;
-  auto est = CateEstimator::Create(&df, &data->dag, options);
+  auto est = CateEstimator::Create(&df, &data->dag);
   ASSERT_TRUE(est.ok());
   Rng rng(89);
   const std::vector<Pattern> interventions = SampleInterventions(df, 4, &rng);
@@ -773,7 +768,8 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
   const Pattern t_yes({Predicate(t, CompareOp::kEq, Value("yes"))});
   const auto held = est->EngineFor(t_yes);
   ASSERT_TRUE(held.ok());
-  const Result<CateEstimate> before = (*held)->EstimateSubgroup(all, 10);
+  const Result<CateEstimate> before =
+      (*held)->EstimateSubgroups(all, nullptr, 10, 10).overall;
 
   // A 1-byte budget keeps only the most recently used engine.
   est->SetEngineMemoryBudget(1);
@@ -785,7 +781,8 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
   EXPECT_EQ(stats.engines, 1u);
 
   // The held engine still answers, identically, after eviction.
-  const Result<CateEstimate> after = (*held)->EstimateSubgroup(all, 10);
+  const Result<CateEstimate> after =
+      (*held)->EstimateSubgroups(all, nullptr, 10, 10).overall;
   ASSERT_EQ(before.ok(), after.ok());
   if (before.ok()) {
     EXPECT_EQ(before->cate, after->cate);
@@ -931,49 +928,44 @@ TEST(CateStatsEngineSimdTest, DenseGroupMatchesLegacyAtEveryTier) {
 }
 
 // ---------------------------------------------------------------------
-// Integer fast path: on an integer-valued outcome column the engine
-// accumulates {n, Σy, Σy²} in int64 and converts to double at solve
-// time. Under the safe-row guard every legacy floating-point prefix
-// partial is also exact, so the two representations must agree
-// bit-for-bit — for every method, tier, and shard count.
+// Integer-valued outcomes: every partial Σy and Σy² is an integer, exact
+// in double while below 2^53, so the one FP accumulation is order-free on
+// them. Estimates must therefore be bit-identical across SIMD tiers AND
+// shard counts (on real-valued outcomes shard merges only agree to
+// rounding).
 
-// For every method, intervention and group, split and no-split: the
-// int-path engine at every tier and shard count {1, 7, 16} must be
-// bit-identical to the pure-FP engine at the scalar tier under the same
-// shard plan, and match the legacy oracle (method-specific tolerances;
-// stratified is bit-for-bit).
-void ExpectIntPathMatchesFp(
+// For every method, intervention and group, split and no-split: every
+// tier at shard counts {1, 7, 16} must be bit-identical to the scalar
+// tier's unsharded pass, and match the legacy oracle (method-specific
+// tolerances; stratified is bit-for-bit).
+void ExpectIntegerOutcomeOrderFree(
     const DataFrame& df, const CausalDag& dag,
     const std::vector<Pattern>& interventions,
     const std::vector<std::pair<std::string, Bitmap>>& groups,
     const Bitmap& protected_mask, const std::string& label) {
   for (const CateMethod method :
        {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
-    CateOptions int_opts;
-    int_opts.method = method;
-    CateOptions fp_opts = int_opts;
-    fp_opts.disable_int_fast_path = true;  // pure-FP reference engine
-    const auto int_est = CateEstimator::Create(&df, &dag, int_opts);
-    const auto fp_est = CateEstimator::Create(&df, &dag, fp_opts);
-    ASSERT_TRUE(int_est.ok());
-    ASSERT_TRUE(fp_est.ok());
+    CateOptions options;
+    options.method = method;
+    const auto est = CateEstimator::Create(&df, &dag, options);
+    ASSERT_TRUE(est.ok());
     for (size_t i = 0; i < interventions.size(); ++i) {
       for (const auto& [name, group] : groups) {
         const std::string tag = label + "/m" +
                                 std::to_string(static_cast<int>(method)) +
                                 "/i" + std::to_string(i) + "/" + name;
+        SweepResult ref;
+        {
+          simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
+          ref = RunSplitAndNoSplit(*est, interventions[i], group,
+                                   protected_mask, nullptr);
+        }
         for (const size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
           const ShardPlan plan = ShardPlan::Create(df.num_rows(), shards);
-          SweepResult ref;
-          {
-            simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
-            ref = RunSplitAndNoSplit(*fp_est, interventions[i], group,
-                                     protected_mask, &plan);
-          }
           for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
             simd::ScopedSimdLevel pin(level);
-            ExpectSameSweep(RunSplitAndNoSplit(*int_est, interventions[i],
-                                               group, protected_mask, &plan),
+            ExpectSameSweep(RunSplitAndNoSplit(*est, interventions[i], group,
+                                               protected_mask, &plan),
                             ref,
                             tag + "/" + simd::SimdLevelName(level) + "/s" +
                                 std::to_string(shards));
@@ -981,7 +973,7 @@ void ExpectIntPathMatchesFp(
         }
         for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
           simd::ScopedSimdLevel pin(level);
-          ExpectSweepMatchesLegacy(*int_est, interventions[i], group,
+          ExpectSweepMatchesLegacy(*est, interventions[i], group,
                                    protected_mask,
                                    tag + "/" + simd::SimdLevelName(level) +
                                        "/legacy");
@@ -992,11 +984,7 @@ void ExpectIntPathMatchesFp(
 }
 
 // Integer outcomes uniform in [-max_abs, max_abs], `null_rate` of them
-// null. Near-limit magnitudes (|y| up to ~3e6) put Σy² past 2^53 after
-// ~1000 rows, so a 4000-row group trips the overflow guard mid-range and
-// the kernel must flush its exact int64 partials into the FP arrays and
-// finish the pass on the FP path — with a result bit-identical to an
-// engine that never used the integer path at all.
+// null, over one categorical confounder.
 EdgeData MakeIntData(size_t n, uint64_t seed, int64_t max_abs,
                      double null_rate) {
   auto schema = Schema::Create({
@@ -1031,10 +1019,7 @@ EdgeData MakeIntData(size_t n, uint64_t seed, int64_t max_abs,
   return {std::move(df), std::move(dag), std::move(protected_pattern)};
 }
 
-TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
-  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const uint64_t int_before =
-      reg.CounterValue("estimation.accumulate_path_int");
+TEST(CateStatsEngineIntegerOutcomeTest, BitIdenticalAcrossTiersAndShards) {
   {
     SyntheticConfig config;
     config.num_rows = 4000;
@@ -1049,43 +1034,21 @@ TEST(CateStatsEngineIntPathTest, IntAndFpPathsBitIdenticalOnIntegerData) {
     ASSERT_FALSE(interventions.empty());
     const std::vector<std::pair<std::string, Bitmap>> groups = {
         {"d70", RandomGroup(df.num_rows(), 0.7, &rng)}};
-    ExpectIntPathMatchesFp(df, data->dag, interventions, groups,
-                           data->protected_pattern.Evaluate(df), "synthetic");
+    ExpectIntegerOutcomeOrderFree(df, data->dag, interventions, groups,
+                                  data->protected_pattern.Evaluate(df),
+                                  "synthetic");
   }
   // Small magnitudes with 5% null outcomes over 4001 rows (not a multiple
-  // of 64): the int path converts each non-null value in register and
-  // stays integer for the whole pass at every density.
+  // of 64), at every group density.
   const EdgeData data = MakeIntData(4001, 102, /*max_abs=*/1000,
                                     /*null_rate=*/0.05);
   const size_t t = *data.df.schema().IndexOf("T");
   const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
   Rng rng(102);
-  ExpectIntPathMatchesFp(data.df, data.dag, {intervention},
-                         DensitySweepGroups(data.df, &rng),
-                         data.protected_pattern.Evaluate(data.df), "nulls");
-  EXPECT_GT(reg.CounterValue("estimation.accumulate_path_int"), int_before);
-}
-
-TEST(CateStatsEngineIntPathTest, OverflowGuardFallsBackBitIdentically) {
-  // Near-limit magnitudes with 5% null outcomes over 4001 rows: every
-  // group past ~1000 rows trips the guard in the single-shard pass, while
-  // at 7/16 shards each shard stays under it and the int partials convert
-  // at merge time instead — both must replay the FP engine bit for bit.
-  const EdgeData data = MakeIntData(4001, 101, /*max_abs=*/3000000,
-                                    /*null_rate=*/0.05);
-  const size_t t = *data.df.schema().IndexOf("T");
-  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const uint64_t fallbacks_before =
-      reg.CounterValue("estimation.accumulate_int_fallbacks");
-  const uint64_t rows_before = reg.CounterValue("simd.cate_accumulate_rows");
-  const Pattern intervention({Predicate(t, CompareOp::kEq, Value("yes"))});
-  Rng rng(101);
-  ExpectIntPathMatchesFp(data.df, data.dag, {intervention},
-                         DensitySweepGroups(data.df, &rng),
-                         data.protected_pattern.Evaluate(data.df), "guard");
-  EXPECT_GT(reg.CounterValue("estimation.accumulate_int_fallbacks"),
-            fallbacks_before);
-  EXPECT_GT(reg.CounterValue("simd.cate_accumulate_rows"), rows_before);
+  ExpectIntegerOutcomeOrderFree(data.df, data.dag, {intervention},
+                                DensitySweepGroups(data.df, &rng),
+                                data.protected_pattern.Evaluate(data.df),
+                                "nulls");
 }
 
 // Regression test for the empty-arm guard: one-class inputs used to
