@@ -1,10 +1,11 @@
 // Golden-ruleset pins: the rulesets FairCap selects on german and on a
-// 5K-row stackoverflow table, under group-SP fairness plus group coverage,
-// compared exactly — grouping, intervention, support and protected
-// support of every rule, in selection order — against fixtures recorded
-// before the regression solver moved from an explicit inverse to
-// Cholesky solves. Utilities are deliberately not pinned: they may move
-// within solver precision, the selected rules may not.
+// 5K-row stackoverflow table under group-SP fairness plus group coverage,
+// and on german under the paper's own German setting (group-BGL tau=0.1
+// plus group coverage theta=0.3, as bench_table4_german runs it). Each is
+// compared exactly against a fixture: grouping, intervention, support and
+// protected support of every rule, in selection order, plus its overall,
+// protected and non-protected utility printed as hex floats (%a), so a
+// change in the last bit of any utility fails the pin.
 //
 // The fixtures live in tests/fixtures/golden/. To re-record them after a
 // change that is meant to alter the rulesets, run golden_ruleset_test
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -51,6 +53,24 @@ GoldenCase German() {
           std::move(data.protected_pattern), GoldenOptions(0.1, 0.3)};
 }
 
+/// The paper's German setting: group-BGL tau=0.1 with group coverage
+/// theta=0.3 and bench_table4_german's mining options.
+GoldenCase GermanBgl() {
+  GermanData data = MakeGerman().ValueOrDie();
+  FairCapOptions options;
+  options.fairness = FairnessConstraint::GroupBGL(0.1);
+  options.coverage = CoverageConstraint::Group(0.3, 0.3);
+  options.apriori.min_support_fraction = 0.1;
+  options.apriori.max_pattern_length = 2;
+  options.lattice.max_predicates = 2;
+  options.cate.min_group_size = 10;
+  options.min_subgroup_arm = 3;
+  options.num_threads = 1;
+  options.num_shards = 1;
+  return {"german_bgl", std::move(data.df), std::move(data.dag),
+          std::move(data.protected_pattern), std::move(options)};
+}
+
 GoldenCase StackOverflow5k() {
   StackOverflowConfig config;
   config.num_rows = 5000;
@@ -59,8 +79,16 @@ GoldenCase StackOverflow5k() {
           std::move(data.protected_pattern), GoldenOptions(10000.0, 0.5)};
 }
 
+/// A double as a C99 hex float: exact, so equal text means equal bits.
+std::string HexFloat(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
 /// One line per selected rule: grouping | intervention | support |
-/// protected support.
+/// protected support | utility | protected utility | non-protected
+/// utility.
 std::string RulesetText(const GoldenCase& c) {
   auto solver =
       FairCap::Create(&c.df, &c.dag, c.protected_pattern, c.options);
@@ -73,7 +101,10 @@ std::string RulesetText(const GoldenCase& c) {
   for (const PrescriptionRule& rule : result->rules) {
     out << rule.grouping.ToString(c.df.schema()) << " | "
         << rule.intervention.ToString(c.df.schema()) << " | "
-        << rule.support << " | " << rule.support_protected << "\n";
+        << rule.support << " | " << rule.support_protected << " | "
+        << HexFloat(rule.utility) << " | "
+        << HexFloat(rule.utility_protected) << " | "
+        << HexFloat(rule.utility_nonprotected) << "\n";
   }
   return out.str();
 }
@@ -95,12 +126,16 @@ TEST(GoldenRulesetTest, GermanGroupSpGroupCoverage) {
   ExpectMatchesFixture(German());
 }
 
+TEST(GoldenRulesetTest, GermanGroupBglGroupCoverage) {
+  ExpectMatchesFixture(GermanBgl());
+}
+
 TEST(GoldenRulesetTest, StackOverflow5kGroupSpGroupCoverage) {
   ExpectMatchesFixture(StackOverflow5k());
 }
 
 TEST(GoldenRulesetTest, DISABLED_RecordFixtures) {
-  for (const GoldenCase& c : {German(), StackOverflow5k()}) {
+  for (const GoldenCase& c : {German(), GermanBgl(), StackOverflow5k()}) {
     std::ofstream out(FixturePath(c));
     ASSERT_TRUE(out) << FixturePath(c);
     out << RulesetText(c);
