@@ -8,12 +8,10 @@
 
 #include "causal/linear_model.h"
 #include "causal/logistic.h"
-#include "mining/shard_plan.h"
 #include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 #include "util/simd/simd.h"
-#include "util/task_scheduler.h"
 
 namespace faircap {
 
@@ -751,87 +749,18 @@ void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
   }
 }
 
-CateSubgroupEstimates CateStatsEngine::SolveSubgroups(
-    const Accum& overall, const Accum& prot, const Accum& nonprot,
-    const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  CateSubgroupEstimates out;
-  const Slice whole{&group, nullptr, false};
-  out.overall = Solve(overall, whole, min_group_size);
-  if (protected_mask == nullptr) return out;
-  if (skip_subgroups_unless_positive &&
-      (!out.overall.ok() || out.overall->cate <= 0.0)) {
-    return out;
-  }
-  const Slice prot_slice{&group, protected_mask, true};
-  const Slice nonprot_slice{&group, protected_mask, false};
-  out.protected_group = Solve(prot, prot_slice, min_subgroup_size);
-  out.nonprotected = Solve(nonprot, nonprot_slice, min_subgroup_size);
-  return out;
-}
-
 CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateSubgroups(
-    const Bitmap& group, const Bitmap* protected_mask, const ShardPlan* plan,
-    TaskGroup* tasks) const {
+    const Bitmap& group, const Bitmap* protected_mask) const {
   SubgroupAccums out;
   out.split = protected_mask != nullptr;
   out.rows_covered = df_->num_rows();
-
-  if (plan == nullptr || plan->num_shards() <= 1) {
-    out.overall = MakeAccum();
-    if (out.split) {
-      out.prot = MakeAccum();
-      out.nonprot = MakeAccum();
-    }
-    AccumulateRange(group, protected_mask, 0, group.num_words(), &out.overall,
-                    &out.prot, &out.nonprot);
-    return out;
+  out.overall = MakeAccum();
+  if (out.split) {
+    out.prot = MakeAccum();
+    out.nonprot = MakeAccum();
   }
-  FAIRCAP_CHECK(plan->num_rows() == group.size());
-  const size_t shards = plan->num_shards();
-  const bool split = out.split;
-
-  // Per-shard partials, accumulated independently over each shard's word
-  // range. The IPW row-level fallback (numeric confounders) re-walks the
-  // whole group inside Solve and is row-order deterministic either way.
-  std::vector<Accum> overall_parts(shards);
-  std::vector<Accum> prot_parts(split ? shards : 0);
-  std::vector<Accum> nonprot_parts(split ? shards : 0);
-  auto accumulate_shard = [&](size_t s) {
-    const obs::TraceSpan shard_span("shard", static_cast<int64_t>(s));
-    const ShardPlan::Shard& shard = plan->shard(s);
-    overall_parts[s] = MakeAccum();
-    if (split) {
-      prot_parts[s] = MakeAccum();
-      nonprot_parts[s] = MakeAccum();
-    }
-    AccumulateRange(group, protected_mask, shard.word_begin, shard.word_end,
-                    &overall_parts[s], split ? &prot_parts[s] : nullptr,
-                    split ? &nonprot_parts[s] : nullptr);
-  };
-  if (tasks == nullptr) {
-    for (size_t s = 0; s < shards; ++s) accumulate_shard(s);
-  } else {
-    // Child tasks of the caller's group; Wait() inside ParallelFor helps
-    // (executes pending shard tasks) so this nests freely under a
-    // pattern task on the same scheduler.
-    tasks->ParallelFor(shards, accumulate_shard);
-  }
-
-  // Merge in ascending shard order — fixed by the plan, not by thread
-  // scheduling — so the result is deterministic for this shard count.
-  out.overall = std::move(overall_parts[0]);
-  if (split) {
-    out.prot = std::move(prot_parts[0]);
-    out.nonprot = std::move(nonprot_parts[0]);
-  }
-  for (size_t s = 1; s < shards; ++s) {
-    MergeAccum(&out.overall, overall_parts[s]);
-    if (split) {
-      MergeAccum(&out.prot, prot_parts[s]);
-      MergeAccum(&out.nonprot, nonprot_parts[s]);
-    }
-  }
+  AccumulateRange(group, protected_mask, 0, group.num_words(), &out.overall,
+                  &out.prot, &out.nonprot);
   return out;
 }
 
@@ -911,28 +840,33 @@ CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
   FAIRCAP_CHECK(accums.overall.n.size() == slots);
   FAIRCAP_CHECK(!accums.split || (accums.prot.n.size() == slots &&
                                   accums.nonprot.n.size() == slots));
-  return SolveSubgroups(accums.overall, accums.prot, accums.nonprot, group,
-                        protected_mask, min_group_size, min_subgroup_size,
-                        skip_subgroups_unless_positive);
+  CateSubgroupEstimates out;
+  const Slice whole{&group, nullptr, false};
+  out.overall = Solve(accums.overall, whole, min_group_size);
+  if (protected_mask == nullptr) return out;
+  if (skip_subgroups_unless_positive &&
+      (!out.overall.ok() || out.overall->cate <= 0.0)) {
+    return out;
+  }
+  const Slice prot_slice{&group, protected_mask, true};
+  const Slice nonprot_slice{&group, protected_mask, false};
+  out.protected_group = Solve(accums.prot, prot_slice, min_subgroup_size);
+  out.nonprotected = Solve(accums.nonprot, nonprot_slice, min_subgroup_size);
+  return out;
 }
 
 CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
     const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
     size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  return EstimateSubgroups(group, protected_mask, min_group_size,
-                           min_subgroup_size, skip_subgroups_unless_positive,
-                           /*plan=*/nullptr, /*tasks=*/nullptr);
-}
-
-CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
-    const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive,
-    const ShardPlan* plan, TaskGroup* tasks) const {
-  const SubgroupAccums acc =
-      AccumulateSubgroups(group, protected_mask, plan, tasks);
-  return SolveSubgroups(acc.overall, acc.prot, acc.nonprot, group,
-                        protected_mask, min_group_size, min_subgroup_size,
-                        skip_subgroups_unless_positive);
+  // Child spans of the caller's "eval": the row pass and the solves.
+  SubgroupAccums acc;
+  {
+    const obs::TraceSpan accumulate_span("accumulate");
+    acc = AccumulateSubgroups(group, protected_mask);
+  }
+  const obs::TraceSpan solve_span("solve");
+  return SolveFromAccums(acc, group, protected_mask, min_group_size,
+                         min_subgroup_size, skip_subgroups_unless_positive);
 }
 
 }  // namespace faircap

@@ -31,11 +31,12 @@
 // outcome sums and moments in double, added in ascending row order. On an
 // integer-valued outcome each partial Σy and Σy² is an integer, exact in
 // double while below 2^53, so those sums are the same bits under every
-// shard split, thread count and append schedule.
+// thread count and append schedule.
 
 #ifndef FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
 #define FAIRCAP_CAUSAL_CATE_STATS_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,9 +49,6 @@
 #include "util/result.h"
 
 namespace faircap {
-
-class ShardPlan;    // mining/shard_plan.h
-class TaskGroup;    // util/task_scheduler.h
 
 /// Quantile bin edges for a numeric confounder (the stratified method's
 /// binning). Shared by the partition build and the test-side reference
@@ -147,7 +145,7 @@ class ConfounderPartition {
     return numeric_values_;
   }
   /// numeric_values() as a raw pointer span, precomputed at build so the
-  /// per-shard accumulation passes need no per-call heap allocation.
+  /// accumulation passes need no per-call heap allocation.
   const double* const* numeric_value_ptrs() const {
     return numeric_value_ptrs_.data();
   }
@@ -245,26 +243,6 @@ class CateStatsEngine {
       size_t min_group_size, size_t min_subgroup_size,
       bool skip_subgroups_unless_positive = false) const;
 
-  /// Sharded variant: the accumulation pass fans out as child tasks of
-  /// `tasks` (one per shard of `plan`), each walking only its word-aligned
-  /// word range; shard partials merge by addition in ascending shard
-  /// order before the solves. Because TaskGroup::Wait() helps (executes
-  /// pending tasks instead of blocking), this is legal from inside
-  /// another task on the same scheduler — the Step-2 pattern x shard
-  /// graph nests exactly this call under each pattern task. The merge
-  /// order is fixed by the plan — not by thread scheduling — so a run is
-  /// deterministic for a given shard count, and all integer statistics
-  /// (arm counts, support) are exactly the unsharded values regardless
-  /// of shard count. With a null/schedulerless group or a single-shard
-  /// plan this is the unsharded path, bit for bit. `tasks` must be
-  /// quiescent (no pending tasks): the call uses it as its completion
-  /// barrier.
-  CateSubgroupEstimates EstimateSubgroups(
-      const Bitmap& group, const Bitmap* protected_mask,
-      size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive, const ShardPlan* plan,
-      TaskGroup* tasks) const;
-
   /// Per-subgroup sufficient statistics, indexed cell-major with two arms
   /// (idx = 2*cell + arm; arm 1 = treated). Numeric moment blocks are
   /// allocated only for the regression method with numeric confounders.
@@ -297,30 +275,36 @@ class CateStatsEngine {
     size_t rows_covered = 0;
   };
 
-  /// Full accumulation pass over `group` (optionally sharded across
-  /// `plan` via `tasks`, partials merged in ascending shard order — the
-  /// same pass EstimateSubgroups runs before its solves). The protected
+  /// Full accumulation pass over `group`, in ascending row order — the
+  /// same pass EstimateSubgroups runs before its solves. The protected
   /// split is always filled when `protected_mask` is non-null, so a
   /// cached result can serve later solves regardless of which subgroups
-  /// they request. A multi-shard `plan` must cover group.size() rows;
-  /// a mismatch aborts in every build type.
+  /// they request.
+  SubgroupAccums AccumulateSubgroups(const Bitmap& group,
+                                     const Bitmap* protected_mask) const;
+
+  /// The retired four-argument form, whose last two slots took a row
+  /// shard plan and its task group; only nullptr binds to them, so it is
+  /// exactly the overload above. perfbench/probe.cc still calls it.
   SubgroupAccums AccumulateSubgroups(const Bitmap& group,
                                      const Bitmap* protected_mask,
-                                     const ShardPlan* plan,
-                                     TaskGroup* tasks) const;
+                                     std::nullptr_t, std::nullptr_t) const {
+    return AccumulateSubgroups(group, protected_mask);
+  }
 
   /// Accumulates ONLY rows >= row_begin of `group` — the delta tail of an
   /// append. Because delta rows are strictly after all resident rows,
   /// merging this into an accumulation that covered [0, row_begin)
   /// reproduces the full-table pass: exactly on integer-valued outcomes,
-  /// and to shard-merge precision on real-valued ones.
+  /// and to within one reassociation of each per-slot sum (<=1e-9
+  /// relative) on real-valued ones.
   SubgroupAccums AccumulateDelta(const Bitmap& group,
                                  const Bitmap* protected_mask,
                                  size_t row_begin) const;
 
-  /// `into += from` over all three accums (shard-merge semantics), after
-  /// growing `into` to the partition's current slot count. Advances
-  /// into->rows_covered to from's.
+  /// `into += from` over all three accums, after growing `into` to the
+  /// partition's current slot count. Advances into->rows_covered to
+  /// from's.
   void MergeSubgroupAccums(SubgroupAccums* into,
                            const SubgroupAccums& from) const;
 
@@ -369,28 +353,22 @@ class CateStatsEngine {
     bool protected_member = false;           ///< filter polarity
   };
 
-  /// Accumulation restricted to bitmap words [word_begin, word_end) — the
-  /// per-shard view. The unsharded pass is the full range [0,
-  /// group.num_words()), so a single-shard plan reproduces it bit for bit.
+  /// Accumulation restricted to bitmap words [word_begin, word_end). The
+  /// full pass is [0, group.num_words()); an append's delta pass starts
+  /// at the word holding its first new row.
   void AccumulateRange(const Bitmap& group, const Bitmap* protected_mask,
                        size_t word_begin, size_t word_end, Accum* overall,
                        Accum* prot, Accum* nonprot) const;
 
   /// Element-wise `into += from` over every statistic (counts, outcome
-  /// sums, numeric moments) — the shard-merge step.
+  /// sums, numeric moments) — folds an append's delta into a cached
+  /// accumulation.
   void MergeAccum(Accum* into, const Accum& from) const;
 
   /// Resize an accum that predates delta-interned cells up to the current
   /// partition slot count (new cells append, so resident slots keep
   /// their indices).
   void GrowAccum(Accum* acc) const;
-
-  /// The shared triple-solve tail of both EstimateSubgroups overloads.
-  CateSubgroupEstimates SolveSubgroups(
-      const Accum& overall, const Accum& prot, const Accum& nonprot,
-      const Bitmap& group, const Bitmap* protected_mask,
-      size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive) const;
 
   Result<CateEstimate> Solve(const Accum& acc, const Slice& slice,
                              size_t min_group_size) const;

@@ -4,7 +4,6 @@
 
 #include "causal/backdoor.h"
 #include "causal/cate_stats_engine.h"
-#include "mining/shard_plan.h"
 #include "util/logging.h"
 #include "util/obs/metrics.h"
 
@@ -260,16 +259,6 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
     const Pattern& intervention, const Bitmap& group,
     const Bitmap* protected_mask, size_t min_subgroup_size,
     bool skip_subgroups_unless_positive) const {
-  return EstimateSubgroups(intervention, group, protected_mask,
-                           min_subgroup_size, skip_subgroups_unless_positive,
-                           /*plan=*/nullptr, /*tasks=*/nullptr);
-}
-
-Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
-    const Pattern& intervention, const Bitmap& group,
-    const Bitmap* protected_mask, size_t min_subgroup_size,
-    bool skip_subgroups_unless_positive, const ShardPlan* plan,
-    TaskGroup* tasks) const {
   // The engine walks every mask in lockstep over the table's words; a
   // mask over a different row count would be read out of bounds.
   const size_t num_rows = df_->num_rows();
@@ -283,11 +272,6 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
         "protected bitmap has " + std::to_string(protected_mask->size()) +
         " rows; the table has " + std::to_string(num_rows));
   }
-  if (plan != nullptr && plan->num_rows() != num_rows) {
-    return Status::InvalidArgument(
-        "shard plan covers " + std::to_string(plan->num_rows()) +
-        " rows; the table has " + std::to_string(num_rows));
-  }
   static obs::Counter& batch_evals =
       obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
   batch_evals.Increment();
@@ -298,7 +282,7 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
                                                 : options_.min_group_size;
   return engine->EstimateSubgroups(group, protected_mask,
                                    options_.min_group_size, min_sub,
-                                   skip_subgroups_unless_positive, plan, tasks);
+                                   skip_subgroups_unless_positive);
 }
 
 CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {

@@ -34,8 +34,6 @@ namespace faircap {
 
 class CateStatsEngine;       // causal/cate_stats_engine.h
 class ConfounderPartition;   // causal/cate_stats_engine.h
-class ShardPlan;             // mining/shard_plan.h
-class TaskGroup;             // util/task_scheduler.h
 
 /// Estimation method.
 enum class CateMethod {
@@ -122,21 +120,6 @@ class CateEstimator {
       const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
       bool skip_subgroups_unless_positive = false) const;
-
-  /// Sharded batch path: the engine's accumulation pass fans out as
-  /// child tasks of `tasks`, one per word-aligned shard of `plan`, with
-  /// shard partials merged in ascending shard order before the solves
-  /// (see CateStatsEngine::EstimateSubgroups). Legal from inside another
-  /// task on the same scheduler — Wait() helps instead of blocking.
-  /// Null `plan`/`tasks` (or a single-shard plan) is exactly the
-  /// unsharded batch path. `tasks` must be quiescent: the call uses it
-  /// as its completion barrier. A `plan` over a different row count is
-  /// InvalidArgument, like a mismatched bitmap.
-  Result<CateSubgroupEstimates> EstimateSubgroups(
-      const Pattern& intervention, const Bitmap& group,
-      const Bitmap* protected_mask, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive, const ShardPlan* plan,
-      TaskGroup* tasks) const;
 
   /// The cached sufficient-statistics engine for `intervention`, built on
   /// first use. Shared ownership: the engine stays valid for the holder

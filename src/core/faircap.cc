@@ -1,14 +1,10 @@
 #include "core/faircap.h"
 
 #include <algorithm>
-#include <mutex>
-
 #include <thread>
 
 #include "core/benefit.h"
 #include "core/incremental.h"
-#include "dataframe/predicate_index.h"
-#include "mining/shard_plan.h"
 #include "util/obs/metrics.h"
 #include "util/obs/run_report.h"
 #include "util/obs/trace.h"
@@ -173,8 +169,7 @@ PrescriptionRule FairCap::CostRule(const Pattern& grouping,
                 estimator_, grouping.Key(), intervention, rule.coverage,
                 protected_mask_, /*want_subgroups=*/true,
                 options_.min_subgroup_arm,
-                /*skip_subgroups_unless_positive=*/false,
-                /*plan=*/nullptr, /*tasks=*/nullptr)
+                /*skip_subgroups_unless_positive=*/false)
           : estimator_.EstimateSubgroups(intervention, rule.coverage,
                                          &protected_mask_,
                                          options_.min_subgroup_arm);
@@ -216,56 +211,25 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
   std::vector<std::vector<PrescriptionRule>> per_group(groups.size());
   std::vector<size_t> evals(groups.size(), 0);
 
-  // One work-stealing scheduler runs the whole two-level task graph:
-  // grouping patterns fan out as top-level tasks, and each treatment
-  // evaluation's sharded sufficient-statistics pass fans out as child
-  // tasks of its pattern task (TaskGroup::Wait helps, so the nesting is
-  // deadlock-free). Both axes share the same workers — a lone hot
-  // pattern saturates the pool through its shard tasks while many small
-  // patterns saturate it through the pattern axis, with stealing
-  // balancing any skew in between. Determinism is unaffected by which
-  // worker runs what: per-pattern results land in per_group[g] and shard
-  // partials merge in ascending shard order fixed by the plan.
+  // Grouping patterns are the unit of parallel work, as in the paper's
+  // per-group Step 2: one work-stealing ParallelFor runs each pattern's
+  // whole lattice as a task, and every evaluation is one ascending-row
+  // pass over the table. Which worker runs a pattern never shows in the
+  // output — its results land in per_group[g] and are concatenated in
+  // pattern order — so a run is bit-identical at every thread count.
   const size_t threads =
       options_.num_threads == 0
           ? std::max<size_t>(1, std::thread::hardware_concurrency())
           : options_.num_threads;
-  const size_t requested_shards =
-      options_.num_shards == 0 ? threads : options_.num_shards;
-  const ShardPlan plan = ShardPlan::Create(df_->num_rows(), requested_shards);
-  const bool sharded = plan.num_shards() > 1;
   std::unique_ptr<TaskScheduler> scheduler;
   if (threads > 1) scheduler = std::make_unique<TaskScheduler>(threads);
-  const ShardPlan* eval_plan = sharded ? &plan : nullptr;
-
-  if (sharded) {
-    const obs::TraceSpan warm_span("warm_start_masks");
-    // Warm the treatment-atom masks up front with sharded columnar scans
-    // (each worker scans only its word range; per-shard results merge by
-    // word-level OR into the table's shared PredicateIndex), so the
-    // lattice's first touch of each atom never serializes on one core.
-    const PredicateIndex& index = df_->predicate_index();
-    for (size_t attr : mutable_attrs_) {
-      const Column& col = df_->column(attr);
-      if (col.type() != AttrType::kCategorical || col.num_categories() == 0 ||
-          col.num_categories() > PredicateIndex::kBatchBuildMaxCategories) {
-        continue;
-      }
-      // Already warm (streaming ingest, or an earlier run over this
-      // table): rebuilding masks the index would discard is pure waste.
-      if (index.CategoryMasksCached(*df_, attr)) continue;
-      index.WarmStartCategoryMasks(
-          *df_, attr,
-          BuildCategoryMasksSharded(*df_, attr, plan, scheduler.get()));
-    }
-  }
 
   IncrementalState* const inc = options_.incremental_state.get();
 
   auto mine_one = [&](size_t g) {
     // One span per grouping pattern ("args":{"v":g}); the nested "eval"
-    // and "shard" spans beneath it give the trace its pattern -> shard
-    // hierarchy on each worker track.
+    // spans, and their "accumulate" and "solve" children, give the trace
+    // its pattern -> eval hierarchy on each worker track.
     const obs::TraceSpan pattern_span("pattern",
                                       static_cast<int64_t>(g));
     const FrequentPattern& group = groups[g];
@@ -289,11 +253,7 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
         [&](const Pattern& intervention) -> std::optional<TreatmentEval> {
       const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
       // The overall estimate and the protected / non-protected slices
-      // come from the same one-pass engine. Each evaluation gets its own
-      // TaskGroup as the barrier for its shard fan-out — child tasks of
-      // this pattern task, executed by whichever workers are free (Wait
-      // helps, so this is legal from inside the pattern task).
-      TaskGroup shard_tasks(scheduler.get());
+      // come from the same one-pass engine.
       Result<CateSubgroupEstimates> batch =
           inc != nullptr
               ? inc->EstimateWithCache(
@@ -301,14 +261,12 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
                     protected_mask_,
                     /*want_subgroups=*/needs_group_utilities,
                     options_.min_subgroup_arm,
-                    /*skip_subgroups_unless_positive=*/true, eval_plan,
-                    eval_plan != nullptr ? &shard_tasks : nullptr)
+                    /*skip_subgroups_unless_positive=*/true)
               : estimator_.EstimateSubgroups(
                     intervention, group.coverage,
                     needs_group_utilities ? &protected_mask_ : nullptr,
                     options_.min_subgroup_arm,
-                    /*skip_subgroups_unless_positive=*/true, eval_plan,
-                    eval_plan != nullptr ? &shard_tasks : nullptr);
+                    /*skip_subgroups_unless_positive=*/true);
       if (!batch.ok()) return std::nullopt;
       const CateSubgroupEstimates ests = std::move(batch).ValueOrDie();
       if (!ests.overall.ok()) return std::nullopt;
@@ -397,9 +355,6 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
   if (scheduler == nullptr) {
     for (size_t g = 0; g < groups.size(); ++g) mine_one(g);
   } else {
-    // Top level of the task graph: one chunked fan-out over the grouping
-    // patterns. Each pattern task spawns its evaluations' shard tasks as
-    // children on the same workers — no axis ever idles the pool.
     scheduler->ParallelFor(groups.size(), mine_one);
   }
   if (scheduler_stats != nullptr) {

@@ -39,32 +39,13 @@ struct FairCapOptions {
   FairnessConstraint fairness;
   CoverageConstraint coverage;
   /// Worker threads for Step-2 mining (0 = hardware concurrency,
-  /// 1 = sequential). All parallelism of a run — grouping patterns AND
-  /// the per-evaluation shard fan-out — shares this one work-stealing
-  /// scheduler (util/task_scheduler.h): pattern tasks submit their
-  /// treatment evaluations' sharded sufficient-statistics passes as
-  /// child tasks on the same workers, so both axes saturate the pool no
-  /// matter how the work is skewed.
+  /// 1 = sequential). Grouping patterns are the unit of parallel work:
+  /// each runs its whole intervention lattice as one task on a
+  /// work-stealing scheduler (util/task_scheduler.h), and every
+  /// evaluation is one ascending-row pass over the table. A pattern's
+  /// results land in its own slot, so the selected rules and their
+  /// utilities are bit-identical at every thread count.
   size_t num_threads = 0;
-  /// Row-universe shards for Step-2 treatment mining (1 = unsharded
-  /// oracle; 0 = match the resolved thread count). With more than one
-  /// shard each treatment evaluation's sufficient-statistics pass fans
-  /// out across word-aligned row shards as child tasks of its pattern
-  /// task — one hot grouping pattern saturates every core instead of
-  /// serializing on one, while many small patterns still spread across
-  /// workers through the pattern axis (the old either/or restriction —
-  /// sequential patterns when sharded, and the implicit
-  /// "only shard when groups < threads" heuristic — is gone: the
-  /// work-stealing scheduler runs both axes at once). Shard partials
-  /// merge in ascending shard order (deterministic for a fixed shard
-  /// count regardless of thread count); all integer statistics match the
-  /// unsharded path exactly. The unsharded path (num_shards=1) is the
-  /// pinning oracle. Caveat of the 0 default: the resolved shard count
-  /// follows the machine's core count, and different shard counts
-  /// reassociate floating-point sums (<=1e-9 relative on continuous
-  /// outcomes) — runs that must be bit-reproducible across machines
-  /// should pin an explicit shard count (or 1).
-  size_t num_shards = 0;
   /// Byte cap for the estimator's per-treatment engine cache
   /// (CateEstimator::SetEngineMemoryBudget). 0 = unlimited.
   size_t engine_memory_budget = 0;
@@ -89,7 +70,8 @@ struct FairCapOptions {
   /// accumulated — and re-emits whole groups whose support the delta left
   /// untouched. A cold-cache run is
   /// bit-identical to one without the state; after appends, integer
-  /// outcomes stay exact and FP matches to shard-merge precision.
+  /// outcomes stay exact and FP matches to within one reassociation of
+  /// each per-slot sum (<=1e-9 relative).
   /// Typically owned by an IncrementalSession.
   std::shared_ptr<IncrementalState> incremental_state;
 };
@@ -102,8 +84,9 @@ struct SchedulerStats {
   bool collected = false;        ///< false = the run never filled this in
   bool inline_execution = false; ///< true = single-threaded, no scheduler
   size_t workers = 0;    ///< scheduler worker threads (0 when inline)
-  size_t tasks = 0;      ///< tasks executed (pattern + shard + warm-up);
-                         ///< on the inline path, the grouping patterns run
+  size_t tasks = 0;      ///< tasks executed (one per grouping-pattern
+                         ///< chunk); on the inline path, the grouping
+                         ///< patterns run
   size_t stolen = 0;     ///< tasks a worker took from another's deque
   size_t helped = 0;     ///< tasks run inline by a waiting thread
 };
@@ -151,11 +134,10 @@ class FairCap {
   Result<std::vector<FrequentPattern>> MineGroupingPatterns() const;
 
   /// Step 2 only: candidate prescription rules for the given grouping
-  /// patterns. Runs the pattern x shard task graph on one work-stealing
-  /// scheduler: pattern tasks fan out across workers, and each treatment
-  /// evaluation's sharded sufficient-statistics pass nests as child
-  /// tasks of its pattern task. Also usable with externally supplied
-  /// grouping patterns (baseline adapters, Section 7.1).
+  /// patterns, in parallel over the patterns on one work-stealing
+  /// scheduler: each pattern task runs its whole intervention lattice.
+  /// Also usable with externally supplied grouping patterns (baseline
+  /// adapters, Section 7.1).
   /// `scheduler_stats`, when non-null, receives the run's execution
   /// counters.
   Result<std::vector<PrescriptionRule>> MineCandidateRules(

@@ -154,8 +154,7 @@ Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
     const CateEstimator& estimator, const std::string& group_key,
     const Pattern& intervention, const Bitmap& group,
     const Bitmap& protected_mask, bool want_subgroups,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive,
-    const ShardPlan* plan, TaskGroup* tasks) {
+    size_t min_subgroup_size, bool skip_subgroups_unless_positive) {
   FAIRCAP_ASSIGN_OR_RETURN(
       const std::shared_ptr<const CateStatsEngine> engine,
       estimator.EngineFor(intervention));
@@ -195,15 +194,14 @@ Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
                                    min_sub, skip_subgroups_unless_positive);
   }
 
-  // Miss (or stale lineage): full pass — sharded exactly like the
+  // Miss (or stale lineage): full pass — the same pass as the
   // non-caching path, so a cold-cache run is bit-identical to one with
   // no IncrementalState at all. The accumulation is always split on the
   // protected mask so one cached shape serves both the fairness-aware
   // evaluator and rule costing.
   auto fresh = std::make_unique<AccumEntry>();
   fresh->lineage = lineage;
-  fresh->accums =
-      engine->AccumulateSubgroups(group, &protected_mask, plan, tasks);
+  fresh->accums = engine->AccumulateSubgroups(group, &protected_mask);
   const CateSubgroupEstimates out =
       engine->SolveFromAccums(fresh->accums, group, mask, min_group, min_sub,
                               skip_subgroups_unless_positive);

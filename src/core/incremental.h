@@ -7,10 +7,11 @@
 //     statistics (CateStatsEngine::SubgroupAccums) are cached across
 //     runs. On a hit whose partition lineage still matches, only the
 //     delta rows [rows_covered, num_rows) are accumulated and merged in
-//     — exactly the shard-merge contract, so integer statistics match a
-//     cold accumulation bit for bit and FP statistics to shard-merge
-//     precision. A partition rebuilt cold gets a fresh lineage id, so a
-//     stale accum can never be merged against re-numbered cells.
+//     by per-slot addition, so integer statistics match a cold
+//     accumulation bit for bit and FP statistics to within one
+//     reassociation (<=1e-9 relative). A partition rebuilt cold gets a
+//     fresh lineage id, so a stale accum can never be merged against
+//     re-numbered cells.
 //
 //   * Group-level (gated): a grouping pattern whose support did not
 //     change gained no delta rows, so every estimate over its coverage
@@ -88,14 +89,13 @@ class IncrementalState {
   /// lineage: accumulate only the delta rows and merge
   /// (`append.evals_delta`), or solve straight from the cache when
   /// already current (`append.evals_cached`). Miss or stale lineage:
-  /// full (optionally sharded) pass, cached for next time
+  /// full pass, cached for next time
   /// (`append.evals_full`).
   Result<CateSubgroupEstimates> EstimateWithCache(
       const CateEstimator& estimator, const std::string& group_key,
       const Pattern& intervention, const Bitmap& group,
       const Bitmap& protected_mask, bool want_subgroups,
-      size_t min_subgroup_size, bool skip_subgroups_unless_positive,
-      const ShardPlan* plan, TaskGroup* tasks);
+      size_t min_subgroup_size, bool skip_subgroups_unless_positive);
 
   /// Cache observability (tests, CLI `append` verb).
   struct CacheStats {

@@ -83,17 +83,6 @@ Bitmap Bitmap::operator|(const Bitmap& other) const {
   return out;
 }
 
-void Bitmap::OrWordsAt(size_t word_offset, const uint64_t* src,
-                       size_t num_words) {
-  FAIRCAP_CHECK(word_offset + num_words <= words_.size());
-  simd::ActiveKernels().or_inplace(words_.data() + word_offset, src,
-                                   num_words);
-  // Only the merge that owns the final word may touch padding: a
-  // concurrent merger of an earlier word range must never read-modify-
-  // write words it does not own.
-  if (word_offset + num_words == words_.size()) ClearPadding();
-}
-
 Bitmap Bitmap::operator~() const {
   Bitmap out = *this;
   for (auto& w : out.words_) w = ~w;

@@ -95,19 +95,9 @@ class Bitmap {
   /// padding bits past size() clear.
   uint64_t* mutable_words() { return words_.data(); }
 
-  /// ORs `num_words` words of `src` into this bitmap starting at word
-  /// `word_offset` — the shard-merge primitive: a shard's scan result
-  /// (a word buffer covering only its word range) folds into the shared
-  /// mask without materializing a full-size bitmap per shard. Word-aligned
-  /// shards own disjoint ranges, so concurrent merges into one bitmap
-  /// write different vector elements and need no locking. Bits past
-  /// size() must be zero in `src`'s last word (padding stays clear). The
-  /// range must lie within the bitmap (checked).
-  void OrWordsAt(size_t word_offset, const uint64_t* src, size_t num_words);
-
   /// Calls fn(i) for each bit set in both `*this` and `other`, ascending,
-  /// without materializing the intersection. Sizes must match (checked; a
-  /// buggy shard view would produce exactly such a mismatch).
+  /// without materializing the intersection. Sizes must match (checked
+  /// in every build type, like the whole-bitmap operations).
   template <typename Fn>
   void ForEachAnd(const Bitmap& other, Fn&& fn) const {
     FAIRCAP_CHECK(num_bits_ == other.num_bits_);

@@ -1,6 +1,6 @@
 // SCM-driven synthetic workload generator. The two paper datasets top out
 // at 38K rows; the scale experiments (ingest throughput, warm-index
-// pipelines, future sharded mining) need paper-shaped data at 100K–5M
+// pipelines, multi-threaded mining) need paper-shaped data at 100K–5M
 // rows. This generator builds a parameterized structural causal model with
 // the same anatomy as the German / StackOverflow SCMs — a protected root,
 // skewed immutable grouping attributes, confounded mutable treatment
@@ -47,9 +47,9 @@ struct SyntheticConfig {
   double effect_scale = 100.0;
   double noise_stddev = 25.0;
   /// Round the outcome to the nearest integer (a score/count-style
-  /// outcome). Integer-valued outcome columns take the estimation
-  /// engine's exact int64 accumulation path, so this knob is how benches
-  /// and tests exercise that path at scale.
+  /// outcome). Sums of integer outcomes are exact in double, so appends
+  /// reproduce a cold run's estimates bit for bit; this knob is how
+  /// benches and tests exercise that case at scale.
   bool integer_outcome = false;
 };
 

@@ -1,8 +1,9 @@
 // Span tracer: RAII scopes recorded into lock-free per-thread buffers and
 // flushed at run end as Chrome trace-event JSON, loadable in Perfetto
 // (ui.perfetto.dev) or chrome://tracing. A whole pipeline run — ingest
-// segments, index warm-start, per-pattern lattice evaluation, per-shard
-// accumulation tasks, greedy selection — lands on one timeline with a
+// segments, index warm-start, per-pattern lattice evaluation, each
+// evaluation's accumulate and solve, greedy selection — lands on one
+// timeline with a
 // track per thread (scheduler workers name their tracks "worker-N").
 //
 // Cost contract: with tracing disabled (the default) constructing a
@@ -13,7 +14,7 @@
 // locks are taken after a thread's first event.
 //
 // Span names must be string literals (static storage): the tracer stores
-// the pointer, not a copy. Variable identity (pattern index, shard id)
+// the pointer, not a copy. Variable identity (e.g. the pattern index)
 // goes in the integer arg, emitted as "args":{"v":N}.
 //
 // Flush protocol: WriteChromeTrace() must not race live span writers.

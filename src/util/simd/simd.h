@@ -10,8 +10,8 @@
 // tier is pinned to produce identical results: counts and mask words are
 // exact integers, and the accumulation kernel performs its float adds in
 // the same ascending-row association order as the scalar loop, so the
-// repo's bit-for-bit determinism contracts (shard counts, thread counts,
-// legacy-oracle pinning) hold at every ISA level. Integer-valued outcomes
+// repo's bit-for-bit determinism contracts (thread counts, reference-
+// oracle pinning) hold at every ISA level. Integer-valued outcomes
 // need no separate path: every partial sum of integers below 2^53 is
 // exact in double, whatever the order.
 

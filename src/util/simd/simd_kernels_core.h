@@ -14,7 +14,7 @@
 // — a vectorized scatter-add (which would race with itself and
 // reassociate) is never used. On integer-valued outcomes every partial
 // sum below 2^53 is an exact integer in double, so those sums match
-// bit for bit under any shard split as well.
+// bit for bit under any split into delta passes as well.
 
 #ifndef FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_
 #define FAIRCAP_UTIL_SIMD_SIMD_KERNELS_CORE_H_

@@ -1,19 +1,16 @@
 // TaskScheduler: work-stealing execution engine behind every parallel
 // phase of the pipeline. In a fixed pool with one global FIFO and a
 // blocking Wait(), a task can never wait for child tasks on the same pool
-// — sharded Step-2 mining would have to serialize grouping patterns and
-// run only the shard axis in parallel. Here each worker owns
-// a Chase–Lev-style deque (owner pushes/pops LIFO at the bottom, thieves
-// take FIFO from the top), external threads inject through a shared
-// queue, and TaskGroup::Wait() *helps* — it finds and executes pending
-// tasks of its own group (own deque first, then the injection queue, then
-// other workers' deques) instead of blocking while any are runnable. That
-// makes nested submission legal and deadlock-free by construction:
+// without risking deadlock. Here each worker owns a Chase–Lev-style deque
+// (owner pushes/pops LIFO at the bottom, thieves take FIFO from the top),
+// external threads inject through a shared queue, and TaskGroup::Wait()
+// *helps* — it finds and executes pending tasks of its own group (own
+// deque first, then the injection queue, then other workers' deques)
+// instead of blocking while any are runnable. That makes nested
+// submission legal and deadlock-free by construction:
 //
-//   * a task may create a TaskGroup and ParallelFor over it (the Step-2
-//     pattern x shard graph: each pattern task fans its treatment
-//     evaluations' sufficient-statistics passes out as child shard tasks
-//     on the same workers);
+//   * a task may create a TaskGroup and ParallelFor over it, running its
+//     child tasks on the same workers;
 //   * Wait() blocks only when every task of its group is already running
 //     on some other thread — and those threads bottom out at leaf tasks,
 //     so progress is guaranteed;
@@ -21,10 +18,11 @@
 //     task id and merge in a fixed order, so which worker ran what never
 //     changes a result.
 //
-// The deques are small and mutex-guarded (tasks here are coarse — a shard
-// accumulation pass, a pattern mining run — so queue operations are not
-// the bottleneck; a lock-free Chase–Lev buys nothing at this granularity
-// and costs TSan-auditable subtlety). Exceptions thrown by tasks are
+// The deques are small and mutex-guarded (tasks here are coarse — a
+// grouping pattern's whole lattice run, a CSV chunk parse, a chunk of
+// greedy candidates — so queue operations are not the bottleneck; a
+// lock-free Chase–Lev buys nothing at this granularity and costs
+// TSan-auditable subtlety). Exceptions thrown by tasks are
 // captured per group and rethrown from Wait().
 
 #ifndef FAIRCAP_UTIL_TASK_SCHEDULER_H_
@@ -104,9 +102,10 @@ class TaskGroup {
   std::exception_ptr error_ GUARDED_BY(mu_);   // first failure
 };
 
-/// The worker pool. One instance runs every parallel axis of a pipeline
-/// invocation (patterns, shards, ingest chunks) so the axes share workers
-/// instead of competing through separate pools.
+/// The worker pool. Each parallel phase (Step-2 grouping patterns, CSV
+/// chunk parsing, greedy scoring) runs on one instance, and tasks nested
+/// inside it share its workers instead of competing through a second
+/// pool.
 class TaskScheduler {
  public:
   /// Execution counters (surfaced by the CLI after a run). `executed`

@@ -150,36 +150,9 @@ TEST(BitmapTest, ForEachAndSkipsBitsOutsideEither) {
   EXPECT_EQ(seen[1], 129u);
 }
 
-TEST(BitmapTest, OrWordsAtMergesDisjointShards) {
-  // Simulate the shard merge: two word-aligned shards of a 150-bit
-  // universe fold their local word buffers into one shared mask.
-  Bitmap merged(150);
-  const uint64_t shard0[2] = {1ULL << 3, 1ULL << 63};   // rows 3, 127
-  const uint64_t shard1[1] = {~0ULL};                    // rows 128..191
-  merged.OrWordsAt(0, shard0, 2);
-  merged.OrWordsAt(2, shard1, 1);
-  EXPECT_TRUE(merged.Get(3));
-  EXPECT_TRUE(merged.Get(127));
-  EXPECT_TRUE(merged.Get(128));
-  EXPECT_TRUE(merged.Get(149));
-  // Padding bits past size() must stay clear even though the source word
-  // had them set.
-  EXPECT_EQ(merged.Count(), 2u + (150u - 128u));
-  EXPECT_EQ((~merged).Count(), 150u - merged.Count());
-}
-
-TEST(BitmapTest, OrWordsAtIsIdempotentOr) {
-  Bitmap m(64);
-  const uint64_t w = 0b1010;
-  m.OrWordsAt(0, &w, 1);
-  m.OrWordsAt(0, &w, 1);
-  EXPECT_EQ(m.Count(), 2u);
-}
-
 // Word-level ops walk `other`'s words over *this*'s word count; a
-// mismatched universe (exactly what a buggy shard view would produce)
-// must abort on the FAIRCAP_CHECK size checks in every build type instead
-// of reading out of bounds.
+// mismatched universe must abort on the FAIRCAP_CHECK size checks in
+// every build type instead of reading out of bounds.
 TEST(BitmapDeathTest, MismatchedSizesAreCaught) {
   Bitmap big(256);
   Bitmap small(64);
@@ -191,12 +164,6 @@ TEST(BitmapDeathTest, MismatchedSizesAreCaught) {
   EXPECT_DEATH((void)(big &= small), "num_bits_");
   EXPECT_DEATH((void)(big |= small), "num_bits_");
   EXPECT_DEATH((void)big.AndNot(small), "num_bits_");
-}
-
-TEST(BitmapDeathTest, OrWordsAtOutOfRangeIsCaught) {
-  Bitmap m(64);
-  const uint64_t w = 1;
-  EXPECT_DEATH(m.OrWordsAt(1, &w, 1), "words_");
 }
 
 // ---------------------------------------------------------------------

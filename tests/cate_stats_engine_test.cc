@@ -20,7 +20,6 @@
 #include "data/german.h"
 #include "data/stackoverflow.h"
 #include "ingest/synthetic.h"
-#include "mining/shard_plan.h"
 #include "reference/legacy_estimator.h"
 #include "util/obs/metrics.h"
 #include "util/random.h"
@@ -314,8 +313,8 @@ TEST(CateStatsEngineEdgeTest, MinArmFailuresMatchLegacy) {
 // reference estimator reproduces on the rule's coverage and its protected
 // / non-protected slices — end to end through lattice evaluation, rule
 // costing and greedy selection. Same configurations as
-// golden_ruleset_test (group-SP fairness + group coverage, 1 thread, 1
-// shard), under the given estimation methods.
+// golden_ruleset_test (group-SP fairness + group coverage, 1 thread),
+// under the given estimation methods.
 
 // A subgroup utility as CostRule reports it against the reference: an
 // empty slice has utility 0 and counts as estimable; a non-empty one is
@@ -352,7 +351,6 @@ void ExpectRulesMatchReference(const DataFrame& df, const CausalDag& dag,
     options.fairness = FairnessConstraint::GroupSP(epsilon);
     options.coverage = CoverageConstraint::Group(theta, theta);
     options.num_threads = 1;
-    options.num_shards = 1;
     options.cate.method = method;
     const auto solver = FairCap::Create(&df, &dag, protected_pattern, options);
     ASSERT_TRUE(solver.ok()) << solver.status().ToString();
@@ -417,9 +415,8 @@ TEST(CateStatsEngineRuleTest, StackOverflow5kSelectedRulesMatchReference) {
 
 TEST(CateStatsEngineEdgeTest, MismatchedBitmapSizesAreInvalidArgument) {
   // The accumulation pass walks every mask over the table's words; a
-  // shorter or longer group / protected mask (or a shard plan over a
-  // different row count) must be rejected at the entry point in every
-  // build type rather than read out of bounds.
+  // shorter or longer group / protected mask must be rejected at the
+  // entry point in every build type rather than read out of bounds.
   const EdgeData data = MakeEdgeData(1000, 84);
   const size_t n = data.df.num_rows();
   const auto est = CateEstimator::Create(&data.df, &data.dag);
@@ -439,11 +436,6 @@ TEST(CateStatsEngineEdgeTest, MismatchedBitmapSizesAreInvalidArgument) {
         est->EstimateSubgroups(intervention, all, &bad_mask, 5);
     ASSERT_FALSE(bad_prot.ok()) << tag;
     EXPECT_EQ(bad_prot.status().code(), StatusCode::kInvalidArgument) << tag;
-    const ShardPlan plan = ShardPlan::Create(bad, 4);
-    const Result<CateSubgroupEstimates> bad_plan = est->EstimateSubgroups(
-        intervention, all, &prot, 5, false, &plan, nullptr);
-    ASSERT_FALSE(bad_plan.ok()) << tag;
-    EXPECT_EQ(bad_plan.status().code(), StatusCode::kInvalidArgument) << tag;
   }
   // Matching sizes still estimate.
   EXPECT_TRUE(est->EstimateSubgroups(intervention, all, &prot, 5).ok());
@@ -489,36 +481,11 @@ TEST(CateStatsEngineDeathTest, MergeSubgroupAccumsRejectsMismatchedAccums) {
   const Bitmap all = data.df.AllRows();
   const Bitmap prot = data.protected_pattern.Evaluate(data.df);
   CateStatsEngine::SubgroupAccums into =
-      (*one_cell)->AccumulateSubgroups(all, &prot, nullptr, nullptr);
+      (*one_cell)->AccumulateSubgroups(all, &prot);
   const CateStatsEngine::SubgroupAccums from =
-      (*many_cells)->AccumulateSubgroups(all, &prot, nullptr, nullptr);
+      (*many_cells)->AccumulateSubgroups(all, &prot);
   EXPECT_DEATH((*one_cell)->MergeSubgroupAccums(&into, from),
                "CHECK failed.*into->n.size\\(\\) == from.n.size\\(\\)");
-}
-
-TEST(CateStatsEngineDeathTest, AccumulateSubgroupsRejectsMismatchedPlan) {
-  // A shard plan over another row count would walk word ranges past the
-  // group bitmap; Release builds must stop, not read out of bounds.
-  const EdgeData data = MakeEdgeData(1000, 87);
-  const auto est = CateEstimator::Create(&data.df, &data.dag);
-  ASSERT_TRUE(est.ok());
-  const size_t t = *data.df.schema().IndexOf("T");
-  const auto engine =
-      est->EngineFor(Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
-  ASSERT_TRUE(engine.ok());
-  const Bitmap all = data.df.AllRows();
-  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
-  const ShardPlan longer = ShardPlan::Create(data.df.num_rows() + 200, 4);
-  EXPECT_DEATH((void)(*engine)->AccumulateSubgroups(all, &prot, &longer,
-                                                    nullptr),
-               "CHECK failed.*plan->num_rows\\(\\) == group.size\\(\\)");
-  // A plan over the table's own rows covers the same rows as no plan.
-  const ShardPlan matching = ShardPlan::Create(data.df.num_rows(), 4);
-  EXPECT_EQ((*engine)
-                ->AccumulateSubgroups(all, &prot, &matching, nullptr)
-                .overall.rows,
-            (*engine)->AccumulateSubgroups(all, &prot, nullptr, nullptr)
-                .overall.rows);
 }
 
 // The per-slot double assembly that AssembleNormalEquations replaced,
@@ -645,8 +612,7 @@ void SweepAssembly(const CateEstimator& est, const DataFrame& df,
                              RandomGroup(df.num_rows(), 0.05, &rng)};
     for (size_t g = 0; g < 3; ++g) {
       ExpectAssemblyMatchesOracle(
-          **engine,
-          (*engine)->AccumulateSubgroups(groups[g], &prot, nullptr, nullptr),
+          **engine, (*engine)->AccumulateSubgroups(groups[g], &prot),
           label + "/i" + std::to_string(i) + "/g" + std::to_string(g));
     }
   }
@@ -709,8 +675,7 @@ TEST(CateStatsEngineAssemblyTest, CellsAddedByExtendInPlaceBitForBit) {
     ASSERT_TRUE(engine.ok());
     grew |= (*engine)->partition().cells().size() > cells_before[i];
     ExpectAssemblyMatchesOracle(
-        **engine,
-        (*engine)->AccumulateSubgroups(df.AllRows(), &prot, nullptr, nullptr),
+        **engine, (*engine)->AccumulateSubgroups(df.AllRows(), &prot),
         "extended/i" + std::to_string(i));
   }
   EXPECT_TRUE(grew) << "the delta interned no new cells";
@@ -833,15 +798,10 @@ struct SweepResult {
 SweepResult RunSplitAndNoSplit(const CateEstimator& est,
                                const Pattern& intervention,
                                const Bitmap& group,
-                               const Bitmap& protected_mask,
-                               const ShardPlan* plan) {
+                               const Bitmap& protected_mask) {
   SweepResult out;
-  out.split = est.EstimateSubgroups(intervention, group, &protected_mask, 5,
-                                    /*skip_subgroups_unless_positive=*/false,
-                                    plan, nullptr);
-  out.nosplit = est.EstimateSubgroups(intervention, group, nullptr, 5,
-                                      /*skip_subgroups_unless_positive=*/false,
-                                      plan, nullptr);
+  out.split = est.EstimateSubgroups(intervention, group, &protected_mask, 5);
+  out.nosplit = est.EstimateSubgroups(intervention, group, nullptr, 5);
   return out;
 }
 
@@ -900,15 +860,14 @@ TEST(CateStatsEngineSimdTest, EstimatesBitIdenticalAcrossIsaTiers) {
       SweepResult ref;
       {
         simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
-        ref = RunSplitAndNoSplit(*est, intervention, group, protected_mask,
-                                 nullptr);
+        ref = RunSplitAndNoSplit(*est, intervention, group, protected_mask);
       }
       for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
         simd::ScopedSimdLevel pin(level);
         const std::string ltag = tag + "/" + simd::SimdLevelName(level);
-        ExpectSameSweep(RunSplitAndNoSplit(*est, intervention, group,
-                                           protected_mask, nullptr),
-                        ref, ltag);
+        ExpectSameSweep(
+            RunSplitAndNoSplit(*est, intervention, group, protected_mask),
+            ref, ltag);
         ExpectSweepMatchesLegacy(*est, intervention, group, protected_mask,
                                  ltag + "/legacy");
       }
@@ -930,14 +889,11 @@ TEST(CateStatsEngineSimdTest, DenseGroupMatchesLegacyAtEveryTier) {
 // ---------------------------------------------------------------------
 // Integer-valued outcomes: every partial Σy and Σy² is an integer, exact
 // in double while below 2^53, so the one FP accumulation is order-free on
-// them. Estimates must therefore be bit-identical across SIMD tiers AND
-// shard counts (on real-valued outcomes shard merges only agree to
-// rounding).
+// them. Estimates must therefore be bit-identical across SIMD tiers.
 
 // For every method, intervention and group, split and no-split: every
-// tier at shard counts {1, 7, 16} must be bit-identical to the scalar
-// tier's unsharded pass, and match the legacy oracle (method-specific
-// tolerances; stratified is bit-for-bit).
+// tier must be bit-identical to the scalar tier's pass, and match the
+// legacy oracle (method-specific tolerances; stratified is bit-for-bit).
 void ExpectIntegerOutcomeOrderFree(
     const DataFrame& df, const CausalDag& dag,
     const std::vector<Pattern>& interventions,
@@ -958,25 +914,16 @@ void ExpectIntegerOutcomeOrderFree(
         {
           simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
           ref = RunSplitAndNoSplit(*est, interventions[i], group,
-                                   protected_mask, nullptr);
-        }
-        for (const size_t shards : {size_t{1}, size_t{7}, size_t{16}}) {
-          const ShardPlan plan = ShardPlan::Create(df.num_rows(), shards);
-          for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
-            simd::ScopedSimdLevel pin(level);
-            ExpectSameSweep(RunSplitAndNoSplit(*est, interventions[i], group,
-                                               protected_mask, &plan),
-                            ref,
-                            tag + "/" + simd::SimdLevelName(level) + "/s" +
-                                std::to_string(shards));
-          }
+                                   protected_mask);
         }
         for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
           simd::ScopedSimdLevel pin(level);
+          const std::string ltag = tag + "/" + simd::SimdLevelName(level);
+          ExpectSameSweep(RunSplitAndNoSplit(*est, interventions[i], group,
+                                             protected_mask),
+                          ref, ltag);
           ExpectSweepMatchesLegacy(*est, interventions[i], group,
-                                   protected_mask,
-                                   tag + "/" + simd::SimdLevelName(level) +
-                                       "/legacy");
+                                   protected_mask, ltag + "/legacy");
         }
       }
     }
@@ -1019,7 +966,7 @@ EdgeData MakeIntData(size_t n, uint64_t seed, int64_t max_abs,
   return {std::move(df), std::move(dag), std::move(protected_pattern)};
 }
 
-TEST(CateStatsEngineIntegerOutcomeTest, BitIdenticalAcrossTiersAndShards) {
+TEST(CateStatsEngineIntegerOutcomeTest, BitIdenticalAcrossTiers) {
   {
     SyntheticConfig config;
     config.num_rows = 4000;

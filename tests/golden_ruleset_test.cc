@@ -43,7 +43,6 @@ FairCapOptions GoldenOptions(double epsilon, double theta) {
   options.fairness = FairnessConstraint::GroupSP(epsilon);
   options.coverage = CoverageConstraint::Group(theta, theta);
   options.num_threads = 1;
-  options.num_shards = 1;
   return options;
 }
 
@@ -66,7 +65,6 @@ GoldenCase GermanBgl() {
   options.cate.min_group_size = 10;
   options.min_subgroup_arm = 3;
   options.num_threads = 1;
-  options.num_shards = 1;
   return {"german_bgl", std::move(data.df), std::move(data.dag),
           std::move(data.protected_pattern), std::move(options)};
 }

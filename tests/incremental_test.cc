@@ -1,10 +1,10 @@
 // Incremental append + delta-aware re-mining equivalence: after any
 // number of appended batches, an IncrementalSession's ruleset must be
-// indistinguishable from a cold run over the concatenated table — for
-// every shard count, bit-for-bit wherever the accumulated sums are exact
-// in double (integer-valued data), and to shard-merge precision on
-// continuous outcomes (the delta merge reassociates the final partial
-// sum, exactly like a shard boundary). Also pins the refresh plumbing:
+// indistinguishable from a cold run over the concatenated table — at
+// every thread count, bit-for-bit wherever the accumulated sums are exact
+// in double (integer-valued data), and to 1e-9 relative on continuous
+// outcomes (the delta merge, CateStatsEngine::MergeAccum, reassociates
+// the final partial sum). Also pins the refresh plumbing:
 // partition extension vs rebuild stats, the new-category full-remine
 // escape hatch, and the accum cache's cold/cached/delta paths at the
 // engine level.
@@ -83,7 +83,7 @@ TestData MakeCategoricalSynthetic(size_t n, uint64_t seed,
   return {std::move(df), std::move(dag), std::move(protected_pattern)};
 }
 
-// The sharded_mining_test workload: numeric confounder Zn forces the
+// Integer-valued data with a numeric confounder Zn, which forces the
 // partition-rebuild path on every append (quantile edges shift) and
 // gates group-level reuse off — the session must still match cold.
 TestData MakeIntegerSynthetic(size_t n, uint64_t seed) {
@@ -150,14 +150,13 @@ DataFrame Slice(const DataFrame& df, size_t begin, size_t end) {
   return df.TakeRows(rows);
 }
 
-FairCapOptions PipelineOptions(size_t num_shards, size_t num_threads) {
+FairCapOptions PipelineOptions(size_t num_threads) {
   FairCapOptions options;
   options.apriori.min_support_fraction = 0.25;
   options.apriori.max_pattern_length = 2;
   options.lattice.max_predicates = 2;
   options.fairness = FairnessConstraint::GroupSP(1e9);
   options.num_threads = num_threads;
-  options.num_shards = num_shards;
   return options;
 }
 
@@ -207,12 +206,11 @@ void ExpectSameRuleset(const FairCapResult& warm, const FairCapResult& cold,
 // compared against a cold FairCap over an independently built prefix
 // frame (fresh index, fresh partitions, no incremental state).
 void RunSessionSweep(const TestData& full, size_t batch_rows,
-                     size_t num_batches, size_t num_shards,
-                     size_t num_threads, double tol,
+                     size_t num_batches, size_t num_threads, double tol,
                      const std::string& label) {
   const size_t total = full.df.num_rows();
   const size_t base_rows = total - batch_rows * num_batches;
-  const FairCapOptions options = PipelineOptions(num_shards, num_threads);
+  const FairCapOptions options = PipelineOptions(num_threads);
   auto session =
       IncrementalSession::Create(Prefix(full.df, base_rows), full.dag,
                                  full.protected_pattern, options);
@@ -240,10 +238,9 @@ TEST(IncrementalTest, SessionMatchesColdBitForBitOnCategoricalIntegerData) {
   const TestData full =
       MakeCategoricalSynthetic(2500, 71, /*integer_outcome=*/true);
   const uint64_t delta_before = Counter("append.evals_delta");
-  for (const size_t shards : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
-    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/3, shards,
-                    /*num_threads=*/4, /*tol=*/0.0,
-                    "cat-int/s" + std::to_string(shards));
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/3, threads,
+                    /*tol=*/0.0, "cat-int/t" + std::to_string(threads));
   }
   // Categorical-only schema: stale accums take the delta-merge path.
   // (Group-level reuse does NOT fire here: a uniformly random delta puts
@@ -273,7 +270,7 @@ TEST(IncrementalTest, GroupReuseFiresWhenDeltaAvoidsGroups) {
     ASSERT_TRUE(delta.AppendRow(row).ok());
     ASSERT_TRUE(cold_df.AppendRow(row).ok());
   }
-  const FairCapOptions options = PipelineOptions(2, 4);
+  const FairCapOptions options = PipelineOptions(/*num_threads=*/4);
   auto session =
       IncrementalSession::Create(Prefix(base_data.df, 2000), base_data.dag,
                                  base_data.protected_pattern, options);
@@ -292,14 +289,12 @@ TEST(IncrementalTest, GroupReuseFiresWhenDeltaAvoidsGroups) {
 
 TEST(IncrementalTest, SessionMatchesColdToMergePrecisionOnContinuousOutcome) {
   // Continuous outcomes on the delta-merge path: resident + delta partial
-  // sums reassociate the final addition, exactly like one extra shard
-  // boundary — pin to the sharded-mining tolerance.
+  // sums reassociate the final addition — pin to 1e-9 relative.
   const TestData full =
       MakeCategoricalSynthetic(2500, 72, /*integer_outcome=*/false);
-  for (const size_t shards : {size_t{1}, size_t{7}}) {
-    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/2, shards,
-                    /*num_threads=*/4, /*tol=*/1e-9,
-                    "cat-fp/s" + std::to_string(shards));
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/2, threads,
+                    /*tol=*/1e-9, "cat-fp/t" + std::to_string(threads));
   }
 }
 
@@ -310,10 +305,9 @@ TEST(IncrementalTest, SessionMatchesColdWithNumericConfounderRebuilds) {
   const TestData full = MakeIntegerSynthetic(2500, 73);
   const uint64_t reused_before = Counter("append.patterns_reused");
   const uint64_t rebuilt_before = Counter("append.partitions_rebuilt");
-  for (const size_t shards : {size_t{1}, size_t{7}}) {
-    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/2, shards,
-                    /*num_threads=*/4, /*tol=*/0.0,
-                    "num/s" + std::to_string(shards));
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/2, threads,
+                    /*tol=*/0.0, "num/t" + std::to_string(threads));
   }
   EXPECT_EQ(Counter("append.patterns_reused"), reused_before);
   EXPECT_GT(Counter("append.partitions_rebuilt"), rebuilt_before);
@@ -326,18 +320,16 @@ TEST(IncrementalTest, SessionMatchesColdOnGerman) {
   const auto german = MakeGerman(config);
   ASSERT_TRUE(german.ok());
   const TestData full{german->df, german->dag, german->protected_pattern};
-  for (const size_t shards : {size_t{1}, size_t{4}}) {
-    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/2, shards,
-                    /*num_threads=*/4, /*tol=*/1e-9,
-                    "german/s" + std::to_string(shards));
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    RunSessionSweep(full, /*batch_rows=*/25, /*num_batches=*/2, threads,
+                    /*tol=*/1e-9, "german/t" + std::to_string(threads));
   }
 }
 
 TEST(IncrementalTest, BackToBackAppendsThenSingleRunMatchesCold) {
   const TestData full =
       MakeCategoricalSynthetic(2000, 75, /*integer_outcome=*/true);
-  const FairCapOptions options = PipelineOptions(/*num_shards=*/4,
-                                                 /*num_threads=*/4);
+  const FairCapOptions options = PipelineOptions(/*num_threads=*/4);
   auto session = IncrementalSession::Create(
       Prefix(full.df, 1900), full.dag, full.protected_pattern, options);
   ASSERT_TRUE(session.ok());
@@ -404,7 +396,7 @@ TEST(IncrementalTest, NewCategoryInDeltaForcesFullRemineAndMatchesCold) {
                                      {"T1", "O"}})
                       .ValueOrDie();
   Pattern protected_pattern({Predicate(0, CompareOp::kEq, Value("yes"))});
-  const FairCapOptions options = PipelineOptions(2, 2);
+  const FairCapOptions options = PipelineOptions(/*num_threads=*/2);
   auto session = IncrementalSession::Create(std::move(base), dag,
                                             protected_pattern, options);
   ASSERT_TRUE(session.ok());
@@ -430,7 +422,7 @@ TEST(IncrementalTest, NotifyAppendReportsExtensionVsRebuild) {
     DataFrame df = Prefix(data.df, 1500);
     const DataFrame delta = Slice(data.df, 1500, 1550);
     auto solver = FairCap::Create(&df, &data.dag, data.protected_pattern,
-                                  PipelineOptions(1, 2));
+                                  PipelineOptions(/*num_threads=*/2));
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE(solver->Run().ok());
     ASSERT_TRUE(df.AppendFrame(delta).ok());
@@ -447,7 +439,7 @@ TEST(IncrementalTest, NotifyAppendReportsExtensionVsRebuild) {
     DataFrame df = Prefix(data.df, 1500);
     const DataFrame delta = Slice(data.df, 1500, 1550);
     auto solver = FairCap::Create(&df, &data.dag, data.protected_pattern,
-                                  PipelineOptions(1, 2));
+                                  PipelineOptions(/*num_threads=*/2));
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE(solver->Run().ok());
     ASSERT_TRUE(df.AppendFrame(delta).ok());
@@ -492,7 +484,7 @@ TEST(IncrementalTest, EstimateWithCacheColdCachedAndDeltaPathsMatchOracle) {
   for (int pass = 0; pass < 2; ++pass) {
     const auto got = state.EstimateWithCache(
         *est, "g", intervention, group, prot, /*want_subgroups=*/true, 5,
-        /*skip_subgroups_unless_positive=*/false, nullptr, nullptr);
+        /*skip_subgroups_unless_positive=*/false);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     const std::string tag = "base/pass" + std::to_string(pass);
     ExpectSameEstimate(got->overall, oracle_base->overall, tag + "/overall");
@@ -514,7 +506,7 @@ TEST(IncrementalTest, EstimateWithCacheColdCachedAndDeltaPathsMatchOracle) {
   prot = data.protected_pattern.Evaluate(df);
   const auto got = state.EstimateWithCache(
       *est, "g", intervention, group, prot, /*want_subgroups=*/true, 5,
-      /*skip_subgroups_unless_positive=*/false, nullptr, nullptr);
+      /*skip_subgroups_unless_positive=*/false);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Counter("append.evals_delta"), delta_before + 1);
 

@@ -316,7 +316,6 @@ TEST(RunReportTest, PipelineRunPopulatesRegistry) {
   FairCapOptions options;
   options.apriori.min_support_fraction = 0.2;
   options.num_threads = 2;
-  options.num_shards = 2;
   auto solver =
       FairCap::Create(&data.df, &data.dag, data.protected_pattern, options);
   ASSERT_TRUE(solver.ok()) << solver.status().ToString();

@@ -208,8 +208,7 @@ TEST(TaskSchedulerTest, WaitIsIdempotent) {
 }
 
 // Nested ParallelFor from inside a worker task must run the inner loops
-// to completion (a fixed pool with a blocking wait deadlocks here). This
-// is the Step-2 pattern x shard task graph's exact shape.
+// to completion (a fixed pool with a blocking wait deadlocks here).
 TEST(TaskSchedulerTest, NestedParallelForFromWorkerCompletes) {
   TaskScheduler scheduler(2);
   constexpr size_t kOuter = 8;

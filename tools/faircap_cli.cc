@@ -134,7 +134,7 @@ bool KnownFlags(const std::string& verb, std::set<std::string>* flags) {
          "mutable", "protected", "fairness", "fairness-threshold",
          "coverage", "theta", "theta-p", "min-support", "max-rules",
          "max-intervention-predicates", "min-group-size",
-         "min-subgroup-arm", "threads", "shards", "engine-budget-mb"});
+         "min-subgroup-arm", "threads", "engine-budget-mb"});
   }
   if (verb == "run") {
     add({"index-budget-mb", "natural-language", "unit"});
@@ -176,12 +176,10 @@ void PrintUsage() {
       "  --min-support=0.1 --max-rules=20 --max-intervention-predicates=2\n"
       "  --min-group-size=10 --min-subgroup-arm=5 --index-budget-mb=0\n"
       "  --engine-budget-mb=0     (CATE engine cache cap; 0 = unlimited)\n"
-      "  --threads=0              (work-stealing scheduler workers;\n"
-      "                            0 = hardware, 1 = sequential)\n"
-      "  --shards=0               (row shards per treatment evaluation;\n"
-      "                            1 = unsharded oracle, 0 = match threads.\n"
-      "                            Patterns and shards share the --threads\n"
-      "                            workers as one task graph)\n"
+      "  --threads=0              (work-stealing scheduler workers over\n"
+      "                            grouping patterns; 0 = hardware,\n"
+      "                            1 = sequential. Results are identical\n"
+      "                            at every thread count)\n"
       "  --natural-language --unit=$\n"
       "common options:\n"
       "  --simd=scalar|avx2|avx512   (pin the kernel ISA tier; default:\n"
@@ -369,7 +367,6 @@ Result<FairCapOptions> OptionsFromArgs(const CliArgs& args) {
   FAIRCAP_ASSIGN_OR_RETURN(options.greedy.max_rules,
                            args.GetCount("max-rules", 20));
   FAIRCAP_ASSIGN_OR_RETURN(options.num_threads, args.GetCount("threads", 0));
-  FAIRCAP_ASSIGN_OR_RETURN(options.num_shards, args.GetCount("shards", 0));
   FAIRCAP_ASSIGN_OR_RETURN(options.cate.min_group_size,
                            args.GetCount("min-group-size", 10));
   FAIRCAP_ASSIGN_OR_RETURN(options.min_subgroup_arm,
@@ -465,7 +462,7 @@ int RunPipeline(const CliArgs& args) {
 
   if (result->scheduler.collected) {
     // Scheduler observability (stderr, --log-level=info): steals show
-    // load balancing across the pattern x shard graph; helped counts
+    // load balancing across grouping patterns; helped counts
     // tasks a Wait()ing thread ran inline instead of blocking. Inline
     // runs (--threads=1) report as such rather than as missing stats.
     if (result->scheduler.inline_execution) {
@@ -515,8 +512,8 @@ int RunPipeline(const CliArgs& args) {
 /// Structural + numeric comparison of two rulesets. Patterns, supports
 /// and rule counts must match exactly; utilities are compared to
 /// `rel_tol` (integer-outcome runs come out bit-identical; continuous
-/// outcomes reassociate FP sums across delta merges to shard-merge
-/// precision). Returns true on match and reports the max relative
+/// outcomes reassociate FP sums across delta merges, within 1e-9
+/// relative). Returns true on match and reports the max relative
 /// utility difference seen.
 bool RulesetsMatch(const std::vector<PrescriptionRule>& a,
                    const std::vector<PrescriptionRule>& b,

@@ -2,7 +2,7 @@
 """Static determinism lint for the FairCap tree.
 
 The repo's determinism contract — rulesets and estimates bit-identical
-across SIMD tiers, shard counts, and thread counts — is enforced
+across SIMD tiers and thread counts — is enforced
 dynamically by pinning tests, which only sample configurations. This
 lint checks the *static* preconditions those tests rely on, so a
 regression fails CI on the line that introduced it instead of on
