@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include "causal/linear_model.h"
 #include "causal/logistic.h"
@@ -106,6 +105,12 @@ Result<CateEstimate> HajekIpwFromRows(
 std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
     const DataFrame& df, size_t outcome_attr,
     const std::vector<size_t>& adjustment, const CateOptions& options) {
+  const obs::TraceSpan span("partition_build");
+  static obs::Counter& builds =
+      obs::MetricsRegistry::Global().GetCounter("estimation.partition_builds");
+  builds.Increment();
+  // Interning and every accumulation pass read the outcome as doubles.
+  FAIRCAP_CHECK(df.column(outcome_attr).type() == AttrType::kNumeric);
   std::shared_ptr<ConfounderPartition> part(new ConfounderPartition());
   const size_t n = df.num_rows();
   part->outcome_attr_ = outcome_attr;
@@ -129,16 +134,34 @@ std::shared_ptr<const ConfounderPartition> ConfounderPartition::Build(
         part->features_.push_back({attr, true, static_cast<int32_t>(code)});
       }
       info.num_categories = col.num_categories();
-      info.base = static_cast<int64_t>(col.num_categories() + 1);
+      info.base = col.num_categories() + 1;
     } else {
       part->numeric_features_.push_back(
           static_cast<uint32_t>(part->features_.size()));
       part->features_.push_back({attr, false, 0});
       info.edges = QuantileBinEdges(
           col, std::max<size_t>(1, options.numeric_confounder_bins));
-      info.base = static_cast<int64_t>(info.edges.size() + 2);
+      info.base = info.edges.size() + 2;
     }
     part->confs_.push_back(std::move(info));
+  }
+
+  // Plan the key fold so no key passes int64: `bound` is one past the
+  // largest running key. Where the next digit could pass it, the running
+  // key is interned into a dense id (< 2^31) first. Every fold of
+  // InternRows then stays exact by construction.
+  constexpr uint64_t kKeyLimit = static_cast<uint64_t>(INT64_MAX);
+  constexpr uint64_t kPrefixIdLimit = uint64_t{1} << 31;
+  uint64_t bound = 1;
+  for (ConfLayout& info : part->confs_) {
+    uint64_t next = 0;
+    if (__builtin_mul_overflow(bound, info.base, &next) || next > kKeyLimit) {
+      info.starts_segment = true;
+      part->prefix_tables_.emplace_back();
+      FAIRCAP_CHECK(!__builtin_mul_overflow(kPrefixIdLimit, info.base, &next) &&
+                    next <= kKeyLimit);
+    }
+    bound = next;
   }
 
   // Cache the numeric confounder columns with nulls as 0.0 — exactly the
@@ -181,15 +204,57 @@ bool ConfounderPartition::ExtendInPlace(const DataFrame& df) {
   return true;
 }
 
+int32_t ConfounderPartition::KeyTable::Insert(uint64_t key) {
+  if (2 * (keys_.size() + 1) > slots_.size()) Rehash(2 * slots_.size());
+  FAIRCAP_CHECK(keys_.size() < static_cast<size_t>(INT32_MAX));
+  const int32_t id = static_cast<int32_t>(keys_.size());
+  slots_[SlotOf(key)] = id;
+  keys_.push_back(key);
+  return id;
+}
+
+void ConfounderPartition::KeyTable::Rehash(size_t capacity) {
+  slots_.assign(capacity, -1);
+  shift_ = 64 - static_cast<uint32_t>(__builtin_ctzll(capacity));
+  // Keys are distinct, so each probe ends on an empty slot.
+  for (size_t id = 0; id < keys_.size(); ++id) {
+    slots_[SlotOf(keys_[id])] = static_cast<int32_t>(id);
+  }
+}
+
+void ConfounderPartition::DecodeDigits(uint64_t key, uint64_t* digits) const {
+  size_t segment = prefix_tables_.size();
+  for (size_t a = confs_.size(); a-- > 0;) {
+    digits[a] = key % confs_[a].base;
+    key /= confs_[a].base;
+    if (confs_[a].starts_segment) key = prefix_tables_[--segment].keys()[key];
+  }
+}
+
+int32_t ConfounderPartition::AddCell(uint64_t key, uint64_t* digits) {
+  DecodeDigits(key, digits);
+  bool any_null = false;
+  for (size_t a = 0; a < confs_.size(); ++a) {
+    const ConfLayout& info = confs_[a];
+    if (digits[a] == info.base - 1) {
+      any_null = true;
+    } else if (info.categorical && digits[a] >= 1) {
+      onehot_ids_.push_back(info.feature_base +
+                            static_cast<uint32_t>(digits[a] - 1));
+    }
+  }
+  FAIRCAP_CHECK(onehot_ids_.size() <= UINT32_MAX);
+  onehot_begin_.push_back(static_cast<uint32_t>(onehot_ids_.size()));
+  // Without segments the key is the reference stratum id itself;
+  // segmented ids are ranks, assigned after interning.
+  cells_.push_back({any_null ? -1 : static_cast<int64_t>(key)});
+  return cell_ids_.Insert(key);
+}
+
 void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   const size_t n = df.num_rows();
+  const size_t k = confs_.size();
 
-  // Intern each row's joint signature (code / quantile bin / null flag per
-  // confounder) into a dense cell id. Rows with a null outcome stay at
-  // cell -1: every estimator excludes them. New cells are appended in
-  // first-appearance order, which for an extension (row_begin > 0) is the
-  // order a cold build over the concatenated table would discover them.
-  const Column& outcome = df.column(outcome_attr_);
   // Reserve ~12.5% headroom past the current table whenever the per-row
   // cell map must grow: an append of up to that fraction then extends in
   // place with no O(N) reallocation copy — the same amortized-reserve
@@ -199,64 +264,93 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   if (cell_of_row_.capacity() < n) cell_of_row_.reserve(n + n / 8);
   cell_of_row_.resize(n, -1);
   outcome_valid_.Resize(n);
-  std::vector<int32_t> sig(confs_.size());
-  std::string key;
-  for (size_t r = row_begin; r < n; ++r) {
-    cell_of_row_[r] = -1;
-    if (outcome.IsNull(r)) continue;
-    outcome_valid_.Set(r);
-    for (size_t a = 0; a < confs_.size(); ++a) {
-      const ConfLayout& info = confs_[a];
+
+  // Each row's key is the mixed-radix number of its digits (category
+  // code or quantile bin, base-1 for null), folded one confounder at a
+  // time over a block of rows. Rows with a null outcome stay at cell -1:
+  // every estimator excludes them. New cells are appended in
+  // first-appearance order, which for an extension (row_begin > 0) is the
+  // order a cold build over the concatenated table would discover them.
+  const double* outcome = df.column(outcome_attr_).numeric_data();
+  constexpr size_t kBlockRows = 2048;
+  uint64_t keys[kBlockRows];
+  std::vector<uint64_t> digits(k);
+  for (size_t block = row_begin; block < n; block += kBlockRows) {
+    const size_t len = std::min(kBlockRows, n - block);
+    std::fill(keys, keys + len, 0);
+    size_t segment = 0;
+    for (const ConfLayout& info : confs_) {
+      if (info.starts_segment) {
+        KeyTable& prefix = prefix_tables_[segment++];
+        for (size_t i = 0; i < len; ++i) {
+          const int32_t id = prefix.Find(keys[i]);
+          keys[i] = static_cast<uint64_t>(id >= 0 ? id : prefix.Insert(keys[i]));
+        }
+      }
       const Column& col = df.column(info.attr);
-      if (col.IsNull(r)) {
-        sig[a] = -1;
-      } else if (info.categorical) {
-        sig[a] = col.code(r);
+      const uint64_t base = info.base;
+      const uint64_t null_digit = base - 1;
+      if (info.categorical) {
+        const int32_t* codes = col.codes_data() + block;
+        for (size_t i = 0; i < len; ++i) {
+          const uint64_t digit =
+              codes[i] < 0 ? null_digit : static_cast<uint64_t>(codes[i]);
+          keys[i] = keys[i] * base + digit;
+        }
       } else {
-        sig[a] = static_cast<int32_t>(
-            std::upper_bound(info.edges.begin(), info.edges.end(),
-                             col.numeric(r)) -
-            info.edges.begin());
-      }
-    }
-    key.assign(reinterpret_cast<const char*>(sig.data()),
-               sig.size() * sizeof(int32_t));
-    const auto [it, inserted] =
-        cell_ids_.emplace(key, static_cast<int32_t>(cells_.size()));
-    if (inserted) {
-      int64_t id = 0;
-      bool any_null = false;
-      for (size_t a = 0; a < confs_.size(); ++a) {
-        if (sig[a] < 0) {
-          any_null = true;
-          continue;
-        }
-        id = id * confs_[a].base + sig[a];
-        if (confs_[a].categorical && sig[a] >= 1) {
-          onehot_ids_.push_back(confs_[a].feature_base +
-                                static_cast<uint32_t>(sig[a] - 1));
+        const double* values = col.numeric_data() + block;
+        const double* edges = info.edges.data();
+        const double* edges_end = edges + info.edges.size();
+        for (size_t i = 0; i < len; ++i) {
+          const uint64_t digit =
+              std::isnan(values[i])
+                  ? null_digit
+                  : static_cast<uint64_t>(
+                        std::upper_bound(edges, edges_end, values[i]) - edges);
+          keys[i] = keys[i] * base + digit;
         }
       }
-      FAIRCAP_CHECK(onehot_ids_.size() <= UINT32_MAX);
-      onehot_begin_.push_back(static_cast<uint32_t>(onehot_ids_.size()));
-      cells_.push_back({any_null ? -1 : id});
     }
-    cell_of_row_[r] = it->second;
+
+    uint64_t* valid_words = outcome_valid_.mutable_words();
+    for (size_t i = 0; i < len; ++i) {
+      const size_t r = block + i;
+      if (std::isnan(outcome[r])) continue;  // stays at cell -1
+      valid_words[r / 64] |= uint64_t{1} << (r % 64);
+      const int32_t cell = cell_ids_.Find(keys[i]);
+      cell_of_row_[r] = cell >= 0 ? cell : AddCell(keys[i], digits.data());
+    }
   }
 
-  // Re-derive the sorted stratum order over the (possibly grown) cell
-  // table. Stratum ids are unique across cells (the radix encoding is
-  // injective for non-null signatures), so the sort is deterministic and
-  // matches a cold build's order.
+  // Re-derive the stratum order over the (possibly grown) cell table:
+  // non-null cells ascending by digit tuple, which is ascending stratum id
+  // whenever the mixed-radix id fits. Tuples are unique across cells, so
+  // the order is deterministic and matches a cold build's.
   cells_by_stratum_.clear();
   cells_by_stratum_.reserve(cells_.size());
   for (uint32_t c = 0; c < cells_.size(); ++c) {
     if (cells_[c].stratum_id >= 0) cells_by_stratum_.push_back(c);
   }
-  std::sort(cells_by_stratum_.begin(), cells_by_stratum_.end(),
-            [&](uint32_t a, uint32_t b) {
-              return cells_[a].stratum_id < cells_[b].stratum_id;
-            });
+  if (prefix_tables_.empty()) {
+    std::sort(cells_by_stratum_.begin(), cells_by_stratum_.end(),
+              [&](uint32_t a, uint32_t b) {
+                return cells_[a].stratum_id < cells_[b].stratum_id;
+              });
+  } else {
+    std::vector<uint64_t> tuples(cells_.size() * k);
+    for (const uint32_t c : cells_by_stratum_) {
+      DecodeDigits(cell_ids_.keys()[c], tuples.data() + size_t{c} * k);
+    }
+    std::sort(cells_by_stratum_.begin(), cells_by_stratum_.end(),
+              [&](uint32_t a, uint32_t b) {
+                const uint64_t* ta = tuples.data() + size_t{a} * k;
+                const uint64_t* tb = tuples.data() + size_t{b} * k;
+                return std::lexicographical_compare(ta, ta + k, tb, tb + k);
+              });
+    for (size_t rank = 0; rank < cells_by_stratum_.size(); ++rank) {
+      cells_[cells_by_stratum_[rank]].stratum_id = static_cast<int64_t>(rank);
+    }
+  }
 
   size_t bytes = cell_of_row_.size() * sizeof(int32_t) +
                  outcome_valid_.num_words() * sizeof(uint64_t) +
@@ -266,9 +360,9 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
   }
   bytes += cells_.size() * sizeof(Cell) +
            (onehot_begin_.size() + onehot_ids_.size()) * sizeof(uint32_t);
-  // Approximate intern-map footprint (key bytes + node overhead); kept in
-  // the budgeted total now that the map persists for extension.
-  bytes += cell_ids_.size() * (confs_.size() * sizeof(int32_t) + 64);
+  // The key tables persist for extension, so they count too.
+  bytes += cell_ids_.bytes();
+  for (const KeyTable& prefix : prefix_tables_) bytes += prefix.bytes();
   bytes_ = bytes;
   rows_covered_ = n;
 }

@@ -39,8 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "causal/estimator.h"
@@ -85,9 +83,14 @@ class ConfounderPartition {
   };
 
   struct Cell {
-    /// The reference stratified estimator's joint stratum id; -1 when any
+    /// The reference stratified estimator's joint stratum id (the
+    /// mixed-radix number of the cell's codes and bins); -1 when any
     /// confounder is null in this cell (such rows are excluded from
     /// stratification but kept, zero-featured, by regression and IPW).
+    /// When the radix product of the adjustment set passes int64 the
+    /// reference id would overflow; the id is then the cell's rank in
+    /// digit-tuple order among the non-null cells, the order the
+    /// mixed-radix id has whenever it fits.
     int64_t stratum_id = -1;
   };
 
@@ -172,23 +175,81 @@ class ConfounderPartition {
   /// Per-confounder layout persisted from Build: design feature span,
   /// the radix base of the reference stratum id, and (numeric) the quantile
   /// edges — everything InternRows needs to intern further rows with the
-  /// exact signatures Build used.
+  /// exact keys Build used.
   struct ConfLayout {
     size_t attr = 0;
     bool categorical = false;
-    int64_t base = 0;
+    /// Digits are 0..base-2 (category code or quantile bin); base-1 is
+    /// the spare digit for null. Categorical: categories + 1; numeric:
+    /// edges + 2.
+    uint64_t base = 0;
     uint32_t feature_base = 0;
     /// Category count at build (0 for numeric): extension is only sound
     /// while the column still has exactly this many categories.
     size_t num_categories = 0;
     std::vector<double> edges;  ///< numeric confounders only
+    /// Folding this digit into the running key could pass int64, so the
+    /// running key is first replaced by its dense first-appearance id in
+    /// the next of prefix_tables_ (ids < 2^31).
+    bool starts_segment = false;
+  };
+
+  /// Open-addressing uint64 key -> dense int32 id map. Ids number keys
+  /// in first-insertion order and index keys(); the slot array holds ids
+  /// only (linear probing, power-of-two capacity, load <= 1/2). Lookup
+  /// and insert only.
+  class KeyTable {
+   public:
+    KeyTable() { Rehash(16); }
+
+    /// The id of `key`, or -1 when it is not interned.
+    int32_t Find(uint64_t key) const { return slots_[SlotOf(key)]; }
+    /// Interns a key that Find does not know; returns its id (the old
+    /// size()).
+    int32_t Insert(uint64_t key);
+
+    size_t size() const { return keys_.size(); }
+    const std::vector<uint64_t>& keys() const { return keys_; }
+    size_t bytes() const {
+      return keys_.capacity() * sizeof(uint64_t) +
+             slots_.size() * sizeof(int32_t);
+    }
+
+   private:
+    /// The slot holding `key`, or the empty slot ending its probe run.
+    size_t SlotOf(uint64_t key) const {
+      const size_t mask = slots_.size() - 1;
+      // Fibonacci hashing: the top bits of key * 2^64/phi.
+      size_t slot =
+          static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+      for (;; slot = (slot + 1) & mask) {
+        const int32_t id = slots_[slot];
+        if (id < 0 || keys_[static_cast<size_t>(id)] == key) return slot;
+      }
+    }
+    void Rehash(size_t capacity);
+
+    std::vector<uint64_t> keys_;  ///< by id
+    std::vector<int32_t> slots_;  ///< id per slot; -1 = empty
+    uint32_t shift_ = 64;         ///< 64 - log2(slots_.size())
   };
 
   /// Shared tail of Build and ExtendInPlace: interns rows [row_begin, n)
   /// into the cell table and valid-row bitmap, then re-derives the sorted
   /// stratum order and byte accounting. The feature layout (confs_),
   /// numeric caches, and rows [0, row_begin) must already be in place.
+  /// Keys are built column-at-a-time over fixed-size row blocks: each
+  /// confounder folds key = key * base + digit into the block's keys, and
+  /// each valid row then looks its key up in cell_ids_.
   void InternRows(const DataFrame& df, size_t row_begin);
+
+  /// Writes the digit of every confounder of the cell key `key`.
+  void DecodeDigits(uint64_t key, uint64_t* digits) const;
+
+  /// Interns a new cell for `key`: its stratum id and one-hot ids come
+  /// from the key's digits, decoded into the caller's `digits` scratch
+  /// (one slot per confounder). Returns the cell id.
+  int32_t AddCell(uint64_t key, uint64_t* digits);
 
   std::vector<Feature> features_;
   std::vector<uint32_t> numeric_features_;
@@ -207,9 +268,11 @@ class ConfounderPartition {
   // and verify extendability against the post-append table.
   size_t outcome_attr_ = 0;
   std::vector<ConfLayout> confs_;
-  /// Joint-signature -> cell index intern map (lookup/insert only — never
-  /// iterated, so the unordered order cannot leak into results).
-  std::unordered_map<std::string, int32_t> cell_ids_;
+  /// Running-key interners of the confounders that start a segment, in
+  /// confounder order (empty unless the radix product passes int64).
+  std::vector<KeyTable> prefix_tables_;
+  /// Cell key -> cell index; ids are the cells' first-appearance order.
+  KeyTable cell_ids_;
   size_t rows_covered_ = 0;
   uint64_t lineage_id_ = 0;
 };

@@ -720,22 +720,6 @@ void PredicateIndex::WarmStartCategoryMasks(const DataFrame& df, size_t attr,
   EnforceBudgetLocked();
 }
 
-bool PredicateIndex::CategoryMasksCached(const DataFrame& df,
-                                         size_t attr) const {
-  const Column& col = df.column(attr);
-  MutexLock lock(mu_);
-  for (size_t code = 0; code < col.num_categories(); ++code) {
-    const std::string key =
-        AtomKey(attr, CompareOp::kEq,
-                Value(col.CategoryName(static_cast<int32_t>(code))));
-    const auto it = atom_ids_.find(key);
-    if (it == atom_ids_.end() || atom_masks_[it->second].mask == nullptr) {
-      return false;
-    }
-  }
-  return col.num_categories() > 0;
-}
-
 void PredicateIndex::SetMemoryBudget(size_t max_bytes) {
   MutexLock lock(mu_);
   max_bytes_ = max_bytes;

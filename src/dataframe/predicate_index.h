@@ -122,12 +122,6 @@ class PredicateIndex {
   void WarmStartCategoryMasks(const DataFrame& df, size_t attr,
                               std::vector<Bitmap> masks) const;
 
-  /// True when every category of categorical `attr` already has a live
-  /// cached equality mask — i.e. a warm start (ingest or a previous
-  /// batch build) would be wasted work. Callers use this to skip
-  /// rebuilding masks the index would only discard.
-  bool CategoryMasksCached(const DataFrame& df, size_t attr) const;
-
   /// Caps the bytes held by the index's caches — conjunction masks, atom
   /// masks, AND the numeric sorted-row orders behind range atoms.
   /// 0 = unlimited (the default). When an insertion pushes usage past the

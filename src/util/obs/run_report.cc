@@ -44,6 +44,9 @@ constexpr const char* kStandardCounters[] = {
     // keyed on it) stay stable.
     "estimation.legacy_calls",
     "estimation.batch_evals",
+    // ConfounderPartition::Build calls: cold partitions, one per
+    // adjustment set (extensions count under append.partitions_extended).
+    "estimation.partition_builds",
     "estimation.solve_regression",
     "estimation.solve_stratified",
     "estimation.solve_ipw_cells",

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "causal/cate_stats_engine.h"
 #include "core/faircap.h"
 #include "ingest/chunked_csv_reader.h"
 #include "util/obs/metrics.h"
@@ -210,7 +211,8 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"segments\":", "\"runs\":", "\"infer_runs\":",
         "\"infer_bytes\":", "\"infer_quoted_records\":", "\"level\":",
         "\"level_name\":",
-        "\"legacy_calls\":", "\"batch_evals\":", "\"solve_regression\":",
+        "\"legacy_calls\":", "\"batch_evals\":", "\"partition_builds\":",
+        "\"solve_regression\":",
         "\"solve_stratified\":", "\"solve_ipw_cells\":",
         "\"solve_ipw_rows\":", "\"lattice_evaluations\":",
         "\"pattern_tasks\":"}) {
@@ -328,6 +330,7 @@ TEST(RunReportTest, PipelineRunPopulatesRegistry) {
   EXPECT_GT(registry.CounterValue("mining.pattern_tasks"), 0u);
   EXPECT_GT(registry.CounterValue("mining.lattice_evaluations"), 0u);
   EXPECT_GT(registry.CounterValue("estimation.batch_evals"), 0u);
+  EXPECT_GT(registry.CounterValue("estimation.partition_builds"), 0u);
   EXPECT_GT(registry.CounterValue("index_cache.misses"), 0u);
   EXPECT_GT(registry.CounterValue("engine_cache.misses"), 0u);
   EXPECT_GE(registry.GaugeValue("phase.total_seconds"),
@@ -345,6 +348,22 @@ TEST(RunReportTest, PipelineRunPopulatesRegistry) {
   EXPECT_TRUE(result->scheduler.collected);
   EXPECT_FALSE(result->scheduler.inline_execution);
   EXPECT_EQ(result->scheduler.workers, 2u);
+}
+
+TEST(RunReportTest, PartitionBuildHasItsOwnSpanAndCounter) {
+  // Each cold partition build is one partition_build span and one count.
+  TestData data = MakeSmallSynthetic(300, 29);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  obs::EnableTracing();
+  const auto part = ConfounderPartition::Build(data.df, 4, {2}, CateOptions());
+  obs::DisableTracing();
+  EXPECT_EQ(registry.CounterValue("estimation.partition_builds"), 1u);
+  std::ostringstream trace;
+  obs::WriteChromeTrace(trace);
+  obs::ClearTrace();
+  EXPECT_NE(trace.str().find("\"name\":\"partition_build\""),
+            std::string::npos);
 }
 
 TEST(RunReportTest, InlineRunReportsInlineExecution) {

@@ -501,6 +501,24 @@ TEST(PredicateIndexTest, NumericRangeMasksMatchReferenceScan) {
   EXPECT_EQ(index.GetStats().numeric_orders, 1u);
 }
 
+// Every category of column 0 is served from the cache: each AtomMask
+// call is a hit, none a miss, and each mask equals a fresh scan.
+void ExpectEveryCategoryWarm(const DataFrame& df, const char* const* levels,
+                             size_t num_levels) {
+  const PredicateIndex& index = df.predicate_index();
+  const PredicateIndex::CacheStats before = index.GetStats();
+  for (size_t i = 0; i < num_levels; ++i) {
+    const Bitmap& mask =
+        index.AtomMask(df, 0, CompareOp::kEq, Value(levels[i]));
+    EXPECT_TRUE(mask == PredicateIndex::Scan(df, 0, CompareOp::kEq,
+                                             Value(levels[i])))
+        << levels[i];
+  }
+  const PredicateIndex::CacheStats after = index.GetStats();
+  EXPECT_EQ(after.hits - before.hits, num_levels);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
 TEST(PredicateIndexTest, WarmStartReinstallsBudgetEvictedMasks) {
   Rng rng(98);
   auto schema = Schema::Create({
@@ -515,21 +533,22 @@ TEST(PredicateIndexTest, WarmStartReinstallsBudgetEvictedMasks) {
   }
   const PredicateIndex& index = df.predicate_index();
   (void)index.AtomMask(df, 0, CompareOp::kEq, Value("a"));  // batch build
-  ASSERT_TRUE(index.CategoryMasksCached(df, 0));
+  ASSERT_EQ(index.GetStats().atom_masks, 4u);
   // Evict the atom masks (ids survive), then warm-start again: the masks
   // must be reinstalled into their existing slots, not silently dropped.
   df.predicate_index().SetMemoryBudget(1);
   df.predicate_index().SetMemoryBudget(0);
-  ASSERT_FALSE(index.CategoryMasksCached(df, 0));
+  const size_t live = index.GetStats().atom_masks;
+  ASSERT_LT(live, 4u);
+  const size_t warm_before = index.GetStats().warm_atom_masks;
   index.WarmStartCategoryMasks(df, 0,
                                PredicateIndex::BuildCategoryMasks(df, 0));
-  EXPECT_TRUE(index.CategoryMasksCached(df, 0));
-  const Bitmap& mask = index.AtomMask(df, 0, CompareOp::kEq, Value("b"));
-  EXPECT_TRUE(mask == PredicateIndex::Scan(df, 0, CompareOp::kEq,
-                                           Value("b")));
+  EXPECT_EQ(index.GetStats().atom_masks, 4u);
+  EXPECT_EQ(index.GetStats().warm_atom_masks - warm_before, 4u - live);
+  ExpectEveryCategoryWarm(df, levels, 4);
 }
 
-TEST(PredicateIndexTest, CategoryMasksCachedReflectsWarmState) {
+TEST(PredicateIndexTest, BatchBuildWarmsEveryCategoryUntilClear) {
   Rng rng(99);
   auto schema = Schema::Create({
       {"c", AttrType::kCategorical, AttrRole::kImmutable},
@@ -542,12 +561,16 @@ TEST(PredicateIndexTest, CategoryMasksCachedReflectsWarmState) {
         df.AppendRow({Value(levels[rng.NextBounded(3)]), Value(0.0)}).ok());
   }
   const PredicateIndex& index = df.predicate_index();
-  EXPECT_FALSE(index.CategoryMasksCached(df, 0));
-  // First equality touch batch-builds every sibling category.
+  EXPECT_EQ(index.GetStats().atom_masks, 0u);
+  // First equality touch batch-builds every sibling category: one miss.
   (void)index.AtomMask(df, 0, CompareOp::kEq, Value("a"));
-  EXPECT_TRUE(index.CategoryMasksCached(df, 0));
+  EXPECT_EQ(index.GetStats().misses, 1u);
+  ExpectEveryCategoryWarm(df, levels, 3);
   df.predicate_index().Clear();
-  EXPECT_FALSE(index.CategoryMasksCached(df, 0));
+  EXPECT_EQ(index.GetStats().atom_masks, 0u);
+  const size_t misses = index.GetStats().misses;
+  (void)index.AtomMask(df, 0, CompareOp::kEq, Value("b"));
+  EXPECT_EQ(index.GetStats().misses, misses + 1);
 }
 
 TEST(PredicateIndexTest, EmptyPatternSelectsAllRows) {
