@@ -462,9 +462,7 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   static obs::Counter& rows_counter =
       registry.GetCounter("simd.cate_accumulate_rows");
   rows_counter.Add(overall->rows - rows_before);
-  // Every pass is a sparse pass. The int64 and staged dense-word paths are
-  // retired: estimation.accumulate_path_int and _fp_staged stay in the
-  // run-report schema and always read 0.
+  // Every pass is a sparse pass (the one accumulate path).
   static obs::Counter& sparse_passes =
       registry.GetCounter("estimation.accumulate_path_sparse");
   sparse_passes.Increment();

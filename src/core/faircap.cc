@@ -1,7 +1,6 @@
 #include "core/faircap.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "core/benefit.h"
 #include "core/incremental.h"
@@ -212,15 +211,13 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
   std::vector<size_t> evals(groups.size(), 0);
 
   // Grouping patterns are the unit of parallel work, as in the paper's
-  // per-group Step 2: one work-stealing ParallelFor runs each pattern's
-  // whole lattice as a task, and every evaluation is one ascending-row
-  // pass over the table. Which worker runs a pattern never shows in the
-  // output — its results land in per_group[g] and are concatenated in
-  // pattern order — so a run is bit-identical at every thread count.
-  const size_t threads =
-      options_.num_threads == 0
-          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-          : options_.num_threads;
+  // per-group Step 2: one ParallelFor on the flat pool runs each
+  // pattern's whole lattice as one index, and every evaluation is one
+  // ascending-row pass over the table. Which thread runs a pattern never
+  // shows in the output — its results land in per_group[g] and are
+  // concatenated in pattern order — so a run is bit-identical at every
+  // thread count.
+  const size_t threads = ResolveThreadCount(options_.num_threads);
   std::unique_ptr<TaskScheduler> scheduler;
   if (threads > 1) scheduler = std::make_unique<TaskScheduler>(threads);
 
@@ -358,20 +355,12 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     scheduler->ParallelFor(groups.size(), mine_one);
   }
   if (scheduler_stats != nullptr) {
-    *scheduler_stats = SchedulerStats{};
-    scheduler_stats->collected = true;
-    if (scheduler != nullptr) {
-      const TaskScheduler::Stats stats = scheduler->GetStats();
-      scheduler_stats->workers = scheduler->num_threads();
-      scheduler_stats->tasks = stats.executed;
-      scheduler_stats->stolen = stats.stolen;
-      scheduler_stats->helped = stats.helped;
-    } else {
-      // Inline execution is a real run, not "stats missing": every
-      // grouping pattern executed on the calling thread.
-      scheduler_stats->inline_execution = true;
-      scheduler_stats->tasks = groups.size();
-    }
+    // Inline, every grouping pattern is one task of the calling thread.
+    *scheduler_stats =
+        scheduler != nullptr
+            ? SchedulerStats{scheduler->num_threads(),
+                             scheduler->GetStats().executed}
+            : SchedulerStats{0, groups.size()};
   }
 
   std::vector<PrescriptionRule> candidates;

@@ -38,13 +38,14 @@ struct FairCapOptions {
   GreedyOptions greedy;
   FairnessConstraint fairness;
   CoverageConstraint coverage;
-  /// Worker threads for Step-2 mining (0 = hardware concurrency,
-  /// 1 = sequential). Grouping patterns are the unit of parallel work:
-  /// each runs its whole intervention lattice as one task on a
-  /// work-stealing scheduler (util/task_scheduler.h), and every
-  /// evaluation is one ascending-row pass over the table. A pattern's
-  /// results land in its own slot, so the selected rules and their
-  /// utilities are bit-identical at every thread count.
+  /// Pool workers for Step-2 mining and greedy selection (0 = hardware
+  /// concurrency, 1 = sequential). Grouping patterns are the unit of
+  /// parallel work: each runs its whole intervention lattice as one index
+  /// of a ParallelFor on the flat pool (util/task_scheduler.h), whose
+  /// calling thread claims chunks too, so T > 1 mines on T + 1 threads.
+  /// Every evaluation is one ascending-row pass over the table. A
+  /// pattern's results land in its own slot, so the selected rules and
+  /// their utilities are bit-identical at every thread count.
   size_t num_threads = 0;
   /// Byte cap for the estimator's per-treatment engine cache
   /// (CateEstimator::SetEngineMemoryBudget). 0 = unlimited.
@@ -76,19 +77,12 @@ struct FairCapOptions {
   std::shared_ptr<IncrementalState> incremental_state;
 };
 
-/// Execution counters of the Step-2 task scheduler (observability: the
-/// CLI logs these after a run so skew and idle workers are visible, and
-/// the same numbers land in the metrics registry — util/obs/metrics.h —
-/// for the machine-readable run report).
+/// Execution counters of the Step-2 pool (observability: the CLI logs
+/// these after a run, and the same numbers land in the metrics registry —
+/// util/obs/metrics.h — for the machine-readable run report).
 struct SchedulerStats {
-  bool collected = false;        ///< false = the run never filled this in
-  bool inline_execution = false; ///< true = single-threaded, no scheduler
-  size_t workers = 0;    ///< scheduler worker threads (0 when inline)
-  size_t tasks = 0;      ///< tasks executed (one per grouping-pattern
-                         ///< chunk); on the inline path, the grouping
-                         ///< patterns run
-  size_t stolen = 0;     ///< tasks a worker took from another's deque
-  size_t helped = 0;     ///< tasks run inline by a waiting thread
+  size_t workers = 0;  ///< pool workers besides the caller (0 = inline)
+  size_t tasks = 0;    ///< chunks claimed; inline, the grouping patterns
 };
 
 /// Wall-clock seconds per pipeline step (Figure 3).
@@ -134,8 +128,8 @@ class FairCap {
   Result<std::vector<FrequentPattern>> MineGroupingPatterns() const;
 
   /// Step 2 only: candidate prescription rules for the given grouping
-  /// patterns, in parallel over the patterns on one work-stealing
-  /// scheduler: each pattern task runs its whole intervention lattice.
+  /// patterns, in parallel over the patterns on one flat pool: each
+  /// pattern runs its whole intervention lattice on one thread.
   /// Also usable with externally supplied grouping patterns (baseline
   /// adapters, Section 7.1).
   /// `scheduler_stats`, when non-null, receives the run's execution

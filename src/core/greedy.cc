@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "core/benefit.h"
 #include "util/task_scheduler.h"
@@ -300,10 +299,7 @@ GreedyResult GreedySelect(const std::vector<PrescriptionRule>& candidates,
   // each iteration fans them out across workers and only the argmax scan
   // below stays sequential (in eligible order, exactly as before) — the
   // selected ruleset is identical at every thread count.
-  const size_t threads =
-      options.num_threads == 0
-          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-          : options.num_threads;
+  const size_t threads = ResolveThreadCount(options.num_threads);
   std::unique_ptr<TaskScheduler> scheduler;
   if (threads > 1 && eligible.size() > 1) {
     scheduler = std::make_unique<TaskScheduler>(threads);

@@ -35,8 +35,9 @@ struct GreedyOptions {
   /// costs; selection then maximizes marginal score per unit cost and
   /// never exceeds the budget (Section 8 extension).
   double budget = 0.0;
-  /// Workers for the per-iteration candidate-trial evaluation (0 =
-  /// hardware, 1 = sequential). Trials are independent reads of the
+  /// Pool workers for the per-iteration candidate-trial evaluation (0 =
+  /// hardware, 1 = sequential); the selecting thread scores trials too,
+  /// so T > 1 scores on T + 1 threads. Trials are independent reads of the
   /// selection state and the argmax scan stays sequential in candidate
   /// order, so the selected ruleset is identical at every thread count.
   size_t num_threads = 1;

@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "dataframe/csv_scan.h"
@@ -534,14 +533,13 @@ Result<DataFrame> ParseSegmented(std::string_view content,
                                  const Schema& schema,
                                  const IngestOptions& options,
                                  IngestStats* stats,
-                                 TaskScheduler* scheduler) {
+                                 TaskScheduler& pool) {
   const obs::TraceSpan span("ingest_segmented");
   StopWatch watch;
   IngestStats local;
   const size_t target = std::max<size_t>(options.chunk_bytes, 1);
-  const size_t fanout =
-      scheduler != nullptr ? scheduler->num_threads() * 4 : 1;
-  const std::vector<size_t> starts = SegmentStarts(content, target, fanout);
+  const std::vector<size_t> starts =
+      SegmentStarts(content, target, pool.num_threads() * 4);
   const size_t num_segments = starts.size();
   const auto segment = [&](size_t s) {
     const size_t end = s + 1 < num_segments ? starts[s + 1] : content.size();
@@ -555,8 +553,7 @@ Result<DataFrame> ParseSegmented(std::string_view content,
         schema, options, /*skip_header=*/s != 0));
   }
   std::vector<Status> segment_status(num_segments);
-  TaskGroup tasks(scheduler);
-  tasks.ParallelFor(num_segments, [&](size_t s) {
+  pool.ParallelFor(num_segments, [&](size_t s) {
     const obs::TraceSpan segment_span("segment", static_cast<int64_t>(s));
     segment_status[s] = parsers[s]->ParseSegment(segment(s));
   });
@@ -629,7 +626,7 @@ Result<DataFrame> ParseSegmented(std::string_view content,
   local.rows = total_rows;
   local.bytes = content.size();
   local.chunks = num_segments;
-  local.parse_threads = scheduler != nullptr ? scheduler->num_threads() : 1;
+  local.parse_threads = pool.num_threads();
   local.seconds = watch.ElapsedSeconds();
   PublishIngestStats(local, num_segments);
   if (stats != nullptr) *stats = local;
@@ -639,26 +636,22 @@ Result<DataFrame> ParseSegmented(std::string_view content,
 /// Resolved parse-thread count for the options (1 = sequential reader).
 size_t ResolveParseThreads(const IngestOptions& options) {
   if (options.scheduler != nullptr) {
-    return std::max<size_t>(1, options.scheduler->num_threads());
+    return options.scheduler->num_threads();
   }
-  if (options.num_threads != 0) return options.num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return ResolveThreadCount(options.num_threads);
 }
 
 /// Parallel entry point over in-memory content: parses on the borrowed
-/// scheduler, or on one spawned for the call.
+/// pool, or on one started for the call.
 Result<DataFrame> IngestSegmented(std::string_view content,
                                   const Schema& schema,
                                   const IngestOptions& options,
                                   IngestStats* stats, size_t workers) {
-  std::unique_ptr<TaskScheduler> owned;
-  TaskScheduler* scheduler = options.scheduler;
-  if (scheduler == nullptr && workers > 1) {
-    owned = std::make_unique<TaskScheduler>(workers);
-    scheduler = owned.get();
+  if (options.scheduler != nullptr) {
+    return ParseSegmented(content, schema, options, stats, *options.scheduler);
   }
-  return ParseSegmented(content, schema, options, stats, scheduler);
+  TaskScheduler pool(workers);
+  return ParseSegmented(content, schema, options, stats, pool);
 }
 
 }  // namespace

@@ -40,21 +40,22 @@ struct IngestOptions : CsvOptions {
   /// columns should stay on-demand).
   bool warm_start_index = true;
   /// Parse threads (1 = the sequential streaming reader; 0 = hardware
-  /// concurrency). With more than one thread the input is split into
-  /// record-aligned segments of ~chunk_bytes each, every segment is
-  /// SWAR-parsed into segment-local columns on the work-stealing
-  /// scheduler, and the segment columns concatenate in file order with
-  /// their dictionaries merged in first-appearance order — bit-for-bit
-  /// the sequential result (same codes, same values, same nulls).
+  /// concurrency). With T > 1 the input is split into record-aligned
+  /// segments of ~chunk_bytes each, every segment is SWAR-parsed into
+  /// segment-local columns by one ParallelFor on a flat pool of T workers
+  /// (the calling thread parses segments too), and the segment columns
+  /// concatenate in file order with their dictionaries merged in
+  /// first-appearance order — bit-for-bit the sequential result (same
+  /// codes, same values, same nulls).
   /// Parallel mode buffers the whole input in memory (the sequential
   /// reader streams in chunk_bytes windows). On a malformed input only the
   /// first failing segment is parsed again, with its record count starting
   /// after the records of the segments before it, so the error (code and
   /// message, record number included) is the sequential reader's.
   size_t num_threads = 1;
-  /// Run the parallel parse on this scheduler instead of spawning one
-  /// (borrowed; e.g. the pipeline's own Step-2 scheduler). Null with
-  /// num_threads > 1 spawns a scheduler for the duration of the call.
+  /// Run the parallel parse on this pool instead of starting one
+  /// (borrowed, so many parses can share one set of workers). Null with
+  /// num_threads > 1 starts a pool for the duration of the call.
   TaskScheduler* scheduler = nullptr;
 };
 
@@ -63,7 +64,7 @@ struct IngestStats {
   size_t rows = 0;
   size_t bytes = 0;
   size_t chunks = 0;           ///< read chunks (sequential) or parse segments
-  size_t parse_threads = 1;    ///< scheduler workers used (1 = sequential)
+  size_t parse_threads = 1;    ///< pool workers used (1 = sequential)
   size_t warm_atom_masks = 0;  ///< category masks installed into the index
   double seconds = 0.0;        ///< wall time inside the ingest call
   double RowsPerSecond() const {

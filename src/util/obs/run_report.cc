@@ -17,10 +17,8 @@ namespace {
 /// harnesses, dashboards — can index unconditionally.
 constexpr const char* kStandardCounters[] = {
     "scheduler.instances",
-    "scheduler.submitted",
+    // Chunks claimed by pool workers and ParallelFor callers.
     "scheduler.executed",
-    "scheduler.stolen",
-    "scheduler.helped",
     "index_cache.hits",
     "index_cache.misses",
     "index_cache.evictions",
@@ -39,10 +37,6 @@ constexpr const char* kStandardCounters[] = {
     "ingest.infer_runs",
     "ingest.infer_bytes",
     "ingest.infer_quoted_records",
-    // Retired with the per-call estimator (the one estimation path is
-    // the batch engine); always 0, kept so the schema floor (and readers
-    // keyed on it) stay stable.
-    "estimation.legacy_calls",
     "estimation.batch_evals",
     // ConfounderPartition::Build calls: cold partitions, one per
     // adjustment set (extensions count under append.partitions_extended).
@@ -51,10 +45,6 @@ constexpr const char* kStandardCounters[] = {
     "estimation.solve_stratified",
     "estimation.solve_ipw_cells",
     "estimation.solve_ipw_rows",
-    // Retired with the int64 and staged dense-word accumulate paths; always
-    // 0, kept so the schema floor (and readers keyed on it) stay stable.
-    "estimation.accumulate_path_int",
-    "estimation.accumulate_path_fp_staged",
     "estimation.accumulate_path_sparse",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",

@@ -11,8 +11,7 @@
 //   {
 //     "schema": "faircap.run_report.v1",
 //     "phase":        { "<phase>_seconds": <double>, ... },
-//     "scheduler":    { workers, instances, submitted, executed,
-//                       stolen, helped },
+//     "scheduler":    { workers, instances, executed },
 //     "index_cache":  { hits, misses, evictions, atom_evictions,
 //                       warm_atom_masks, atom_bytes, conjunction_bytes,
 //                       numeric_order_bytes },
@@ -20,9 +19,9 @@
 //     "ingest":       { runs, rows, bytes, chunks, segments,
 //                       infer_runs, infer_bytes, infer_quoted_records },
 //     "simd":         { level, level_name },
-//     "estimation":   { legacy_calls (retired, always 0), batch_evals,
-//                       solve_regression, solve_stratified,
-//                       solve_ipw_cells, solve_ipw_rows },
+//     "estimation":   { batch_evals, partition_builds, solve_regression,
+//                       solve_stratified, solve_ipw_cells, solve_ipw_rows,
+//                       accumulate_path_sparse },
 //     "mining":       { lattice_evaluations, pattern_tasks, ... }
 //   }
 // Extra metrics registered by future subsystems appear as extra keys /

@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -83,17 +82,6 @@ class CondVar {
     std::unique_lock<std::mutex> lk(mu.native(), std::adopt_lock);
     cv_.wait(lk);
     lk.release();
-  }
-
-  template <class Rep, class Period>
-  // Returns false iff the wait timed out.
-  std::cv_status WaitFor(Mutex& mu,
-                         const std::chrono::duration<Rep, Period>& d)
-      REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
-    std::unique_lock<std::mutex> lk(mu.native(), std::adopt_lock);
-    std::cv_status st = cv_.wait_for(lk, d);
-    lk.release();
-    return st;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -1,11 +1,10 @@
-// TaskScheduler correctness under stress: randomized nested task graphs
-// (groups within groups, uneven task costs, tasks spawning into their
-// own group), exception propagation out of Wait() across nesting levels,
-// help-first waiting (an external thread's Wait executes tasks instead
-// of blocking), Wait and nested ParallelFor from inside worker tasks, and
-// inline degradation with a null scheduler. These run
-// under the TSan CI job — the scheduler is the one component every
-// parallel phase of the pipeline now shares.
+// TaskScheduler, the flat ParallelFor pool: every index runs exactly once,
+// the T workers and the calling thread all claim chunks (T + 1 threads),
+// a ParallelFor from inside one of the pool's tasks runs inline on that
+// thread, a second external caller waits its turn, an exception reaches
+// the caller and leaves the pool usable, and the workers live across
+// calls. These run under the TSan CI job — the pool is the one component
+// every parallel phase of the pipeline shares.
 
 #include "util/task_scheduler.h"
 
@@ -13,11 +12,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "util/random.h"
+#include "util/sync.h"
 
 namespace faircap {
 namespace {
@@ -47,22 +47,14 @@ TEST(TaskSchedulerTest, ParallelForFewerItemsThanThreads) {
 TEST(TaskSchedulerTest, DefaultsToAtLeastOneThread) {
   TaskScheduler scheduler(0);
   EXPECT_GE(scheduler.num_threads(), 1u);
-}
-
-TEST(TaskSchedulerTest, NullSchedulerGroupRunsInline) {
-  TaskGroup group(nullptr);
-  int count = 0;
-  group.Submit([&] { ++count; });
-  EXPECT_EQ(count, 1);  // ran before Submit returned
-  group.ParallelFor(10, [&](size_t) { ++count; });
-  group.Wait();
-  EXPECT_EQ(count, 11);
+  EXPECT_EQ(scheduler.num_threads(), ResolveThreadCount(0));
+  EXPECT_EQ(ResolveThreadCount(3), 3u);
 }
 
 TEST(TaskSchedulerTest, UnevenTaskCostsAllComplete) {
-  // One task 100x the cost of the rest: stealing must spread the small
-  // ones across the remaining workers instead of queueing them behind
-  // the big one.
+  // One index 100x the cost of the rest: the shared cursor must spread
+  // the small ones across the other threads instead of queueing them
+  // behind the big one.
   TaskScheduler scheduler(4);
   std::atomic<uint64_t> total{0};
   scheduler.ParallelFor(64, [&](size_t i) {
@@ -74,157 +66,52 @@ TEST(TaskSchedulerTest, UnevenTaskCostsAllComplete) {
   EXPECT_NE(total.load(), 0u);
 }
 
-TEST(TaskSchedulerTest, ExceptionPropagatesFromWait) {
+// With T = 2 and three one-index chunks, no thread can finish its chunk
+// before all three have arrived, so a complete rendezvous proves three
+// distinct threads ran the call: both workers and the caller. The wait is
+// bounded so a broken pool fails the test instead of hanging it.
+TEST(TaskSchedulerTest, ParallelForRunsOnWorkersAndCaller) {
   TaskScheduler scheduler(2);
-  TaskGroup group(&scheduler);
-  for (int i = 0; i < 8; ++i) {
-    group.Submit([i] {
-      if (i == 5) throw std::runtime_error("task failed");
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The group is reusable after the error was delivered.
-  std::atomic<int> ran{0};
-  group.Submit([&] { ran.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskSchedulerTest, ExceptionCrossesNestingLevels) {
-  // A throw three levels down must surface at the outermost Wait: each
-  // level's ParallelFor rethrows into its parent task, whose scheduler
-  // frame captures it for the next level up.
-  TaskScheduler scheduler(4);
-  auto nested = [&](auto&& self, size_t depth) -> void {
-    TaskGroup group(&scheduler);
-    group.ParallelFor(4, [&](size_t i) {
-      if (depth == 0) {
-        if (i == 3) throw std::runtime_error("deep failure");
-        return;
-      }
-      self(self, depth - 1);
-    });
-  };
-  // ParallelFor waits internally and rethrows.
-  EXPECT_THROW(nested(nested, 2), std::runtime_error);
-}
-
-TEST(TaskSchedulerTest, ExternalWaitHelpsInsteadOfBlocking) {
-  // A scheduler whose single worker is pinned by a long task: the
-  // external thread's Wait must execute the remaining tasks itself.
-  TaskScheduler scheduler(1);
-  std::atomic<bool> release{false};
-  std::atomic<int> done{0};
-  TaskGroup pinned(&scheduler);
-  pinned.Submit([&] {
-    while (!release.load()) std::this_thread::yield();
+  Mutex mu;
+  std::set<std::thread::id> ids;
+  std::atomic<int> arrived{0};
+  scheduler.ParallelFor(3, [&](size_t) {
+    {
+      MutexLock lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
   });
-  TaskGroup group(&scheduler);
-  for (int i = 0; i < 4; ++i) {
-    group.Submit([&] { done.fetch_add(1); });
-  }
-  group.Wait();  // worker is busy: these four ran on this thread
-  EXPECT_EQ(done.load(), 4);
-  release.store(true);
-  pinned.Wait();
-  const TaskScheduler::Stats stats = scheduler.GetStats();
-  EXPECT_GE(stats.helped, 4u);
+  MutexLock lock(mu);
+  EXPECT_EQ(ids.size(), 3u);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
 }
 
-TEST(TaskSchedulerTest, TasksCanSpawnIntoTheirOwnGroup) {
-  TaskScheduler scheduler(2);
-  TaskGroup group(&scheduler);
-  std::atomic<int> count{0};
-  std::function<void(int)> spawn = [&](int depth) {
-    count.fetch_add(1);
-    if (depth > 0) {
-      group.Submit([&, depth] { spawn(depth - 1); });
-      group.Submit([&, depth] { spawn(depth - 1); });
-    }
-  };
-  group.Submit([&] { spawn(4); });
-  group.Wait();
-  EXPECT_EQ(count.load(), 31);  // 2^5 - 1 nodes of the binary spawn tree
-}
-
-// Randomized nested task graphs: arbitrary fan-out, nesting depth, and
-// spin costs, across several seeds and worker counts. Every node must
-// execute exactly once and the total must be deterministic in the graph
-// (not the schedule).
-TEST(TaskSchedulerTest, RandomizedNestedGraphsExecuteEveryNodeOnce) {
-  for (const uint64_t seed : {7u, 19u, 83u}) {
-    for (const size_t workers : {1u, 2u, 5u}) {
-      TaskScheduler scheduler(workers);
-      std::atomic<uint64_t> nodes{0};
-      // Deterministic node budget per (seed): derive each subtree's
-      // shape from its own Rng so the expected count is computable by a
-      // sequential replay.
-      std::function<uint64_t(uint64_t, size_t)> expect_nodes =
-          [&](uint64_t node_seed, size_t depth) -> uint64_t {
-        Rng rng(node_seed);
-        uint64_t expected = 1;
-        if (depth == 0) return expected;
-        const size_t fanout = 1 + rng.NextBounded(4);
-        for (size_t i = 0; i < fanout; ++i) {
-          expected += expect_nodes(node_seed * 31 + i + 1, depth - 1);
-        }
-        return expected;
-      };
-      std::function<void(uint64_t, size_t)> run = [&](uint64_t node_seed,
-                                                      size_t depth) {
-        nodes.fetch_add(1);
-        Rng rng(node_seed);
-        if (depth == 0) return;
-        const size_t fanout = 1 + rng.NextBounded(4);
-        // Uneven spin before fanning out.
-        uint64_t x = node_seed | 1;
-        const size_t spins = 100 * (1 + rng.NextBounded(50));
-        for (size_t k = 0; k < spins; ++k) {
-          x = x * 2862933555777941757ULL + 3037;
-        }
-        if (x == 0) return;  // never taken; defeats dead-code elimination
-        TaskGroup group(&scheduler);
-        for (size_t i = 0; i < fanout; ++i) {
-          group.Submit(
-              [&, i, node_seed] { run(node_seed * 31 + i + 1, depth - 1); });
-        }
-        group.Wait();
-      };
-      run(seed, 4);
-      EXPECT_EQ(nodes.load(), expect_nodes(seed, 4))
-          << "seed " << seed << " workers " << workers;
-    }
-  }
-}
-
-TEST(TaskSchedulerTest, WaitIsIdempotent) {
-  TaskScheduler scheduler(2);
-  TaskGroup group(&scheduler);
-  std::atomic<int> counter{0};
-  group.Submit([&counter] { counter.fetch_add(1); });
-  group.Wait();
-  group.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-// Nested ParallelFor from inside a worker task must run the inner loops
-// to completion (a fixed pool with a blocking wait deadlocks here).
-TEST(TaskSchedulerTest, NestedParallelForFromWorkerCompletes) {
+// A ParallelFor from inside one of the pool's tasks runs inline on the
+// thread that made it, and still covers every index once.
+TEST(TaskSchedulerTest, NestedCallRunsInline) {
   TaskScheduler scheduler(2);
   constexpr size_t kOuter = 8;
   constexpr size_t kInner = 16;
   std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> foreign{0};
   scheduler.ParallelFor(kOuter, [&](size_t outer) {
+    const std::thread::id self = std::this_thread::get_id();
     scheduler.ParallelFor(kInner, [&](size_t inner) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
       hits[outer * kInner + inner].fetch_add(1);
     });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign.load(), 0);
 }
 
-// Three levels deep on a single worker: every inner loop can only make
-// progress through the waiting thread's own help.
-TEST(TaskSchedulerTest, DeeplyNestedParallelForOnOneWorker) {
+TEST(TaskSchedulerTest, NestedCallOnOneWorkerRunsInline) {
   TaskScheduler scheduler(1);
   std::atomic<int> count{0};
   scheduler.ParallelFor(3, [&](size_t) {
@@ -235,49 +122,74 @@ TEST(TaskSchedulerTest, DeeplyNestedParallelForOnOneWorker) {
   EXPECT_EQ(count.load(), 27);
 }
 
-// Wait() from inside one of the group's own tasks must not wait for
-// itself: it completes once every *other* pending task has finished.
-TEST(TaskSchedulerTest, WaitFromWorkerCompletes) {
+TEST(TaskSchedulerTest, ExceptionPropagatesAndPoolStaysUsable) {
   TaskScheduler scheduler(2);
-  TaskGroup group(&scheduler);
-  std::atomic<int> others{0};
-  std::atomic<bool> waited{false};
-  for (int i = 0; i < 16; ++i) {
-    group.Submit([&] { others.fetch_add(1); });
-  }
-  group.Submit([&] {
-    group.Wait();  // must not deadlock on itself
-    EXPECT_EQ(others.load(), 16);
-    waited.store(true);
-  });
-  group.Wait();
-  EXPECT_TRUE(waited.load());
-}
-
-// A task submitting more work into its own group and then waiting for it
-// from the worker thread.
-TEST(TaskSchedulerTest, SubmitThenWaitFromWorker) {
-  TaskScheduler scheduler(2);
-  TaskGroup group(&scheduler);
-  std::atomic<int> counter{0};
-  group.Submit([&] {
-    for (int i = 0; i < 8; ++i) {
-      group.Submit([&] { counter.fetch_add(1); });
+  std::vector<std::atomic<int>> hits(64);
+  EXPECT_THROW(scheduler.ParallelFor(64,
+                                     [&](size_t i) {
+                                       if (i == 5) {
+                                         throw std::runtime_error("failed");
+                                       }
+                                       hits[i].fetch_add(1);
+                                     }),
+               std::runtime_error);
+  // Only the throwing chunk (indices 5..7 of eight-index chunks) stops
+  // early; every other chunk ran before the call returned.
+  for (size_t i = 0; i < hits.size(); ++i) {
+    if (i < 5 || i >= 8) {
+      EXPECT_EQ(hits[i].load(), 1) << i;
     }
-    group.Wait();
-    EXPECT_EQ(counter.load(), 8);
-    counter.fetch_add(100);
-  });
-  group.Wait();
-  EXPECT_EQ(counter.load(), 108);
+  }
+  std::atomic<int> ran{0};
+  scheduler.ParallelFor(100, [&](size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(TaskSchedulerTest, StatsCountSubmittedAndExecuted) {
+// 1,000 calls on one pool run on the same T workers plus the caller:
+// nothing spawns a thread per call.
+TEST(TaskSchedulerTest, RepeatedCallsReuseWorkers) {
   TaskScheduler scheduler(2);
+  Mutex mu;
+  std::set<std::thread::id> ids;
+  for (int call = 0; call < 1000; ++call) {
+    std::atomic<int> sum{0};
+    scheduler.ParallelFor(16, [&](size_t i) {
+      sum.fetch_add(static_cast<int>(i));
+      MutexLock lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    ASSERT_EQ(sum.load(), 120) << "call " << call;
+  }
+  MutexLock lock(mu);
+  EXPECT_LE(ids.size(), scheduler.num_threads() + 1);
+}
+
+// Two external threads calling the same pool: the second waits for the
+// first call to finish, and both cover their indices.
+TEST(TaskSchedulerTest, ConcurrentExternalCallersBothComplete) {
+  TaskScheduler scheduler(2);
+  std::vector<std::atomic<int>> hits(2 * 500);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        scheduler.ParallelFor(
+            500, [&](size_t i) { hits[c * 500 + i].fetch_add(1); });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 20);
+}
+
+TEST(TaskSchedulerTest, StatsCountClaimedChunks) {
+  TaskScheduler scheduler(2);
+  // 100 indices on T = 2: eight chunks of ceil(100 / 8) = 13 indices.
   scheduler.ParallelFor(100, [](size_t) {});
-  const TaskScheduler::Stats stats = scheduler.GetStats();
-  EXPECT_GT(stats.submitted, 0u);
-  EXPECT_EQ(stats.submitted, stats.executed);
+  EXPECT_EQ(scheduler.GetStats().executed, 8u);
+  // Inline calls claim no chunks.
+  scheduler.ParallelFor(1, [](size_t) {});
+  EXPECT_EQ(scheduler.GetStats().executed, 8u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // tests/fixtures/thread_safety_positive.cc must pass, or configuration
 // aborts. Here we pin the wrapper semantics the whole codebase now
 // leans on: Mutex exclusion, MutexLock early release, CondVar wait /
-// notify through the adopt-lock bridge, and WaitFor timeout behavior.
+// notify through the adopt-lock bridge.
 
 #include "util/sync.h"
 
@@ -111,38 +111,6 @@ TEST(CondVarTest, WaitReacquiresTheMutex) {
   }
   for (auto& t : waiters) t.join();
   EXPECT_EQ(observed_inside_wait_loop, 4);
-}
-
-TEST(CondVarTest, WaitForTimesOut) {
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(mu);
-  const auto start = std::chrono::steady_clock::now();
-  const std::cv_status status =
-      cv.WaitFor(mu, std::chrono::milliseconds(5));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(status, std::cv_status::timeout);
-  EXPECT_GE(elapsed, std::chrono::milliseconds(4));
-}
-
-TEST(CondVarTest, WaitForWakesBeforeTimeoutOnNotify) {
-  Mutex mu;
-  CondVar cv;
-  std::atomic<bool> woke{false};
-  std::thread waiter([&] {
-    MutexLock lock(mu);
-    // Generous timeout: the notify below should arrive long before it.
-    cv.WaitFor(mu, std::chrono::seconds(30));
-    woke.store(true);
-  });
-  // Nudge until the waiter is actually inside WaitFor (spurious-wakeup
-  // tolerant: notifying repeatedly is harmless).
-  while (!woke.load()) {
-    cv.NotifyAll();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  waiter.join();
-  EXPECT_TRUE(woke.load());
 }
 
 // The annotation macros must be compilable in every position the

@@ -176,10 +176,12 @@ void PrintUsage() {
       "  --min-support=0.1 --max-rules=20 --max-intervention-predicates=2\n"
       "  --min-group-size=10 --min-subgroup-arm=5 --index-budget-mb=0\n"
       "  --engine-budget-mb=0     (CATE engine cache cap; 0 = unlimited)\n"
-      "  --threads=0              (work-stealing scheduler workers over\n"
-      "                            grouping patterns; 0 = hardware,\n"
-      "                            1 = sequential. Results are identical\n"
-      "                            at every thread count)\n"
+      "  --threads=0              (pool workers over grouping patterns\n"
+      "                            and greedy trials; the main thread\n"
+      "                            works too, so T > 1 runs on T + 1\n"
+      "                            threads. 0 = hardware, 1 = sequential.\n"
+      "                            Results are identical at every\n"
+      "                            thread count)\n"
       "  --natural-language --unit=$\n"
       "common options:\n"
       "  --simd=scalar|avx2|avx512   (pin the kernel ISA tier; default:\n"
@@ -199,7 +201,8 @@ void PrintUsage() {
       "                            metrics registry — scheduler, caches,\n"
       "                            ingest, SIMD tier, estimation splits)\n"
       "ingest options:\n"
-      "  --chunk-kb=1024 --threads=1   (parse threads; 0 = hardware)\n"
+      "  --chunk-kb=1024 --threads=1   (parse pool workers; the main\n"
+      "                            thread parses too. 0 = hardware)\n"
       "append options (incremental re-mining; takes the dataset and\n"
       "solver run options):\n"
       "  --delta=FILE.csv[,FILE2]  (delta CSVs parsed against the resident\n"
@@ -460,22 +463,16 @@ int RunPipeline(const CliArgs& args) {
                       result->timings.total()}},
                     /*with_runtime=*/true);
 
-  if (result->scheduler.collected) {
-    // Scheduler observability (stderr, --log-level=info): steals show
-    // load balancing across grouping patterns; helped counts
-    // tasks a Wait()ing thread ran inline instead of blocking. Inline
-    // runs (--threads=1) report as such rather than as missing stats.
-    if (result->scheduler.inline_execution) {
-      FAIRCAP_LOG(Info) << "scheduler: inline (no workers), "
-                        << result->scheduler.tasks
-                        << " pattern tasks on the calling thread";
-    } else {
-      FAIRCAP_LOG(Info) << "scheduler: " << result->scheduler.workers
-                        << " workers, " << result->scheduler.tasks
-                        << " tasks (" << result->scheduler.stolen
-                        << " stolen, " << result->scheduler.helped
-                        << " run by waiters)";
-    }
+  // Step-2 pool observability (stderr, --log-level=info). Inline runs
+  // (--threads=1) report the grouping patterns run on the calling thread.
+  if (result->scheduler.workers == 0) {
+    FAIRCAP_LOG(Info) << "scheduler: inline (no workers), "
+                      << result->scheduler.tasks
+                      << " pattern tasks on the calling thread";
+  } else {
+    FAIRCAP_LOG(Info) << "scheduler: " << result->scheduler.workers
+                      << " workers + caller, " << result->scheduler.tasks
+                      << " chunks";
   }
 
   if (args.Has("natural-language")) {
