@@ -322,6 +322,10 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
     }
   }
 
+  for (size_t c = all_cells_.size(); c < cells_.size(); ++c) {
+    all_cells_.push_back(static_cast<uint32_t>(c));
+  }
+
   // Re-derive the stratum order over the (possibly grown) cell table:
   // non-null cells ascending by digit tuple, which is ascending stratum id
   // whenever the mixed-radix id fits. Tuples are unique across cells, so
@@ -354,7 +358,8 @@ void ConfounderPartition::InternRows(const DataFrame& df, size_t row_begin) {
 
   size_t bytes = cell_of_row_.size() * sizeof(int32_t) +
                  outcome_valid_.num_words() * sizeof(uint64_t) +
-                 cells_by_stratum_.size() * sizeof(uint32_t);
+                 (all_cells_.size() + cells_by_stratum_.size()) *
+                     sizeof(uint32_t);
   for (const auto& vals : numeric_values_) {
     bytes += vals.size() * sizeof(double);
   }
@@ -388,18 +393,45 @@ size_t CateStatsEngine::bytes() const {
 
 CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
   Accum acc;
-  const size_t slots = partition_->cells().size() * 2;
-  acc.n.assign(slots, 0);
-  acc.sy.assign(slots, 0.0);
-  acc.syy.assign(slots, 0.0);
-  if (need_moments()) {
-    const size_t m = partition_->num_numeric();
-    acc.zsum.assign(slots * m, 0.0);
-    acc.zysum.assign(slots * m, 0.0);
-    acc.zzsum.assign(slots * (m * (m + 1) / 2), 0.0);
-  }
+  ResetAccum(&acc, partition_->cells().size() * 2);
   return acc;
 }
+
+void CateStatsEngine::ResetAccum(Accum* acc, size_t slots) const {
+  acc->rows = 0;
+  acc->n_treated = 0;
+  acc->n_control = 0;
+  acc->slots.assign(slots, simd::CateSlot());
+  if (need_moments()) {
+    const size_t m = partition_->num_numeric();
+    acc->zsum.assign(slots * m, 0.0);
+    acc->zysum.assign(slots * m, 0.0);
+    acc->zzsum.assign(slots * (m * (m + 1) / 2), 0.0);
+  }
+}
+
+CateStatsEngine::CellList CateStatsEngine::TableCells() const {
+  const ConfounderPartition& part = *partition_;
+  return {part.all_cells().data(), part.all_cells().size(),
+          part.cells_by_stratum().data(), part.cells_by_stratum().size()};
+}
+
+namespace {
+
+/// The kernel-facing view of an accum's slots.
+simd::CateSink SinkOf(CateStatsEngine::Accum* acc) {
+  simd::CateSink sink;
+  sink.rows = &acc->rows;
+  sink.n_treated = &acc->n_treated;
+  sink.n_control = &acc->n_control;
+  sink.slots = acc->slots.data();
+  sink.zsum = acc->zsum.empty() ? nullptr : acc->zsum.data();
+  sink.zysum = acc->zysum.empty() ? nullptr : acc->zysum.data();
+  sink.zzsum = acc->zzsum.empty() ? nullptr : acc->zzsum.data();
+  return sink;
+}
+
+}  // namespace
 
 void CateStatsEngine::AccumulateRange(const Bitmap& group,
                                       const Bitmap* protected_mask,
@@ -423,19 +455,6 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   // column, fetched here on every pass: an append may reallocate it.
   // Every float add runs in ascending-row order per slot, so the result
   // is bit-identical at every SIMD level.
-  const auto sink_of = [](Accum* acc) {
-    simd::CateSink sink;
-    sink.rows = &acc->rows;
-    sink.n_treated = &acc->n_treated;
-    sink.n_control = &acc->n_control;
-    sink.n = acc->n.data();
-    sink.sy = acc->sy.data();
-    sink.syy = acc->syy.data();
-    sink.zsum = acc->zsum.empty() ? nullptr : acc->zsum.data();
-    sink.zysum = acc->zysum.empty() ? nullptr : acc->zysum.data();
-    sink.zzsum = acc->zzsum.empty() ? nullptr : acc->zzsum.data();
-    return sink;
-  };
   simd::CateAccumArgs args;
   args.group_words = group.words();
   args.treated_words = treated_->words();
@@ -449,10 +468,10 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
   args.zcols = args.moments ? partition_->numeric_value_ptrs() : nullptr;
   args.word_begin = word_begin;
   args.word_end = word_end;
-  args.overall = sink_of(overall);
+  args.overall = SinkOf(overall);
   if (protected_mask != nullptr) {
-    args.prot = sink_of(prot);
-    args.nonprot = sink_of(nonprot);
+    args.prot = SinkOf(prot);
+    args.nonprot = SinkOf(nonprot);
   }
 
   const size_t rows_before = overall->rows;
@@ -469,6 +488,8 @@ void CateStatsEngine::AccumulateRange(const Bitmap& group,
 }
 
 Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,
+                                            const CellList& cells,
+                                            CountBlock* row_counts,
                                             const Slice& slice,
                                             size_t min_group_size) const {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -477,28 +498,34 @@ Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,
       static obs::Counter& solves =
           registry.GetCounter("estimation.solve_regression");
       solves.Increment();
-      return SolveRegression(acc, min_group_size);
+      return SolveRegression(acc, cells, row_counts, min_group_size);
     }
     case CateMethod::kStratified: {
       static obs::Counter& solves =
           registry.GetCounter("estimation.solve_stratified");
       solves.Increment();
-      return SolveStratified(acc, min_group_size);
+      return SolveStratified(acc, cells, min_group_size);
     }
     case CateMethod::kIpw:
       // The cell/row split is counted inside SolveIpw — only there is it
       // known whether the grouped-cell fit applies or the per-row
       // fallback runs.
-      return SolveIpw(acc, slice, min_group_size);
+      return SolveIpw(acc, cells, slice, min_group_size);
   }
   return Status::Internal("unknown CATE method");
 }
 
 void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
                                               NormalEquations* out) const {
+  AssembleNormalEquations(acc, TableCells(), nullptr, out);
+}
+
+void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
+                                              const CellList& cells,
+                                              CountBlock* row_counts,
+                                              NormalEquations* out) const {
   const ConfounderPartition& part = *partition_;
-  const size_t num_cells = part.cells().size();
-  FAIRCAP_CHECK(acc.n.size() == num_cells * 2);
+  FAIRCAP_CHECK(acc.slots.size() == cells.size * 2);
   const uint32_t* onehot_begin = part.onehot_begin().data();
   const uint32_t* onehot_ids = part.onehot_ids().data();
   const auto& features = part.features();
@@ -519,36 +546,49 @@ void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
   // or n1 for T) and converted once below. Each partial sum is an integer
   // below 2^53, so this equals the ascending per-slot double sum exactly.
   // (f, f) equals (0, f), and levels of one confounder never share a
-  // cell, so only the cross-confounder pairs are summed.
+  // cell, so only the cross-confounder pairs are summed. The entries
+  // weighted by n0 + n1 do not depend on the treatment: with `row_counts`
+  // they are summed on first use, kept, and copied after; the T row and
+  // (0, T) are weighted by n1 and summed every time.
   thread_local std::vector<int64_t> counts;
-  counts.assign(p * p, 0);
+  const bool have_block = row_counts != nullptr && row_counts->ready;
+  if (have_block) {
+    FAIRCAP_CHECK(row_counts->counts.size() == p * p);
+    counts = row_counts->counts;
+  } else {
+    counts.assign(p * p, 0);
+  }
   int64_t* cnt = counts.data();
-  for (size_t c = 0; c < num_cells; ++c) {
-    const int64_t n1 = acc.n[c * 2 + 1];
-    const int64_t nc = acc.n[c * 2] + n1;
+  for (size_t i = 0; i < cells.size; ++i) {
+    const int64_t n1 = acc.slots[i * 2 + 1].n;
+    const int64_t nc = acc.slots[i * 2].n + n1;
     if (nc == 0) continue;
+    const uint32_t c = cells.cells[i];
     const uint32_t* f_begin = onehot_ids + onehot_begin[c];
     const uint32_t* f_end = onehot_ids + onehot_begin[c + 1];
-    cnt[0] += nc;
+    if (!have_block) {
+      cnt[0] += nc;
+      for (const uint32_t* f = f_begin; f != f_end; ++f) {
+        const size_t col = 2 + *f;
+        cnt[col] += nc;
+        int64_t* row = cnt + col * p + 2;
+        for (const uint32_t* g = f + 1; g != f_end; ++g) row[*g] += nc;
+      }
+    }
     cnt[1] += n1;
     cnt[p + 1] += n1;
-    for (const uint32_t* f = f_begin; f != f_end; ++f) {
-      const size_t col = 2 + *f;
-      cnt[col] += nc;
-      cnt[p + col] += n1;
-      int64_t* row = cnt + col * p + 2;
-      for (const uint32_t* g = f + 1; g != f_end; ++g) row[*g] += nc;
-    }
+    for (const uint32_t* f = f_begin; f != f_end; ++f) cnt[p + 2 + *f] += n1;
 
     // X'y, y'y and the numeric-moment entries stay in double, added per
     // non-empty slot in ascending slot order.
     for (size_t arm = 0; arm < 2; ++arm) {
-      const size_t idx = c * 2 + arm;
-      if (acc.n[idx] == 0) continue;
-      const double sy = acc.sy[idx];
+      const size_t idx = i * 2 + arm;
+      const simd::CateSlot& slot = acc.slots[idx];
+      if (slot.n == 0) continue;
+      const double sy = slot.sy;
       xty[0] += sy;
       if (arm != 0) xty[1] += sy;
-      out->yty += acc.syy[idx];
+      out->yty += slot.syy;
       for (const uint32_t* f = f_begin; f != f_end; ++f) xty[2 + *f] += sy;
       if (m == 0) continue;
       const size_t zbase = idx * m;
@@ -568,12 +608,21 @@ void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
         xty[colj] += acc.zysum[zbase + j];
       }
       const size_t zzbase = idx * mm;
-      for (size_t i = 0, t = 0; i < m; ++i) {
-        for (size_t j = i; j < m; ++j, ++t) {
-          xtx[(2 + nf[i]) * p + (2 + nf[j])] += acc.zzsum[zzbase + t];
+      for (size_t zi = 0, t = 0; zi < m; ++zi) {
+        for (size_t zj = zi; zj < m; ++zj, ++t) {
+          xtx[(2 + nf[zi]) * p + (2 + nf[zj])] += acc.zzsum[zzbase + t];
         }
       }
     }
+  }
+
+  if (row_counts != nullptr && !have_block) {
+    // Keep the treatment-invariant entries: all but (0, T) and the T row.
+    row_counts->counts = counts;
+    row_counts->counts[1] = 0;
+    std::fill(row_counts->counts.begin() + static_cast<ptrdiff_t>(p),
+              row_counts->counts.begin() + static_cast<ptrdiff_t>(2 * p), 0);
+    row_counts->ready = true;
   }
 
   // Convert the count block: the upper triangle over the intercept, T and
@@ -591,14 +640,15 @@ void CateStatsEngine::AssembleNormalEquations(const Accum& acc,
 }
 
 Result<CateEstimate> CateStatsEngine::SolveRegression(
-    const Accum& acc, size_t min_group_size) const {
+    const Accum& acc, const CellList& cells, CountBlock* row_counts,
+    size_t min_group_size) const {
   if (acc.n_treated < min_group_size || acc.n_control < min_group_size) {
     return Status::FailedPrecondition(
         "insufficient overlap: " + std::to_string(acc.n_treated) +
         " treated / " + std::to_string(acc.n_control) + " control rows");
   }
   thread_local NormalEquations eq;
-  AssembleNormalEquations(acc, &eq);
+  AssembleNormalEquations(acc, cells, row_counts, &eq);
   FAIRCAP_ASSIGN_OR_RETURN(
       const OlsFit fit,
       SolveNormalEquations(eq.xtx, eq.xty, eq.yty, acc.rows, eq.p,
@@ -612,24 +662,26 @@ Result<CateEstimate> CateStatsEngine::SolveRegression(
 }
 
 Result<CateEstimate> CateStatsEngine::SolveStratified(
-    const Accum& acc, size_t min_group_size) const {
+    const Accum& acc, const CellList& cells, size_t min_group_size) const {
   // The exact reference combine (same arithmetic, same std::map-ascending
   // stratum order), fed from the sliced cell stats — bit-for-bit equal.
   double weighted_effect = 0.0;
   double weighted_var = 0.0;
   size_t n_used = 0, n_treated = 0, n_control = 0;
-  for (const uint32_t c : partition_->cells_by_stratum()) {
-    const size_t i1 = static_cast<size_t>(c) * 2 + 1;
-    const size_t i0 = static_cast<size_t>(c) * 2;
-    const size_t nt = acc.n[i1];
-    const size_t nc = acc.n[i0];
+  for (size_t k = 0; k < cells.num_by_stratum; ++k) {
+    const simd::CateSlot& s1 =
+        acc.slots[static_cast<size_t>(cells.by_stratum[k]) * 2 + 1];
+    const simd::CateSlot& s0 =
+        acc.slots[static_cast<size_t>(cells.by_stratum[k]) * 2];
+    const size_t nt = s1.n;
+    const size_t nc = s0.n;
     if (nt + nc == 0) continue;  // cell untouched by this subgroup
     if (nt < options_.min_stratum_arm || nc < options_.min_stratum_arm) {
       continue;  // no overlap in this stratum (positivity violation)
     }
     const size_t n_s = nt + nc;
-    const double m1 = acc.sy[i1] / static_cast<double>(nt);
-    const double m0 = acc.sy[i0] / static_cast<double>(nc);
+    const double m1 = s1.sy / static_cast<double>(nt);
+    const double m0 = s0.sy / static_cast<double>(nc);
     weighted_effect += static_cast<double>(n_s) * (m1 - m0);
     const auto arm_var = [](size_t n, double sum, double sum_sq) {
       if (n < 2) return 0.0;
@@ -638,9 +690,9 @@ Result<CateEstimate> CateStatsEngine::SolveStratified(
                       (sum_sq - sum * mean) / static_cast<double>(n - 1));
     };
     const double v1 =
-        arm_var(nt, acc.sy[i1], acc.syy[i1]) / static_cast<double>(nt);
+        arm_var(nt, s1.sy, s1.syy) / static_cast<double>(nt);
     const double v0 =
-        arm_var(nc, acc.sy[i0], acc.syy[i0]) / static_cast<double>(nc);
+        arm_var(nc, s0.sy, s0.syy) / static_cast<double>(nc);
     weighted_var += static_cast<double>(n_s) * static_cast<double>(n_s) *
                     (v1 + v0);
     n_used += n_s;
@@ -662,6 +714,7 @@ Result<CateEstimate> CateStatsEngine::SolveStratified(
 }
 
 Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
+                                               const CellList& cells,
                                                const Slice& slice,
                                                size_t min_group_size) const {
   if (acc.n_treated < min_group_size || acc.n_control < min_group_size) {
@@ -685,17 +738,17 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
   // Categorical-only confounders: the propensity design is constant per
   // cell, so the logistic fit runs on grouped counts and the Hajek sums
   // come straight from the cell stats.
-  const size_t num_cells = partition_->cells().size();
   const uint32_t* onehot_begin = partition_->onehot_begin().data();
   const uint32_t* onehot_ids = partition_->onehot_ids().data();
   const size_t p = 1 + partition_->features().size();
   std::vector<double> x;
   std::vector<double> trials, successes;
-  std::vector<uint32_t> touched;
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    const uint32_t n1 = acc.n[static_cast<size_t>(c) * 2 + 1];
-    const uint32_t n0 = acc.n[static_cast<size_t>(c) * 2];
+  std::vector<uint32_t> touched;  // slot-cell indices i
+  for (uint32_t i = 0; i < cells.size; ++i) {
+    const uint32_t n1 = acc.slots[static_cast<size_t>(i) * 2 + 1].n;
+    const uint32_t n0 = acc.slots[static_cast<size_t>(i) * 2].n;
     if (n1 + n0 == 0) continue;
+    const uint32_t c = cells.cells[i];
     const size_t base = x.size();
     x.resize(base + p, 0.0);
     x[base] = 1.0;
@@ -704,7 +757,7 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
     }
     trials.push_back(static_cast<double>(n1 + n0));
     successes.push_back(static_cast<double>(n1));
-    touched.push_back(c);
+    touched.push_back(i);
   }
   const Result<LogisticFit> propensity =
       FitLogisticGrouped(x, touched.size(), p, trials, successes);
@@ -718,12 +771,12 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
         PredictLogistic(propensity->beta, &x[i * p]), clip, 1.0 - clip);
     e_of[i] = e;
     const size_t c2 = static_cast<size_t>(touched[i]) * 2;
-    const double n1 = static_cast<double>(acc.n[c2 + 1]);
-    const double n0 = static_cast<double>(acc.n[c2]);
-    sum_w1 += n1 / e;
-    sum_w1y += acc.sy[c2 + 1] / e;
-    sum_w0 += n0 / (1.0 - e);
-    sum_w0y += acc.sy[c2] / (1.0 - e);
+    const simd::CateSlot& s1 = acc.slots[c2 + 1];
+    const simd::CateSlot& s0 = acc.slots[c2];
+    sum_w1 += static_cast<double>(s1.n) / e;
+    sum_w1y += s1.sy / e;
+    sum_w0 += static_cast<double>(s0.n) / (1.0 - e);
+    sum_w0y += s0.sy / (1.0 - e);
   }
   const double mean1 = sum_w1y / sum_w1;
   const double mean0 = sum_w0y / sum_w0;
@@ -734,15 +787,16 @@ Result<CateEstimate> CateStatsEngine::SolveIpw(const Accum& acc,
   for (size_t i = 0; i < touched.size(); ++i) {
     const double e = e_of[i];
     const size_t c2 = static_cast<size_t>(touched[i]) * 2;
-    const double n1 = static_cast<double>(acc.n[c2 + 1]);
-    const double n0 = static_cast<double>(acc.n[c2]);
+    const simd::CateSlot& s1 = acc.slots[c2 + 1];
+    const simd::CateSlot& s0 = acc.slots[c2];
+    const double n1 = static_cast<double>(s1.n);
+    const double n0 = static_cast<double>(s0.n);
     const double w1 = 1.0 / e;
     const double w0 = 1.0 / (1.0 - e);
     const double ssd1 = std::max(
-        0.0, acc.syy[c2 + 1] - 2.0 * mean1 * acc.sy[c2 + 1] +
-                 n1 * mean1 * mean1);
+        0.0, s1.syy - 2.0 * mean1 * s1.sy + n1 * mean1 * mean1);
     const double ssd0 = std::max(
-        0.0, acc.syy[c2] - 2.0 * mean0 * acc.sy[c2] + n0 * mean0 * mean0);
+        0.0, s0.syy - 2.0 * mean0 * s0.sy + n0 * mean0 * mean0);
     var1_acc += w1 * w1 * ssd1;
     var0_acc += w0 * w0 * ssd0;
   }
@@ -807,31 +861,22 @@ Result<CateEstimate> CateStatsEngine::SolveIpwRows(
                           is_treated_row, options_.propensity_clip);
 }
 
-namespace {
-
-// The per-slot arrays of an accum agree in size.
-bool SlotArraysConsistent(const CateStatsEngine::Accum& acc) {
-  const size_t slots = acc.n.size();
-  return acc.sy.size() == slots && acc.syy.size() == slots;
-}
-
-}  // namespace
-
 void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
   // Checked in every build: the loops below index `into` by `from`'s
   // sizes, and MergeSubgroupAccums is public. Accums of one engine (after
   // GrowAccum) always agree.
-  FAIRCAP_CHECK(into->n.size() == from.n.size());
-  FAIRCAP_CHECK(SlotArraysConsistent(*into) && SlotArraysConsistent(from));
+  FAIRCAP_CHECK(into->slots.size() == from.slots.size());
   FAIRCAP_CHECK(into->zsum.size() == from.zsum.size() &&
                 into->zysum.size() == from.zysum.size() &&
                 into->zzsum.size() == from.zzsum.size());
   into->rows += from.rows;
   into->n_treated += from.n_treated;
   into->n_control += from.n_control;
-  for (size_t i = 0; i < from.n.size(); ++i) into->n[i] += from.n[i];
-  for (size_t i = 0; i < from.sy.size(); ++i) into->sy[i] += from.sy[i];
-  for (size_t i = 0; i < from.syy.size(); ++i) into->syy[i] += from.syy[i];
+  for (size_t i = 0; i < from.slots.size(); ++i) {
+    into->slots[i].n += from.slots[i].n;
+    into->slots[i].sy += from.slots[i].sy;
+    into->slots[i].syy += from.slots[i].syy;
+  }
   for (size_t i = 0; i < from.zsum.size(); ++i) into->zsum[i] += from.zsum[i];
   for (size_t i = 0; i < from.zysum.size(); ++i) {
     into->zysum[i] += from.zysum[i];
@@ -912,10 +957,8 @@ void CateStatsEngine::GrowAccum(Accum* acc) const {
   // current slot count. New cells append at the end, so resident slot
   // indices are unchanged and the new slots start at zero.
   const size_t slots = partition_->cells().size() * 2;
-  if (acc->n.empty() || acc->n.size() >= slots) return;
-  acc->n.resize(slots, 0);
-  acc->sy.resize(slots, 0.0);
-  acc->syy.resize(slots, 0.0);
+  if (acc->slots.empty() || acc->slots.size() >= slots) return;
+  acc->slots.resize(slots);
   const size_t m = partition_->num_numeric();
   if (!acc->zsum.empty()) acc->zsum.resize(slots * m, 0.0);
   if (!acc->zysum.empty()) acc->zysum.resize(slots * m, 0.0);
@@ -929,12 +972,25 @@ CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
   // The solvers index every cell of the partition: an accum that predates
   // delta-interned cells must be grown (MergeSubgroupAccums) first.
   const size_t slots = partition_->cells().size() * 2;
-  FAIRCAP_CHECK(accums.overall.n.size() == slots);
-  FAIRCAP_CHECK(!accums.split || (accums.prot.n.size() == slots &&
-                                  accums.nonprot.n.size() == slots));
+  FAIRCAP_CHECK(accums.overall.slots.size() == slots);
+  FAIRCAP_CHECK(!accums.split || (accums.prot.slots.size() == slots &&
+                                  accums.nonprot.slots.size() == slots));
+  return SolveSubgroups(accums, TableCells(), nullptr, group, protected_mask,
+                        min_group_size, min_subgroup_size,
+                        skip_subgroups_unless_positive);
+}
+
+CateSubgroupEstimates CateStatsEngine::SolveSubgroups(
+    const SubgroupAccums& accums, const CellList& cells,
+    CountBlock* row_counts, const Bitmap& group, const Bitmap* protected_mask,
+    size_t min_group_size, size_t min_subgroup_size,
+    bool skip_subgroups_unless_positive) const {
+  const auto block = [row_counts](size_t s) {
+    return row_counts != nullptr ? row_counts + s : nullptr;
+  };
   CateSubgroupEstimates out;
   const Slice whole{&group, nullptr, false};
-  out.overall = Solve(accums.overall, whole, min_group_size);
+  out.overall = Solve(accums.overall, cells, block(0), whole, min_group_size);
   if (protected_mask == nullptr) return out;
   if (skip_subgroups_unless_positive &&
       (!out.overall.ok() || out.overall->cate <= 0.0)) {
@@ -942,16 +998,181 @@ CateSubgroupEstimates CateStatsEngine::SolveFromAccums(
   }
   const Slice prot_slice{&group, protected_mask, true};
   const Slice nonprot_slice{&group, protected_mask, false};
-  out.protected_group = Solve(accums.prot, prot_slice, min_subgroup_size);
-  out.nonprotected = Solve(accums.nonprot, nonprot_slice, min_subgroup_size);
+  out.protected_group =
+      Solve(accums.prot, cells, block(1), prot_slice, min_subgroup_size);
+  out.nonprotected =
+      Solve(accums.nonprot, cells, block(2), nonprot_slice, min_subgroup_size);
   return out;
+}
+
+void CompactGroup::Gather(const DataFrame& df, size_t outcome_attr,
+                          const Bitmap& group, const Bitmap* protected_mask) {
+  const size_t num_rows = df.num_rows();
+  FAIRCAP_CHECK(group.size() == num_rows);
+  FAIRCAP_CHECK(protected_mask == nullptr ||
+                protected_mask->size() == num_rows);
+  FAIRCAP_CHECK(group.num_words() <= UINT32_MAX);
+  FAIRCAP_CHECK(df.column(outcome_attr).type() == AttrType::kNumeric);
+  partition_.reset();
+  outcome_attr_ = outcome_attr;
+  table_rows_ = num_rows;
+  split_ = protected_mask != nullptr;
+  word_index_.clear();
+  word_bits_.clear();
+  word_prot_.clear();
+  // Sized up front (the group's rows bound the valid ones), so the
+  // buffers hold no growth slack.
+  outcome_.resize(group.Count());
+  // A row is valid iff its outcome is non-null (NaN): the rule every
+  // partition's outcome_valid() bitmap is built by.
+  const double* y = df.column(outcome_attr).numeric_data();
+  const uint64_t* gw = group.words();
+  const uint64_t* pw =
+      protected_mask != nullptr ? protected_mask->words() : nullptr;
+  size_t rows = 0;
+  for (size_t w = 0; w < group.num_words(); ++w) {
+    uint64_t bits = gw[w];
+    for (uint64_t rest = bits; rest != 0; rest &= rest - 1) {
+      const unsigned b = static_cast<unsigned>(__builtin_ctzll(rest));
+      const double value = y[w * 64 + b];
+      if (std::isnan(value)) {
+        bits &= ~(uint64_t{1} << b);
+      } else {
+        outcome_[rows++] = value;
+      }
+    }
+    if (bits == 0) continue;
+    word_index_.push_back(static_cast<uint32_t>(w));
+    word_bits_.push_back(bits);
+    if (pw != nullptr) word_prot_.push_back(bits & pw[w]);
+  }
+  outcome_.resize(rows);
+}
+
+void CateStatsEngine::BindCompactGroup(CompactGroup* view) const {
+  const obs::TraceSpan span("compact_view");
+  static obs::Counter& views =
+      obs::MetricsRegistry::Global().GetCounter("estimation.compact_views");
+  views.Increment();
+  const ConfounderPartition& part = *partition_;
+  // The gathered rows are group ∧ valid only for a partition over the same
+  // outcome column and the same table.
+  FAIRCAP_CHECK(view->outcome_attr_ == part.outcome_attr());
+  FAIRCAP_CHECK(view->table_rows_ == part.rows_covered());
+  view->partition_ = partition_;
+  view->moments_ = need_moments();
+  for (CompactGroup::CountBlock& block : view->count_blocks_) {
+    block.ready = false;
+  }
+  const size_t m = view->moments_ ? part.num_numeric() : 0;
+  const size_t rows = view->outcome_.size();
+  view->z_.resize(m);
+  for (std::vector<double>& z : view->z_) z.resize(rows);
+  view->cell_.resize(rows);
+
+  // Each row's cell, marking the touched cells.
+  std::vector<int32_t>& dense_of = view->dense_of_;
+  dense_of.assign(part.cells().size(), -1);
+  const int32_t* cell_of_row = part.cell_of_row().data();
+  size_t i = 0;
+  for (size_t k = 0; k < view->word_index_.size(); ++k) {
+    const size_t base = size_t{view->word_index_[k]} * 64;
+    for (uint64_t bits = view->word_bits_[k]; bits != 0; bits &= bits - 1) {
+      const size_t r = base + static_cast<size_t>(__builtin_ctzll(bits));
+      const int32_t c = cell_of_row[r];
+      dense_of[static_cast<size_t>(c)] = 0;
+      for (size_t j = 0; j < m; ++j) {
+        view->z_[j][i] = part.numeric_values()[j][r];
+      }
+      view->cell_[i++] = static_cast<uint32_t>(c);
+    }
+  }
+
+  // Number the touched cells densely in ascending cell order (a monotone
+  // map), then renumber the rows and the stratum order.
+  view->cells_.clear();
+  for (size_t c = 0; c < dense_of.size(); ++c) {
+    if (dense_of[c] < 0) continue;
+    dense_of[c] = static_cast<int32_t>(view->cells_.size());
+    view->cells_.push_back(static_cast<uint32_t>(c));
+  }
+  for (uint32_t& c : view->cell_) c = static_cast<uint32_t>(dense_of[c]);
+  view->by_stratum_.clear();
+  for (const uint32_t c : part.cells_by_stratum()) {
+    if (dense_of[c] >= 0) {
+      view->by_stratum_.push_back(static_cast<uint32_t>(dense_of[c]));
+    }
+  }
+  view->z_ptrs_.clear();
+  for (const std::vector<double>& z : view->z_) {
+    view->z_ptrs_.push_back(z.data());
+  }
+}
+
+void CateStatsEngine::AccumulateCompact(const CompactGroup& view,
+                                        SubgroupAccums* out) const {
+  const size_t slots = view.cells_.size() * 2;
+  out->split = view.split_;
+  out->rows_covered = view.table_rows_;
+  ResetAccum(&out->overall, slots);
+  if (out->split) {
+    ResetAccum(&out->prot, slots);
+    ResetAccum(&out->nonprot, slots);
+  }
+  simd::CateCompactArgs args;
+  args.word_index = view.word_index_.data();
+  args.word_bits = view.word_bits_.data();
+  args.word_prot = view.split_ ? view.word_prot_.data() : nullptr;
+  args.num_words = view.word_index_.size();
+  args.treated_words = treated_->words();
+  args.cell = view.cell_.data();
+  args.outcome = view.outcome_.data();
+  args.num_numeric = view.moments_ ? partition_->num_numeric() : 0;
+  args.moments = view.moments_;
+  args.zcols = args.moments ? view.z_ptrs_.data() : nullptr;
+  args.overall = SinkOf(&out->overall);
+  if (out->split) {
+    args.prot = SinkOf(&out->prot);
+    args.nonprot = SinkOf(&out->nonprot);
+  }
+  simd::ActiveKernels().cate_accumulate_compact(args);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& rows_counter =
+      registry.GetCounter("simd.cate_accumulate_rows");
+  rows_counter.Add(out->overall.rows);
+  static obs::Counter& compact_evals =
+      registry.GetCounter("estimation.compact_evals");
+  compact_evals.Increment();
 }
 
 CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
     const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive) const {
-  // Child spans of the caller's "eval": the row pass and the solves.
+    size_t min_subgroup_size, bool skip_subgroups_unless_positive,
+    CompactGroup* view) const {
+  // Child spans of the caller's "eval": the row pass and the solves. The
+  // accums live for this call only: per-thread buffers kept across calls
+  // measured ~0.5 MB more peak RSS on so_fair.
   SubgroupAccums acc;
+  if (view != nullptr) {
+    // The view must describe exactly this pass: same partition (cell
+    // numbering), same rows, same protected split, same statistics.
+    FAIRCAP_CHECK(view->partition_.get() == partition_.get());
+    FAIRCAP_CHECK(view->table_rows_ == group.size() &&
+                  treated_->size() == group.size());
+    FAIRCAP_CHECK(view->split_ == (protected_mask != nullptr));
+    FAIRCAP_CHECK(view->moments_ == need_moments());
+    {
+      const obs::TraceSpan accumulate_span("accumulate");
+      AccumulateCompact(*view, &acc);
+    }
+    const obs::TraceSpan solve_span("solve");
+    const CellList cells{view->cells_.data(), view->cells_.size(),
+                         view->by_stratum_.data(), view->by_stratum_.size()};
+    return SolveSubgroups(acc, cells, view->count_blocks_, group,
+                          protected_mask, min_group_size, min_subgroup_size,
+                          skip_subgroups_unless_positive);
+  }
   {
     const obs::TraceSpan accumulate_span("accumulate");
     acc = AccumulateSubgroups(group, protected_mask);

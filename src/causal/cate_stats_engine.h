@@ -27,8 +27,22 @@
 // splitting the accumulation on the protected bit, so the non-protected
 // bitmap is never materialized at all.
 //
+// Step 2 evaluates ~160 treatments against one grouping pattern, and the
+// treatments of one lattice level share a few partitions. For those, a
+// CompactGroup gathers the group's rows once per pattern (the non-zero
+// words of group ∧ valid and the rows' outcomes) and their cells,
+// renumbered densely 0..k-1, once per partition. Each treatment then
+// accumulates 2k slots from those dense arrays, and the solvers walk the
+// k cells the group touches instead of all C cells of the partition.
+// Every solver iterates an accum's cell list: for the table pass it is
+// the partition's 0..C-1, for a compact pass the touched cells in
+// ascending order, so one set of solvers serves both and the estimates
+// are the same bits.
+//
 // Every statistic is summed in one representation: counts in integers,
-// outcome sums and moments in double, added in ascending row order. On an
+// outcome sums and moments in double, added in ascending row order. A
+// slot's count, Σy and Σy² sit together in one record (simd::CateSlot),
+// so a row's update touches one record per subgroup. On an
 // integer-valued outcome each partial Σy and Σy² is an integer, exact in
 // double while below 2^53, so those sums are the same bits under every
 // thread count and append schedule.
@@ -45,6 +59,7 @@
 #include "dataframe/bitmap.h"
 #include "dataframe/dataframe.h"
 #include "util/result.h"
+#include "util/simd/simd.h"
 
 namespace faircap {
 
@@ -137,6 +152,8 @@ class ConfounderPartition {
   /// onehot_begin()[c + 1]). Numeric features are per-row, not per-cell.
   const std::vector<uint32_t>& onehot_begin() const { return onehot_begin_; }
   const std::vector<uint32_t>& onehot_ids() const { return onehot_ids_; }
+  /// 0..C-1: the cell list of an accumulation over the whole partition.
+  const std::vector<uint32_t>& all_cells() const { return all_cells_; }
   /// Cells with stratum_id >= 0, ascending by stratum_id — the iteration
   /// order of the reference stratified combine (a std::map over ids).
   const std::vector<uint32_t>& cells_by_stratum() const {
@@ -258,6 +275,7 @@ class ConfounderPartition {
   std::vector<Cell> cells_;
   std::vector<uint32_t> onehot_begin_ = {0};  ///< [cells + 1]
   std::vector<uint32_t> onehot_ids_;
+  std::vector<uint32_t> all_cells_;
   std::vector<uint32_t> cells_by_stratum_;
   std::vector<std::vector<double>> numeric_values_;
   std::vector<const double*> numeric_value_ptrs_;
@@ -275,6 +293,75 @@ class ConfounderPartition {
   KeyTable cell_ids_;
   size_t rows_covered_ = 0;
   uint64_t lineage_id_ = 0;
+};
+
+/// One group's rows gathered into dense arrays, so that every treatment
+/// evaluated against the group accumulates from them instead of
+/// re-walking the table. Two stages:
+///   * CateEstimator::GatherCompactGroup (once per group): the non-zero
+///     words of group ∧ valid — each with its index, its bits and its
+///     protected bits — and the outcomes of those rows in ascending row
+///     order. Validity is a property of the outcome alone, so this stage
+///     serves every confounder partition of the table.
+///   * CateStatsEngine::BindCompactGroup (once per partition): the rows'
+///     cells renumbered densely 0..k-1 in ascending cell order, the
+///     dense-to-partition cell list, the dense ids of the stratified
+///     cells in ascending stratum order, and, for the regression method
+///     with numeric confounders, each row's numeric confounder values.
+/// Any engine over the bound partition can then answer EstimateSubgroups
+/// from the view. A subgroup's rows per cell are the same for every
+/// treatment, so the view also keeps the treatment-invariant part of each
+/// subgroup's regression count block once it has been summed; a view is
+/// therefore used by one thread at a time. The renumbering is monotone
+/// and rows stay ascending, so every per-slot sum and every solver loop
+/// sees its terms in the table pass's order: the estimates are
+/// bit-identical. Both stages overwrite the buffers in place, so one
+/// object serves a whole lattice traversal at about 12 bytes per group
+/// row.
+class CompactGroup {
+ public:
+  /// The partition bound last (null before the first bind).
+  const ConfounderPartition* partition() const { return partition_.get(); }
+
+ private:
+  friend class CateEstimator;    // GatherCompactGroup
+  friend class CateStatsEngine;  // BindCompactGroup, the compact pass
+
+  /// The entries of a subgroup's X'X count block weighted by each cell's
+  /// row count n0 + n1 (intercept and one-hot columns): they do not
+  /// depend on the treatment. Filled by the first regression assembly.
+  struct CountBlock {
+    bool ready = false;
+    std::vector<int64_t> counts;  ///< p x p, as the assembly lays it out
+  };
+
+  /// Gathers the rows of `group` whose `outcome_attr` value is non-null,
+  /// with their protected bits when `protected_mask` is non-null, and
+  /// unbinds any partition. The bitmaps must span `df`'s rows.
+  void Gather(const DataFrame& df, size_t outcome_attr, const Bitmap& group,
+              const Bitmap* protected_mask);
+
+  // Gathered rows.
+  size_t outcome_attr_ = 0;
+  size_t table_rows_ = 0;  ///< group.size() at Gather
+  bool split_ = false;     ///< protected bits gathered
+  std::vector<uint32_t> word_index_;
+  std::vector<uint64_t> word_bits_;
+  std::vector<uint64_t> word_prot_;
+  std::vector<double> outcome_;
+
+  // Bound partition.
+  std::shared_ptr<const ConfounderPartition> partition_;
+  bool moments_ = false;  ///< numeric confounder values gathered
+  std::vector<uint32_t> cell_;        ///< dense cell id per row
+  std::vector<uint32_t> cells_;       ///< dense id -> partition cell
+  std::vector<uint32_t> by_stratum_;  ///< dense ids, ascending stratum id
+  std::vector<std::vector<double>> z_;  ///< [numeric confounder][row]
+  std::vector<const double*> z_ptrs_;
+  std::vector<int32_t> dense_of_;     ///< bind scratch: cell -> dense id
+  /// Overall, protected and non-protected count blocks of the bound
+  /// partition.
+  CountBlock count_blocks_[3];
 };
 
 /// The per-treatment engine: treated mask + confounder partition +
@@ -301,10 +388,19 @@ class CateStatsEngine {
   /// solved when the overall estimate succeeded with CATE > 0 (the
   /// Section 5.2 lattice prunes on the overall sign, so subgroup solves
   /// for non-positive treatments would be wasted work).
+  /// With a `view` gathered from `group` and `protected_mask` and bound to
+  /// this engine's partition, the pass reads the view instead of the
+  /// table; the estimates are bit-identical.
   CateSubgroupEstimates EstimateSubgroups(
       const Bitmap& group, const Bitmap* protected_mask,
       size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive = false) const;
+      bool skip_subgroups_unless_positive = false,
+      CompactGroup* view = nullptr) const;
+
+  /// Binds a gathered `view` to this engine's partition: gathers the
+  /// rows' cells (and numeric confounder values when the method needs
+  /// them) and renumbers the cells densely.
+  void BindCompactGroup(CompactGroup* view) const;
 
   /// Per-subgroup sufficient statistics, indexed cell-major with two arms
   /// (idx = 2*cell + arm; arm 1 = treated). Numeric moment blocks are
@@ -316,9 +412,7 @@ class CateStatsEngine {
     size_t rows = 0;  ///< subgroup rows with non-null outcome
     size_t n_treated = 0;
     size_t n_control = 0;
-    std::vector<uint32_t> n;    ///< [2C]
-    std::vector<double> sy;     ///< [2C]
-    std::vector<double> syy;    ///< [2C]
+    std::vector<simd::CateSlot> slots;  ///< [2C] {Σy, Σy², n}
     std::vector<double> zsum;   ///< [2C * m]   Σ z_j
     std::vector<double> zysum;  ///< [2C * m]   Σ z_j y
     std::vector<double> zzsum;  ///< [2C * mm]  Σ z_i z_j, upper-tri packed
@@ -393,10 +487,11 @@ class CateStatsEngine {
     double yty = 0.0;
   };
 
-  /// Assembles the regression normal equations from an accum into `out`,
-  /// reusing its buffers. The intercept, T and one-hot block of X'X is
-  /// summed per cell in int64 and converted once; X'y, y'y and the
-  /// numeric-moment entries are summed in double in ascending slot order.
+  /// Assembles the regression normal equations from an accum over every
+  /// cell of the partition into `out`, reusing its buffers. The
+  /// intercept, T and one-hot block of X'X is summed per cell in int64 and
+  /// converted once; X'y, y'y and the numeric-moment entries are summed in
+  /// double in ascending slot order.
   void AssembleNormalEquations(const Accum& acc, NormalEquations* out) const;
 
   const Bitmap& treated() const { return *treated_; }
@@ -408,6 +503,18 @@ class CateStatsEngine {
   size_t bytes() const;
 
  private:
+  /// The cells an accum's slots cover: slots 2*i and 2*i + 1 belong to
+  /// partition cell cells[i] (ascending), and by_stratum lists the i whose
+  /// cell has a stratum id, ascending by that id.
+  struct CellList {
+    const uint32_t* cells = nullptr;
+    size_t size = 0;
+    const uint32_t* by_stratum = nullptr;
+    size_t num_by_stratum = 0;
+  };
+  /// Every cell of the partition: the list of a table-pass accum.
+  CellList TableCells() const;
+
   /// Which rows a solve refers to (needed only by the IPW row-level
   /// fallback, which must re-walk the subgroup).
   struct Slice {
@@ -433,13 +540,43 @@ class CateStatsEngine {
   /// their indices).
   void GrowAccum(Accum* acc) const;
 
-  Result<CateEstimate> Solve(const Accum& acc, const Slice& slice,
+  /// Compact counterpart of AccumulateSubgroups: fills `out` (slots sized
+  /// to the view's cells) from `view`.
+  void AccumulateCompact(const CompactGroup& view,
+                         SubgroupAccums* out) const;
+
+  using CountBlock = CompactGroup::CountBlock;
+
+  /// The three solves of SolveFromAccums over accums whose slots cover
+  /// `cells`. `row_counts`, when non-null, holds the overall, protected
+  /// and non-protected count blocks of a compact pass.
+  CateSubgroupEstimates SolveSubgroups(const SubgroupAccums& accums,
+                                       const CellList& cells,
+                                       CountBlock* row_counts,
+                                       const Bitmap& group,
+                                       const Bitmap* protected_mask,
+                                       size_t min_group_size,
+                                       size_t min_subgroup_size,
+                                       bool skip_subgroups_unless_positive)
+      const;
+
+  /// The assembly over `cells`; with `row_counts` the treatment-invariant
+  /// count entries are summed into it on first use and copied after.
+  void AssembleNormalEquations(const Accum& acc, const CellList& cells,
+                               CountBlock* row_counts,
+                               NormalEquations* out) const;
+  Result<CateEstimate> Solve(const Accum& acc, const CellList& cells,
+                             CountBlock* row_counts, const Slice& slice,
                              size_t min_group_size) const;
   Result<CateEstimate> SolveRegression(const Accum& acc,
+                                       const CellList& cells,
+                                       CountBlock* row_counts,
                                        size_t min_group_size) const;
   Result<CateEstimate> SolveStratified(const Accum& acc,
+                                       const CellList& cells,
                                        size_t min_group_size) const;
-  Result<CateEstimate> SolveIpw(const Accum& acc, const Slice& slice,
+  Result<CateEstimate> SolveIpw(const Accum& acc, const CellList& cells,
+                                const Slice& slice,
                                 size_t min_group_size) const;
   /// Reference-identical per-row IPW (numeric confounders vary within a
   /// cell, so the propensity design is not cell-constant); still serves
@@ -452,6 +589,9 @@ class CateStatsEngine {
            partition_->num_numeric() > 0;
   }
   Accum MakeAccum() const;
+  /// Zeroes `acc` to `slots` slots (and the moment blocks when needed),
+  /// reusing its buffers.
+  void ResetAccum(Accum* acc, size_t slots) const;
 
   const DataFrame* df_;
   CateOptions options_;

@@ -6,6 +6,7 @@
 #include "causal/cate_stats_engine.h"
 #include "util/logging.h"
 #include "util/obs/metrics.h"
+#include "util/obs/trace.h"
 
 namespace faircap {
 
@@ -221,6 +222,9 @@ Result<std::shared_ptr<const CateStatsEngine>> CateEstimator::EngineFor(
       AppendRefreshMetrics().engines_rebuilt.Increment();
     }
   }
+  // Miss: build the engine (its partition on first use of the adjustment
+  // set, and the treated mask through the PredicateIndex).
+  const obs::TraceSpan build_span("engine_build");
   FAIRCAP_ASSIGN_OR_RETURN(const std::vector<size_t> adjustment,
                            AdjustmentAttrs(intervention));
   std::shared_ptr<const ConfounderPartition> partition =
@@ -255,13 +259,12 @@ Result<std::shared_ptr<const CateStatsEngine>> CateEstimator::EngineFor(
   return engine;
 }
 
-Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
-    const Pattern& intervention, const Bitmap& group,
-    const Bitmap* protected_mask, size_t min_subgroup_size,
-    bool skip_subgroups_unless_positive) const {
-  // The engine walks every mask in lockstep over the table's words; a
-  // mask over a different row count would be read out of bounds.
-  const size_t num_rows = df_->num_rows();
+namespace {
+
+// The engine walks every mask in lockstep over the table's words; a mask
+// over a different row count would be read out of bounds.
+Status CheckSpansTable(const Bitmap& group, const Bitmap* protected_mask,
+                       size_t num_rows) {
   if (group.size() != num_rows) {
     return Status::InvalidArgument(
         "group bitmap has " + std::to_string(group.size()) +
@@ -272,6 +275,17 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
         "protected bitmap has " + std::to_string(protected_mask->size()) +
         " rows; the table has " + std::to_string(num_rows));
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
+    const Pattern& intervention, const Bitmap& group,
+    const Bitmap* protected_mask, size_t min_subgroup_size,
+    bool skip_subgroups_unless_positive, CompactGroup* view) const {
+  FAIRCAP_RETURN_NOT_OK(
+      CheckSpansTable(group, protected_mask, df_->num_rows()));
   static obs::Counter& batch_evals =
       obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
   batch_evals.Increment();
@@ -280,9 +294,32 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
       EngineFor(intervention));
   const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
                                                 : options_.min_group_size;
+  // A view of another partition (a racing rebuild under an engine
+  // budget) cannot serve this engine's cell numbering.
+  if (view != nullptr && view->partition() != &engine->partition()) {
+    view = nullptr;
+  }
   return engine->EstimateSubgroups(group, protected_mask,
                                    options_.min_group_size, min_sub,
-                                   skip_subgroups_unless_positive);
+                                   skip_subgroups_unless_positive, view);
+}
+
+Status CateEstimator::GatherCompactGroup(const Bitmap& group,
+                                         const Bitmap* protected_mask,
+                                         CompactGroup* view) const {
+  FAIRCAP_RETURN_NOT_OK(
+      CheckSpansTable(group, protected_mask, df_->num_rows()));
+  view->Gather(*df_, outcome_attr_, group, protected_mask);
+  return Status::OK();
+}
+
+Status CateEstimator::BindCompactGroup(const Pattern& intervention,
+                                       CompactGroup* view) const {
+  FAIRCAP_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const CateStatsEngine> engine,
+      EngineFor(intervention));
+  engine->BindCompactGroup(view);
+  return Status::OK();
 }
 
 CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {

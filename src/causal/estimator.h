@@ -33,6 +33,7 @@
 namespace faircap {
 
 class CateStatsEngine;       // causal/cate_stats_engine.h
+class CompactGroup;          // causal/cate_stats_engine.h
 class ConfounderPartition;   // causal/cate_stats_engine.h
 
 /// Estimation method.
@@ -115,11 +116,28 @@ class CateEstimator {
   /// lattice prunes on the overall sign). The call itself fails when the
   /// intervention is empty or does not validate against the table, or
   /// (InvalidArgument) when `group` or `protected_mask` does not span
-  /// exactly the table's rows.
+  /// exactly the table's rows. A `view` that GatherCompactGroup gathered
+  /// from this `group` and `protected_mask` serves the pass when
+  /// BindCompactGroup bound it to the partition this intervention's
+  /// engine uses (otherwise the pass walks the table); the estimates are
+  /// the same bits.
   Result<CateSubgroupEstimates> EstimateSubgroups(
       const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
-      bool skip_subgroups_unless_positive = false) const;
+      bool skip_subgroups_unless_positive = false,
+      CompactGroup* view = nullptr) const;
+
+  /// Gathers the rows of `group` with a non-null outcome (split on
+  /// `protected_mask` when non-null) into `view`. InvalidArgument when a
+  /// bitmap does not span exactly the table's rows.
+  Status GatherCompactGroup(const Bitmap& group, const Bitmap* protected_mask,
+                            CompactGroup* view) const;
+
+  /// Binds a gathered `view` to the confounder partition of
+  /// `intervention`'s engine, so that every intervention with the same
+  /// adjustment set can be estimated from it. Fails as EngineFor does.
+  Status BindCompactGroup(const Pattern& intervention,
+                          CompactGroup* view) const;
 
   /// The cached sufficient-statistics engine for `intervention`, built on
   /// first use. Shared ownership: the engine stays valid for the holder

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "causal/cate_stats_engine.h"
 #include "core/benefit.h"
 #include "core/incremental.h"
 #include "util/obs/metrics.h"
@@ -11,6 +12,20 @@
 #include "util/timer.h"
 
 namespace faircap {
+
+namespace {
+
+/// The fewest treatments of one lattice level sharing one confounder
+/// partition that Step 2 evaluates from a CompactGroup. Measured on a
+/// 38K-row stackoverflow table: binding a view costs ~0.46 of a table
+/// evaluation and each evaluation on it ~0.80 of one, so a view breaks
+/// even at ~2.3 evaluations; three would save ~5% of the batch (within
+/// noise) and would put synth_1m's three-treatment batches over 1M-row
+/// groups (~12 MB per view) on the compact path. Four is the smallest
+/// batch with a clear margin.
+constexpr size_t kMinCompactBatch = 4;
+
+}  // namespace
 
 Result<FairCap> FairCap::Create(const DataFrame* df, const CausalDag* dag,
                                 Pattern protected_pattern,
@@ -203,7 +218,7 @@ PrescriptionRule FairCap::CostRule(const Pattern& grouping,
 
 Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     const std::vector<FrequentPattern>& groups, size_t* num_evaluations,
-    SchedulerStats* scheduler_stats) const {
+    SchedulerStats* scheduler_stats, TaskScheduler* pool) const {
   const obs::TraceSpan step_span("treatment_mining");
   StopWatch mining_watch;
   const bool needs_group_utilities = options_.fairness.active();
@@ -212,14 +227,18 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
 
   // Grouping patterns are the unit of parallel work, as in the paper's
   // per-group Step 2: one ParallelFor on the flat pool runs each
-  // pattern's whole lattice as one index, and every evaluation is one
-  // ascending-row pass over the table. Which thread runs a pattern never
-  // shows in the output — its results land in per_group[g] and are
+  // pattern's whole lattice as one index. Which thread runs a pattern
+  // never shows in the output — its results land in per_group[g] and are
   // concatenated in pattern order — so a run is bit-identical at every
-  // thread count.
-  const size_t threads = ResolveThreadCount(options_.num_threads);
-  std::unique_ptr<TaskScheduler> scheduler;
-  if (threads > 1) scheduler = std::make_unique<TaskScheduler>(threads);
+  // thread count. Without a caller's pool, one is started here.
+  std::unique_ptr<TaskScheduler> own_pool;
+  TaskScheduler* scheduler = pool;
+  if (scheduler == nullptr && ResolveThreadCount(options_.num_threads) > 1) {
+    own_pool = std::make_unique<TaskScheduler>(options_.num_threads);
+    scheduler = own_pool.get();
+  }
+  const uint64_t chunks_before =
+      scheduler != nullptr ? scheduler->GetStats().executed : 0;
 
   IncrementalState* const inc = options_.incremental_state.get();
 
@@ -246,8 +265,11 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     const size_t nonprotected_count =
         group.coverage.AndNotCount(protected_mask_);
 
-    TreatmentEvaluator evaluator =
-        [&](const Pattern& intervention) -> std::optional<TreatmentEval> {
+    const Bitmap* const split_mask =
+        needs_group_utilities ? &protected_mask_ : nullptr;
+    // One treatment, read from `view` when it is non-null.
+    auto evaluate = [&](const Pattern& intervention, CompactGroup* view)
+        -> std::optional<TreatmentEval> {
       const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
       // The overall estimate and the protected / non-protected slices
       // come from the same one-pass engine.
@@ -260,10 +282,9 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
                     options_.min_subgroup_arm,
                     /*skip_subgroups_unless_positive=*/true)
               : estimator_.EstimateSubgroups(
-                    intervention, group.coverage,
-                    needs_group_utilities ? &protected_mask_ : nullptr,
+                    intervention, group.coverage, split_mask,
                     options_.min_subgroup_arm,
-                    /*skip_subgroups_unless_positive=*/true);
+                    /*skip_subgroups_unless_positive=*/true, view);
       if (!batch.ok()) return std::nullopt;
       const CateSubgroupEstimates ests = std::move(batch).ValueOrDie();
       if (!ests.overall.ok()) return std::nullopt;
@@ -322,6 +343,61 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
       return eval;
     };
 
+    // A lattice level arrives whole. Its treatments are grouped by
+    // adjustment set (one confounder partition each), in first-appearance
+    // order; a group of at least kMinCompactBatch treatments is evaluated
+    // from this pattern's rows gathered into a CompactGroup (once per
+    // pattern) and bound to the group's partition (once per level), the
+    // rest walk the table. The incremental path keeps its per-treatment
+    // accum cache.
+    CompactGroup view;  // buffers reused across this traversal's levels
+    bool gathered = false;
+    const LevelEvaluator evaluator = [&](const std::vector<Pattern>& level) {
+      std::vector<std::optional<TreatmentEval>> results(level.size());
+      if (inc != nullptr) {
+        for (size_t i = 0; i < level.size(); ++i) {
+          results[i] = evaluate(level[i], nullptr);
+        }
+        return results;
+      }
+      std::vector<std::vector<size_t>> adjustments;
+      std::vector<std::vector<size_t>> members;
+      for (size_t i = 0; i < level.size(); ++i) {
+        const Result<std::vector<size_t>> adjustment =
+            estimator_.AdjustmentAttrs(level[i]);
+        if (!adjustment.ok()) {
+          results[i] = evaluate(level[i], nullptr);
+          continue;
+        }
+        const auto it =
+            std::find(adjustments.begin(), adjustments.end(), *adjustment);
+        if (it == adjustments.end()) {
+          adjustments.push_back(*adjustment);
+          members.push_back({i});
+        } else {
+          members[static_cast<size_t>(it - adjustments.begin())].push_back(i);
+        }
+      }
+      for (const std::vector<size_t>& batch : members) {
+        bool compact = false;
+        if (batch.size() >= kMinCompactBatch) {
+          if (!gathered) {
+            gathered = estimator_
+                           .GatherCompactGroup(group.coverage, split_mask,
+                                               &view)
+                           .ok();
+          }
+          compact =
+              gathered &&
+              estimator_.BindCompactGroup(level[batch.front()], &view).ok();
+        }
+        for (const size_t i : batch) {
+          results[i] = evaluate(level[i], compact ? &view : nullptr);
+        }
+      }
+      return results;
+    };
+
     const LatticeResult lattice = TraverseInterventionLattice(
         *df_, mutable_attrs_, evaluator, options_.lattice);
     evals[g] = lattice.num_evaluated;
@@ -359,7 +435,7 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     *scheduler_stats =
         scheduler != nullptr
             ? SchedulerStats{scheduler->num_threads(),
-                             scheduler->GetStats().executed}
+                             scheduler->GetStats().executed - chunks_before}
             : SchedulerStats{0, groups.size()};
   }
 
@@ -399,12 +475,18 @@ Result<FairCapResult> FairCap::Run() const {
   registry.GetGauge(obs::kPhaseGroupMining)
       .Set(result.timings.group_mining_seconds);
 
+  // One pool serves Step 2 and Step 3.
+  std::unique_ptr<TaskScheduler> pool;
+  if (ResolveThreadCount(options_.num_threads) > 1) {
+    pool = std::make_unique<TaskScheduler>(options_.num_threads);
+  }
+
   // Step 2: intervention patterns.
   watch.Restart();
   FAIRCAP_ASSIGN_OR_RETURN(
       const std::vector<PrescriptionRule> candidates,
       MineCandidateRules(groups, &result.num_treatment_evaluations,
-                         &result.scheduler));
+                         &result.scheduler, pool.get()));
   result.num_candidate_rules = candidates.size();
   result.timings.treatment_mining_seconds = watch.ElapsedSeconds();
   registry.GetGauge(obs::kPhaseTreatmentMining)
@@ -429,7 +511,7 @@ Result<FairCapResult> FairCap::Run() const {
   greedy_options.num_threads = options_.num_threads;
   const GreedyResult greedy =
       GreedySelect(candidates, protected_mask_, options_.fairness,
-                   options_.coverage, greedy_options, costs_ptr);
+                   options_.coverage, greedy_options, costs_ptr, pool.get());
   result.timings.selection_seconds = watch.ElapsedSeconds();
   registry.GetGauge(obs::kPhaseSelection)
       .Set(result.timings.selection_seconds);

@@ -29,6 +29,7 @@
 namespace faircap {
 
 class IncrementalState;  // core/incremental.h
+class TaskScheduler;     // util/task_scheduler.h
 
 /// All tuning knobs of the pipeline.
 struct FairCapOptions {
@@ -39,13 +40,14 @@ struct FairCapOptions {
   FairnessConstraint fairness;
   CoverageConstraint coverage;
   /// Pool workers for Step-2 mining and greedy selection (0 = hardware
-  /// concurrency, 1 = sequential). Grouping patterns are the unit of
-  /// parallel work: each runs its whole intervention lattice as one index
-  /// of a ParallelFor on the flat pool (util/task_scheduler.h), whose
-  /// calling thread claims chunks too, so T > 1 mines on T + 1 threads.
-  /// Every evaluation is one ascending-row pass over the table. A
-  /// pattern's results land in its own slot, so the selected rules and
-  /// their utilities are bit-identical at every thread count.
+  /// concurrency, 1 = sequential); Run starts one pool for both. Grouping
+  /// patterns are the unit of parallel work: each runs its whole
+  /// intervention lattice as one index of a ParallelFor on the flat pool
+  /// (util/task_scheduler.h), whose calling thread claims chunks too, so
+  /// T > 1 mines on T + 1 threads. Every evaluation sums its rows in
+  /// ascending order. A pattern's results land in its own slot, so the
+  /// selected rules and their utilities are bit-identical at every thread
+  /// count.
   size_t num_threads = 0;
   /// Byte cap for the estimator's per-treatment engine cache
   /// (CateEstimator::SetEngineMemoryBudget). 0 = unlimited.
@@ -130,14 +132,20 @@ class FairCap {
   /// Step 2 only: candidate prescription rules for the given grouping
   /// patterns, in parallel over the patterns on one flat pool: each
   /// pattern runs its whole intervention lattice on one thread.
+  /// Each lattice level is evaluated in batches of treatments that share
+  /// a confounder partition; a batch of at least four reads the pattern's
+  /// rows from one compacted view (CompactGroup) instead of the table.
   /// Also usable with externally supplied grouping patterns (baseline
   /// adapters, Section 7.1).
   /// `scheduler_stats`, when non-null, receives the run's execution
-  /// counters.
+  /// counters. `pool` runs the patterns when non-null (Run passes the one
+  /// pool it shares with selection); otherwise a pool of
+  /// options().num_threads is started for the call.
   Result<std::vector<PrescriptionRule>> MineCandidateRules(
       const std::vector<FrequentPattern>& groups,
       size_t* num_evaluations = nullptr,
-      SchedulerStats* scheduler_stats = nullptr) const;
+      SchedulerStats* scheduler_stats = nullptr,
+      TaskScheduler* pool = nullptr) const;
 
   /// Builds a fully-costed PrescriptionRule from explicit patterns: CATE
   /// estimates for overall / protected / non-protected plus coverage.

@@ -254,7 +254,8 @@ GreedyResult GreedySelect(const std::vector<PrescriptionRule>& candidates,
                           const FairnessConstraint& fairness,
                           const CoverageConstraint& coverage,
                           const GreedyOptions& options,
-                          const std::vector<double>* candidate_costs) {
+                          const std::vector<double>* candidate_costs,
+                          TaskScheduler* pool) {
   GreedyResult result;
   const bool budgeted = options.budget > 0.0 && candidate_costs != nullptr;
   const size_t population = protected_mask.size();
@@ -299,10 +300,12 @@ GreedyResult GreedySelect(const std::vector<PrescriptionRule>& candidates,
   // each iteration fans them out across workers and only the argmax scan
   // below stays sequential (in eligible order, exactly as before) — the
   // selected ruleset is identical at every thread count.
-  const size_t threads = ResolveThreadCount(options.num_threads);
-  std::unique_ptr<TaskScheduler> scheduler;
-  if (threads > 1 && eligible.size() > 1) {
-    scheduler = std::make_unique<TaskScheduler>(threads);
+  std::unique_ptr<TaskScheduler> own_pool;
+  TaskScheduler* scheduler = pool;
+  if (scheduler == nullptr && eligible.size() > 1 &&
+      ResolveThreadCount(options.num_threads) > 1) {
+    own_pool = std::make_unique<TaskScheduler>(options.num_threads);
+    scheduler = own_pool.get();
   }
   std::vector<RulesetStats> trials(eligible.size());
 

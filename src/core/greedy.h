@@ -18,6 +18,8 @@
 
 namespace faircap {
 
+class TaskScheduler;  // util/task_scheduler.h
+
 /// Tuning knobs for greedy selection.
 struct GreedyOptions {
   /// Weights of the three score terms. The paper sums raw coverage,
@@ -56,13 +58,16 @@ struct GreedyResult {
 /// Selects a ruleset from `candidates`. Candidates violating matroid
 /// constraints (rule coverage / individual fairness) are never selected.
 /// `candidate_costs` (parallel to `candidates`) enables the budget in
-/// GreedyOptions; pass nullptr for unit-free selection.
+/// GreedyOptions; pass nullptr for unit-free selection. `pool` scores the
+/// trials when non-null (FairCap::Run shares its Step-2 pool); otherwise
+/// a pool of options.num_threads is started for the call.
 GreedyResult GreedySelect(const std::vector<PrescriptionRule>& candidates,
                           const Bitmap& protected_mask,
                           const FairnessConstraint& fairness,
                           const CoverageConstraint& coverage,
                           const GreedyOptions& options = {},
-                          const std::vector<double>* candidate_costs = nullptr);
+                          const std::vector<double>* candidate_costs = nullptr,
+                          TaskScheduler* pool = nullptr);
 
 }  // namespace faircap
 

@@ -142,9 +142,8 @@ void IncrementalState::StoreGroup(const FrequentPattern& group,
 size_t IncrementalState::AccumBytes(
     const CateStatsEngine::SubgroupAccums& accums) {
   const auto one = [](const CateStatsEngine::Accum& acc) {
-    return acc.n.size() * sizeof(uint32_t) +
-           (acc.sy.size() + acc.syy.size() + acc.zsum.size() +
-            acc.zysum.size() + acc.zzsum.size()) *
+    return acc.slots.size() * sizeof(simd::CateSlot) +
+           (acc.zsum.size() + acc.zysum.size() + acc.zzsum.size()) *
                sizeof(double);
   };
   return one(accums.overall) + one(accums.prot) + one(accums.nonprot);
@@ -176,10 +175,14 @@ Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
   // accumulated under: the lineage id changes whenever a partition is
   // rebuilt cold (copy-extension inherits it), so a stale accum can
   // never be merged against re-numbered cells.
+  // Child spans of the caller's "eval", as in
+  // CateStatsEngine::EstimateSubgroups: the row pass (delta or full) and
+  // the solves.
   if (entry != nullptr && entry->lineage == lineage &&
       entry->accums.rows_covered <= num_rows) {
     FAIRCAP_CHECK(entry->accums.split);
     if (entry->accums.rows_covered < num_rows) {
+      const obs::TraceSpan accumulate_span("accumulate");
       const size_t old_bytes = AccumBytes(entry->accums);
       const CateStatsEngine::SubgroupAccums delta = engine->AccumulateDelta(
           group, &protected_mask, entry->accums.rows_covered);
@@ -190,6 +193,7 @@ Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
     } else {
       Metrics().evals_cached.Increment();
     }
+    const obs::TraceSpan solve_span("solve");
     return engine->SolveFromAccums(entry->accums, group, mask, min_group,
                                    min_sub, skip_subgroups_unless_positive);
   }
@@ -201,10 +205,16 @@ Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
   // evaluator and rule costing.
   auto fresh = std::make_unique<AccumEntry>();
   fresh->lineage = lineage;
-  fresh->accums = engine->AccumulateSubgroups(group, &protected_mask);
-  const CateSubgroupEstimates out =
-      engine->SolveFromAccums(fresh->accums, group, mask, min_group, min_sub,
-                              skip_subgroups_unless_positive);
+  {
+    const obs::TraceSpan accumulate_span("accumulate");
+    fresh->accums = engine->AccumulateSubgroups(group, &protected_mask);
+  }
+  CateSubgroupEstimates out;
+  {
+    const obs::TraceSpan solve_span("solve");
+    out = engine->SolveFromAccums(fresh->accums, group, mask, min_group,
+                                  min_sub, skip_subgroups_unless_positive);
+  }
   Metrics().evals_full.Increment();
   const size_t bytes = AccumBytes(fresh->accums);
   {

@@ -4,6 +4,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 
@@ -45,16 +46,18 @@ std::vector<Predicate> EnumerateInterventionAtoms(
 
 LatticeResult TraverseInterventionLattice(
     const DataFrame& df, const std::vector<size_t>& mutable_attrs,
-    const TreatmentEvaluator& evaluator, const LatticeOptions& options) {
+    const LevelEvaluator& evaluator, const LatticeOptions& options) {
   const obs::TraceSpan lattice_span("lattice");
   LatticeResult result;
   const EvaluationPublisher publish{&result};
   const std::vector<Predicate> atoms =
       EnumerateInterventionAtoms(df, mutable_attrs);
 
-  struct Node {
-    std::vector<uint32_t> atom_ids;  // sorted, one per attribute
-    Pattern pattern;
+  // A level as parallel arrays: node i is patterns[i], whose sorted atom
+  // ids (one per attribute) are atom_ids[i].
+  struct Level {
+    std::vector<std::vector<uint32_t>> atom_ids;
+    std::vector<Pattern> patterns;
   };
 
   auto consider = [&](const Pattern& pattern, const TreatmentEval& eval) {
@@ -64,23 +67,6 @@ LatticeResult TraverseInterventionLattice(
       result.best_eval = eval;
     }
   };
-
-  // Level 1: every atom.
-  std::vector<Node> level;
-  for (uint32_t i = 0; i < atoms.size(); ++i) {
-    if (result.num_evaluated >= options.max_evaluations) return result;
-    Pattern pattern = Pattern().With(atoms[i]);
-    const auto eval = evaluator(pattern);
-    ++result.num_evaluated;
-    if (!eval.has_value()) continue;
-    consider(pattern, *eval);
-    if (eval->cate > 0.0) {
-      result.positive.emplace_back(pattern, *eval);
-    }
-    if (eval->cate > 0.0 || !options.require_positive_parents) {
-      level.push_back({{i}, std::move(pattern)});
-    }
-  }
 
   // Track which atom-id sets had positive CATE so children can check that
   // every parent was positive before materializing.
@@ -93,15 +79,16 @@ LatticeResult TraverseInterventionLattice(
     return key;
   };
   std::unordered_set<std::string> positive_keys;
-  for (const Node& node : level) positive_keys.insert(key_of(node.atom_ids));
 
-  for (size_t k = 2; k <= options.max_predicates && level.size() > 1; ++k) {
-    std::vector<Node> next;
-    std::unordered_set<std::string> next_keys;
-    for (size_t a = 0; a < level.size(); ++a) {
-      for (size_t b = a + 1; b < level.size(); ++b) {
-        const auto& ia = level[a].atom_ids;
-        const auto& ib = level[b].atom_ids;
+  // The candidates of the level after `level`: joins of two nodes that
+  // share all but their last atom, on distinct attributes, kept only if
+  // every parent had positive CATE (Section 5.2).
+  auto join = [&](const Level& level) {
+    Level next;
+    for (size_t a = 0; a < level.patterns.size(); ++a) {
+      for (size_t b = a + 1; b < level.patterns.size(); ++b) {
+        const auto& ia = level.atom_ids[a];
+        const auto& ib = level.atom_ids[b];
         if (!std::equal(ia.begin(), ia.end() - 1, ib.begin())) continue;
         const uint32_t last_a = ia.back();
         const uint32_t last_b = ib.back();
@@ -113,7 +100,6 @@ LatticeResult TraverseInterventionLattice(
         std::vector<uint32_t> candidate = ia;
         candidate.push_back(last_b);
 
-        // Materialize only if all parents had positive CATE (Section 5.2).
         if (options.require_positive_parents) {
           bool all_parents_positive = true;
           for (size_t drop = 0; drop + 2 < candidate.size(); ++drop) {
@@ -128,26 +114,60 @@ LatticeResult TraverseInterventionLattice(
           }
           if (!all_parents_positive) continue;
         }
-
-        if (result.num_evaluated >= options.max_evaluations) return result;
-        Pattern pattern = level[a].pattern.With(atoms[last_b]);
-        const auto eval = evaluator(pattern);
-        ++result.num_evaluated;
-        if (!eval.has_value()) continue;
-        consider(pattern, *eval);
-        if (eval->cate > 0.0) {
-          result.positive.emplace_back(pattern, *eval);
-          next_keys.insert(key_of(candidate));
-        }
-        if (eval->cate > 0.0 || !options.require_positive_parents) {
-          next.push_back({std::move(candidate), std::move(pattern)});
-        }
+        next.patterns.push_back(level.patterns[a].With(atoms[last_b]));
+        next.atom_ids.push_back(std::move(candidate));
       }
     }
-    level = std::move(next);
-    positive_keys = std::move(next_keys);
+    return next;
+  };
+
+  // Level 1: every atom.
+  Level candidates;
+  for (uint32_t i = 0; i < atoms.size(); ++i) {
+    candidates.atom_ids.push_back({i});
+    candidates.patterns.push_back(Pattern().With(atoms[i]));
   }
-  return result;
+  for (size_t k = 1;; ++k) {
+    // Cut the level at the evaluation cap, keeping canonical order.
+    const size_t room =
+        options.max_evaluations -
+        std::min(options.max_evaluations, result.num_evaluated);
+    const bool cut = candidates.patterns.size() > room;
+    if (cut) {
+      candidates.patterns.resize(room);
+      candidates.atom_ids.resize(room);
+    }
+    const std::vector<std::optional<TreatmentEval>> evals =
+        candidates.patterns.empty()
+            ? std::vector<std::optional<TreatmentEval>>()
+            : evaluator(candidates.patterns);
+    FAIRCAP_CHECK(evals.size() == candidates.patterns.size());
+    result.num_evaluated += evals.size();
+
+    // Consume the results in canonical order; the nodes that may have
+    // children form the level the next candidates join.
+    Level level;
+    std::unordered_set<std::string> level_keys;
+    for (size_t i = 0; i < evals.size(); ++i) {
+      if (!evals[i].has_value()) continue;
+      const TreatmentEval& eval = *evals[i];
+      Pattern& pattern = candidates.patterns[i];
+      consider(pattern, eval);
+      if (eval.cate > 0.0) {
+        result.positive.emplace_back(pattern, eval);
+        level_keys.insert(key_of(candidates.atom_ids[i]));
+      }
+      if (eval.cate > 0.0 || !options.require_positive_parents) {
+        level.patterns.push_back(std::move(pattern));
+        level.atom_ids.push_back(std::move(candidates.atom_ids[i]));
+      }
+    }
+    if (cut || k + 1 > options.max_predicates || level.patterns.size() <= 1) {
+      return result;
+    }
+    positive_keys = std::move(level_keys);
+    candidates = join(level);
+  }
 }
 
 }  // namespace faircap

@@ -4,6 +4,16 @@
 // (pattern with one fewer predicate) had a positive CATE. The evaluation
 // itself — CATE estimation and fairness-aware benefit scoring — is supplied
 // by the caller, which keeps this module independent of the causal layer.
+//
+// The traversal runs one level at a time. It builds a level's whole
+// candidate list first (level 1 is every atom; level k joins the
+// positive nodes of level k-1), cuts it at the evaluation cap, hands it to
+// the caller's level evaluator as one batch, and then consumes the results
+// in canonical order. Candidate generation reads only the previous
+// level's results, so the best treatment, the positive list and the
+// evaluation count are exactly those of evaluating one candidate at a
+// time, while the evaluator is free to share work across the level (Step
+// 2 groups it by confounder partition; see core/faircap.cc).
 
 #ifndef FAIRCAP_MINING_LATTICE_H_
 #define FAIRCAP_MINING_LATTICE_H_
@@ -37,17 +47,21 @@ struct TreatmentEval {
   bool has_subgroup_utilities = false;
 };
 
-/// Evaluates an intervention pattern for a fixed grouping pattern.
-/// Returns nullopt when the effect cannot be estimated (no overlap, group
-/// too small). `cate` drives lattice pruning; `score` drives selection.
-using TreatmentEvaluator =
-    std::function<std::optional<TreatmentEval>(const Pattern&)>;
+/// Evaluates one lattice level for a fixed grouping pattern: returns one
+/// entry per pattern of `level`, in the same order — nullopt where the
+/// effect cannot be estimated (no overlap, group too small). `cate` drives
+/// lattice pruning; `score` drives selection. The evaluator may run the
+/// level's patterns in any order; each result must depend on its own
+/// pattern only.
+using LevelEvaluator = std::function<std::vector<std::optional<TreatmentEval>>(
+    const std::vector<Pattern>& level)>;
 
 /// Tuning knobs for the traversal.
 struct LatticeOptions {
   /// Maximum number of predicates in an intervention pattern.
   size_t max_predicates = 2;
-  /// Safety cap on evaluator invocations per traversal.
+  /// Safety cap on evaluated patterns per traversal; a level that would
+  /// pass it is cut to the patterns that fit, in canonical order.
   size_t max_evaluations = 50000;
   /// The Section 5.2 pruning rule: materialize a node only when every
   /// parent had positive CATE. Disable for the ablation study (children
@@ -71,10 +85,11 @@ struct LatticeResult {
 std::vector<Predicate> EnumerateInterventionAtoms(
     const DataFrame& df, const std::vector<size_t>& mutable_attrs);
 
-/// Traverses the lattice and returns the best feasible treatment.
+/// Traverses the lattice level by level and returns the best feasible
+/// treatment.
 LatticeResult TraverseInterventionLattice(
     const DataFrame& df, const std::vector<size_t>& mutable_attrs,
-    const TreatmentEvaluator& evaluator, const LatticeOptions& options = {});
+    const LevelEvaluator& evaluator, const LatticeOptions& options = {});
 
 }  // namespace faircap
 

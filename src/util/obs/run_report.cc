@@ -46,6 +46,11 @@ constexpr const char* kStandardCounters[] = {
     "estimation.solve_ipw_cells",
     "estimation.solve_ipw_rows",
     "estimation.accumulate_path_sparse",
+    // Step 2's compacted groups (causal/cate_stats_engine.h CompactGroup):
+    // partitions bound to a gathered group, and evaluations read from
+    // one. compact_evals + accumulate_path_sparse = the row passes.
+    "estimation.compact_views",
+    "estimation.compact_evals",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",
     "simd.cate_accumulate_rows",

@@ -38,6 +38,7 @@ const Kernels kScalarKernels = {
     core::ScalarMaskCodesNe,
     core::ScalarMaskNumericCmp,
     core::CateAccumulate,
+    core::CateAccumulateCompact,
 };
 
 SimdLevel DetectMaxLevel() {

@@ -82,6 +82,15 @@ class ScopedSimdLevel {
 /// dataframe layer's CompareOp, which util cannot include).
 enum class Cmp : int { kEq = 0, kNe = 1, kLt = 2, kLe = 3, kGt = 4, kGe = 5 };
 
+/// One (cell, arm) slot's row count, outcome sum and sum of squares. A
+/// row updates all three, so they sit side by side: one row touches one
+/// slot record per sink instead of three separate arrays.
+struct CateSlot {
+  double sy = 0.0;
+  double syy = 0.0;
+  uint32_t n = 0;
+};
+
 /// One subgroup accumulator's raw statistic slots (the kernel-facing view
 /// of CateStatsEngine::Accum). All arrays are cell-major with two arms
 /// (idx = 2*cell + arm); the z* arrays are null unless moments are
@@ -90,9 +99,7 @@ struct CateSink {
   size_t* rows = nullptr;       ///< subgroup rows with non-null outcome
   size_t* n_treated = nullptr;
   size_t* n_control = nullptr;
-  uint32_t* n = nullptr;        ///< [2C]
-  double* sy = nullptr;         ///< [2C]
-  double* syy = nullptr;        ///< [2C]
+  CateSlot* slots = nullptr;    ///< [2C]
   double* zsum = nullptr;       ///< [2C * m]
   double* zysum = nullptr;      ///< [2C * m]
   double* zzsum = nullptr;      ///< [2C * m(m+1)/2], upper-tri packed
@@ -122,6 +129,34 @@ struct CateAccumArgs {
   bool moments = false;
   size_t word_begin = 0;
   size_t word_end = 0;
+  CateSink overall;
+  CateSink prot;
+  CateSink nonprot;
+};
+
+/// Inputs of the compact accumulation pass: a group's rows gathered once
+/// into dense arrays (CompactGroup, causal/cate_stats_engine.h). Stored
+/// word i stands for table word word_index[i]: its rows are the set bits
+/// of word_bits[i], and they hold consecutive positions of the per-row
+/// arrays in ascending row order.
+struct CateCompactArgs {
+  const uint32_t* word_index = nullptr;
+  const uint64_t* word_bits = nullptr;
+  /// The protected bits of each stored word; null: no protected split
+  /// (prot/nonprot sinks unused).
+  const uint64_t* word_prot = nullptr;
+  size_t num_words = 0;
+  /// The treated mask over the whole table, read at word_index[i].
+  const uint64_t* treated_words = nullptr;
+  /// Dense cell id per gathered row: its slots are 2*id + arm.
+  const uint32_t* cell = nullptr;
+  /// Outcome per gathered row.
+  const double* outcome = nullptr;
+  /// Numeric confounder values per gathered row, [num_numeric] pointers;
+  /// null when moments is false.
+  const double* const* zcols = nullptr;
+  size_t num_numeric = 0;
+  bool moments = false;
   CateSink overall;
   CateSink prot;
   CateSink nonprot;
@@ -161,6 +196,10 @@ struct Kernels {
   /// popcounts; float adds run in ascending row order with the scalar
   /// loop's associations.
   void (*cate_accumulate)(const CateAccumArgs& args);
+  /// The same accumulation over a gathered group: per-row cell ids and
+  /// outcomes are read sequentially, the arm bit from the treated word of
+  /// each stored word. Per-slot float adds keep ascending row order.
+  void (*cate_accumulate_compact)(const CateCompactArgs& args);
 };
 
 /// Kernel table for the currently active tier (one atomic load).

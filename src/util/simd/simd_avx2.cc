@@ -7,9 +7,9 @@
 // sixteen 256-bit blocks per iteration, one vector popcount per sixteen
 // loads instead of one per word. The compare-scan kernels turn vector
 // compare masks straight into bitmap words (8 int32 / 4 double lanes per
-// movemask). The accumulation kernel is the shared row loop of
-// simd_kernels_core.h, compiled here with -mavx2 (that header explains
-// why each slot's add sequence must stay the scalar one).
+// movemask). The accumulation kernels (table and compact) are the shared
+// row loops of simd_kernels_core.h, compiled here with -mavx2 (that
+// header explains why each slot's add sequence must stay the scalar one).
 
 #include <immintrin.h>
 
@@ -273,6 +273,7 @@ const Kernels kAvx2Kernels = {
     Avx2MaskCodesNe,
     Avx2MaskNumericCmp,
     core::CateAccumulate,
+    core::CateAccumulateCompact,
 };
 
 }  // namespace

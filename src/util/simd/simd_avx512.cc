@@ -7,8 +7,8 @@
 // needed, one vpopcntq + vpaddq per 512-bit block. The compare-scan
 // kernels use the native compare-to-mask instructions (16 int32 lanes or
 // 8 double lanes fold straight into bitmap word fragments, no movemask
-// shuffle). The accumulation kernel is the shared row loop of
-// simd_kernels_core.h, compiled here with the AVX-512 flags.
+// shuffle). The accumulation kernels (table and compact) are the shared
+// row loops of simd_kernels_core.h, compiled here with the AVX-512 flags.
 
 #include <immintrin.h>
 
@@ -196,6 +196,7 @@ const Kernels kAvx512Kernels = {
     Avx512MaskCodesNe,
     Avx512MaskNumericCmp,
     core::CateAccumulate,
+    core::CateAccumulateCompact,
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Internal: portable kernel bodies shared by the per-ISA translation
 // units. The scalar tier uses these as THE implementation; the AVX2 and
-// AVX-512 tiers use them for word tails and for the accumulation loop.
+// AVX-512 tiers use them for word tails and for the two accumulation
+// loops (over the table's words and over a compacted group), which share
+// one per-row add (AddRow).
 //
 // Everything here sits in an unnamed namespace, so each TU that includes
 // this header gets its own internal-linkage copy, compiled under that
@@ -139,7 +141,7 @@ inline void ScalarMaskNumericCmp(const double* values, size_t n, Cmp op,
 }
 
 // ---------------------------------------------------------------------
-// Accumulation core: one row loop serves every tier.
+// Accumulation core: the row loops serve every tier.
 
 /// Per-pass row counters, taken from per-word popcounts and flushed into
 /// the sinks once at the end (integer adds commute).
@@ -150,19 +152,73 @@ struct PassCounts {
   size_t prot_treated = 0;
 };
 
-inline void FlushCounts(const CateAccumArgs& args, const PassCounts& counts,
+inline void FlushCounts(const CateSink& overall, const CateSink& prot,
+                        const CateSink& nonprot, const PassCounts& counts,
                         bool split) {
-  *args.overall.rows += counts.rows;
-  *args.overall.n_treated += counts.treated;
-  *args.overall.n_control += counts.rows - counts.treated;
+  *overall.rows += counts.rows;
+  *overall.n_treated += counts.treated;
+  *overall.n_control += counts.rows - counts.treated;
   if (!split) return;
   const size_t prot_control = counts.prot_rows - counts.prot_treated;
-  *args.prot.rows += counts.prot_rows;
-  *args.prot.n_treated += counts.prot_treated;
-  *args.prot.n_control += prot_control;
-  *args.nonprot.rows += counts.rows - counts.prot_rows;
-  *args.nonprot.n_treated += counts.treated - counts.prot_treated;
-  *args.nonprot.n_control += (counts.rows - counts.treated) - prot_control;
+  *prot.rows += counts.prot_rows;
+  *prot.n_treated += counts.prot_treated;
+  *prot.n_control += prot_control;
+  *nonprot.rows += counts.rows - counts.prot_rows;
+  *nonprot.n_treated += counts.treated - counts.prot_treated;
+  *nonprot.n_control += (counts.rows - counts.treated) - prot_control;
+}
+
+/// Adds the popcounts of one word's rows (`bits`) to the pass counters.
+template <bool kSplit>
+inline void CountWord(uint64_t bits, uint64_t tword, uint64_t pword,
+                      PassCounts* counts) {
+  counts->rows += static_cast<size_t>(__builtin_popcountll(bits));
+  counts->treated += static_cast<size_t>(__builtin_popcountll(bits & tword));
+  if (kSplit) {
+    const uint64_t pbits = bits & pword;
+    counts->prot_rows += static_cast<size_t>(__builtin_popcountll(pbits));
+    counts->prot_treated +=
+        static_cast<size_t>(__builtin_popcountll(pbits & tword));
+  }
+}
+
+/// Adds one row's outcome `y` (and, with kMoments, its numeric confounder
+/// values zcols[j][z_at]) to slot `idx` of the overall sink and, with
+/// kSplit, of its subgroup sink `part`.
+template <bool kSplit, bool kMoments>
+inline void AddRow(const CateSink& all, const CateSink& part, size_t idx,
+                   double y, const double* const* zcols, size_t m,
+                   size_t z_at) {
+  const double yy = y * y;
+  CateSlot& a = all.slots[idx];
+  ++a.n;
+  a.sy += y;
+  a.syy += yy;
+  if (kSplit) {
+    CateSlot& p = part.slots[idx];
+    ++p.n;
+    p.sy += y;
+    p.syy += yy;
+  }
+  if (kMoments) {
+    const size_t zbase = idx * m;
+    const size_t zzbase = idx * (m * (m + 1) / 2);
+    for (size_t j = 0, t = 0; j < m; ++j) {
+      const double zj = zcols[j][z_at];
+      const double zy = zj * y;
+      all.zsum[zbase + j] += zj;
+      all.zysum[zbase + j] += zy;
+      if (kSplit) {
+        part.zsum[zbase + j] += zj;
+        part.zysum[zbase + j] += zy;
+      }
+      for (size_t k = j; k < m; ++k, ++t) {
+        const double zz = zj * zcols[k][z_at];
+        all.zzsum[zzbase + t] += zz;
+        if (kSplit) part.zzsum[zzbase + t] += zz;
+      }
+    }
+  }
 }
 
 /// Accumulates words [args.word_begin, args.word_end). A word contributes
@@ -180,7 +236,6 @@ inline void AccumulateWords(const CateAccumArgs& args) {
   const uint64_t* pw = args.protected_words;
   const int32_t* cell_of_row = args.cell_of_row;
   const double* outcome = args.outcome;
-  const CateSink& all = args.overall;
   // Subgroup sinks by protected bit: [0] non-protected, [1] protected.
   const CateSink* const sub[2] = {&args.nonprot, &args.prot};
   for (size_t w = args.word_begin; w < args.word_end; ++w) {
@@ -188,14 +243,7 @@ inline void AccumulateWords(const CateAccumArgs& args) {
     if (bits == 0) continue;
     const uint64_t tword = tw[w];
     const uint64_t pword = kSplit ? pw[w] : 0;
-    counts.rows += static_cast<size_t>(__builtin_popcountll(bits));
-    counts.treated += static_cast<size_t>(__builtin_popcountll(bits & tword));
-    if (kSplit) {
-      const uint64_t pbits = bits & pword;
-      counts.prot_rows += static_cast<size_t>(__builtin_popcountll(pbits));
-      counts.prot_treated +=
-          static_cast<size_t>(__builtin_popcountll(pbits & tword));
-    }
+    CountWord<kSplit>(bits, tword, pword, &counts);
     const size_t base = w * 64;
     do {
       const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
@@ -203,40 +251,39 @@ inline void AccumulateWords(const CateAccumArgs& args) {
       const size_t r = base + b;
       const size_t idx =
           static_cast<size_t>(cell_of_row[r]) * 2 + ((tword >> b) & 1);
-      const CateSink& part = *sub[(pword >> b) & 1];
-      ++all.n[idx];
-      if (kSplit) ++part.n[idx];
-      const double y = outcome[r];
-      const double yy = y * y;
-      all.sy[idx] += y;
-      all.syy[idx] += yy;
-      if (kSplit) {
-        part.sy[idx] += y;
-        part.syy[idx] += yy;
-      }
-      if (kMoments) {
-        const size_t m = args.num_numeric;
-        const size_t zbase = idx * m;
-        const size_t zzbase = idx * (m * (m + 1) / 2);
-        for (size_t j = 0, t = 0; j < m; ++j) {
-          const double zj = args.zcols[j][r];
-          const double zy = zj * y;
-          all.zsum[zbase + j] += zj;
-          all.zysum[zbase + j] += zy;
-          if (kSplit) {
-            part.zsum[zbase + j] += zj;
-            part.zysum[zbase + j] += zy;
-          }
-          for (size_t k = j; k < m; ++k, ++t) {
-            const double zz = zj * args.zcols[k][r];
-            all.zzsum[zzbase + t] += zz;
-            if (kSplit) part.zzsum[zzbase + t] += zz;
-          }
-        }
-      }
+      AddRow<kSplit, kMoments>(args.overall, *sub[(pword >> b) & 1], idx,
+                               outcome[r], args.zcols, args.num_numeric, r);
     } while (bits != 0);
   }
-  FlushCounts(args, counts, kSplit);
+  FlushCounts(args.overall, args.prot, args.nonprot, counts, kSplit);
+}
+
+/// The compact counterpart of AccumulateWords: the same per-row adds in
+/// the same ascending row order, with the row's dense cell id, outcome
+/// and numeric values read sequentially from the gathered arrays.
+template <bool kSplit, bool kMoments>
+inline void AccumulateCompactWords(const CateCompactArgs& args) {
+  PassCounts counts;
+  const uint64_t* tw = args.treated_words;
+  const uint32_t* cell = args.cell;
+  const double* outcome = args.outcome;
+  const CateSink* const sub[2] = {&args.nonprot, &args.prot};
+  size_t i = 0;  // position of the next gathered row
+  for (size_t w = 0; w < args.num_words; ++w) {
+    uint64_t bits = args.word_bits[w];
+    const uint64_t tword = tw[args.word_index[w]];
+    const uint64_t pword = kSplit ? args.word_prot[w] : 0;
+    CountWord<kSplit>(bits, tword, pword, &counts);
+    do {
+      const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      const size_t idx = static_cast<size_t>(cell[i]) * 2 + ((tword >> b) & 1);
+      AddRow<kSplit, kMoments>(args.overall, *sub[(pword >> b) & 1], idx,
+                               outcome[i], args.zcols, args.num_numeric, i);
+      ++i;
+    } while (bits != 0);
+  }
+  FlushCounts(args.overall, args.prot, args.nonprot, counts, kSplit);
 }
 
 /// The cate_accumulate kernel: picks the (split, moments) instantiation.
@@ -253,6 +300,24 @@ inline void CateAccumulate(const CateAccumArgs& args) {
       AccumulateWords<false, true>(args);
     } else {
       AccumulateWords<false, false>(args);
+    }
+  }
+}
+
+/// The cate_accumulate_compact kernel: the same instantiation choice.
+inline void CateAccumulateCompact(const CateCompactArgs& args) {
+  const bool split = args.word_prot != nullptr;
+  if (split) {
+    if (args.moments) {
+      AccumulateCompactWords<true, true>(args);
+    } else {
+      AccumulateCompactWords<true, false>(args);
+    }
+  } else {
+    if (args.moments) {
+      AccumulateCompactWords<false, true>(args);
+    } else {
+      AccumulateCompactWords<false, false>(args);
     }
   }
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -485,7 +486,7 @@ TEST(CateStatsEngineDeathTest, MergeSubgroupAccumsRejectsMismatchedAccums) {
   const CateStatsEngine::SubgroupAccums from =
       (*many_cells)->AccumulateSubgroups(all, &prot);
   EXPECT_DEATH((*one_cell)->MergeSubgroupAccums(&into, from),
-               "CHECK failed.*into->n.size\\(\\) == from.n.size\\(\\)");
+               "CHECK failed.*into->slots.size\\(\\) == from.slots.size\\(\\)");
 }
 
 // The per-slot double assembly that AssembleNormalEquations replaced,
@@ -510,10 +511,10 @@ CateStatsEngine::NormalEquations PerSlotDoubleAssembly(
         part.onehot_ids().begin() + part.onehot_begin()[c + 1]);
     for (int arm = 0; arm < 2; ++arm) {
       const size_t idx = c * 2 + static_cast<size_t>(arm);
-      const uint32_t cnt = acc.n[idx];
+      const uint32_t cnt = acc.slots[idx].n;
       if (cnt == 0) continue;
       const double nd = static_cast<double>(cnt);
-      const double sy = acc.sy[idx];
+      const double sy = acc.slots[idx].sy;
       xtx[0] += nd;
       if (arm != 0) {
         xtx[1] += nd;
@@ -521,7 +522,7 @@ CateStatsEngine::NormalEquations PerSlotDoubleAssembly(
       }
       xty[0] += sy;
       if (arm != 0) xty[1] += sy;
-      out.yty += acc.syy[idx];
+      out.yty += acc.slots[idx].syy;
       for (const uint32_t f : onehot) {
         const size_t col = 2 + f;
         xtx[col] += nd;
@@ -996,6 +997,124 @@ TEST(CateStatsEngineIntegerOutcomeTest, BitIdenticalAcrossTiers) {
                                 DensitySweepGroups(data.df, &rng),
                                 data.protected_pattern.Evaluate(data.df),
                                 "nulls");
+}
+
+// Seeded random groups and interventions, every method, split and unsplit:
+// the view is gathered once per group and bound whenever an intervention
+// uses another partition than the last one (as Step 2 binds once per
+// partition batch, so consecutive interventions share the view and its
+// count blocks). Each estimate must equal the table pass bit for bit
+// (ExpectSameBits: status, cate, std_error and both arm counts of all
+// three estimates).
+void ExpectCompactMatchesTable(const DataFrame& df, const CausalDag& dag,
+                               const Pattern& protected_pattern,
+                               std::vector<Pattern> interventions,
+                               uint64_t seed, const std::string& label) {
+  const Bitmap protected_mask = protected_pattern.Evaluate(df);
+  Rng rng(seed);
+  for (Pattern& p : SampleInterventions(df, 8, &rng)) {
+    interventions.push_back(std::move(p));
+  }
+  // Interventions over the same attributes (one partition) side by side.
+  std::stable_sort(interventions.begin(), interventions.end(),
+                   [](const Pattern& a, const Pattern& b) {
+                     return a.Attributes() < b.Attributes();
+                   });
+  const Bitmap groups[] = {df.AllRows(), RandomGroup(df.num_rows(), 0.6, &rng),
+                           RandomGroup(df.num_rows(), 0.05, &rng)};
+  const obs::Counter& compact_evals =
+      obs::MetricsRegistry::Global().GetCounter("estimation.compact_evals");
+  for (const CateMethod method :
+       {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
+    CateOptions options;
+    options.method = method;
+    const auto est = CateEstimator::Create(&df, &dag, options);
+    ASSERT_TRUE(est.ok());
+    for (size_t g = 0; g < 3; ++g) {
+      for (const bool split : {false, true}) {
+        const Bitmap* prot = split ? &protected_mask : nullptr;
+        CompactGroup view;
+        ASSERT_TRUE(est->GatherCompactGroup(groups[g], prot, &view).ok());
+        size_t binds = 0;
+        for (size_t i = 0; i < interventions.size(); ++i) {
+          const std::string tag =
+              label + "/m" + std::to_string(static_cast<int>(method)) +
+              "/g" + std::to_string(g) + (split ? "/split" : "/whole") +
+              "/i" + std::to_string(i);
+          const auto engine = est->EngineFor(interventions[i]);
+          ASSERT_TRUE(engine.ok()) << tag;
+          if (view.partition() != &(*engine)->partition()) {
+            ASSERT_TRUE(est->BindCompactGroup(interventions[i], &view).ok())
+                << tag;
+            ++binds;
+          }
+          const auto want = est->EstimateSubgroups(interventions[i],
+                                                   groups[g], prot, 5);
+          const uint64_t before = compact_evals.value();
+          const auto got = est->EstimateSubgroups(
+              interventions[i], groups[g], prot, 5,
+              /*skip_subgroups_unless_positive=*/false, &view);
+          EXPECT_EQ(compact_evals.value(), before + 1) << tag;
+          ASSERT_TRUE(want.ok() && got.ok()) << tag;
+          ExpectSameBits(got->overall, want->overall, tag + "/overall");
+          ExpectSameBits(got->protected_group, want->protected_group,
+                         tag + "/protected");
+          ExpectSameBits(got->nonprotected, want->nonprotected,
+                         tag + "/nonprotected");
+        }
+        // Some binds served several interventions.
+        EXPECT_LT(binds, interventions.size()) << label;
+      }
+    }
+  }
+}
+
+TEST(CateStatsEngineCompactTest, MatchesTablePath) {
+  // Categorical and numeric confounders, both with nulls, 5% null
+  // outcomes, 3001 rows (a partial last word); "U" has no confounders.
+  {
+    const EdgeData data = MakeEdgeData(3001, 93, /*outcome_null_rate=*/0.05);
+    const size_t t = *data.df.schema().IndexOf("T");
+    const size_t u = *data.df.schema().IndexOf("U");
+    ExpectCompactMatchesTable(
+        data.df, data.dag, data.protected_pattern,
+        {Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}),
+         Pattern({Predicate(t, CompareOp::kEq, Value("no"))}),
+         Pattern({Predicate(u, CompareOp::kEq, Value("hi"))}),
+         Pattern({Predicate(u, CompareOp::kEq, Value("lo"))})},
+        93, "edge");
+  }
+  // Categorical-only confounders: the grouped IPW solve.
+  GermanConfig config;
+  config.num_rows = 1500;
+  config.seed = 94;
+  const auto data = MakeGerman(config);
+  ASSERT_TRUE(data.ok());
+  ExpectCompactMatchesTable(data->df, data->dag, data->protected_pattern, {},
+                            94, "german");
+}
+
+TEST(CateStatsEngineCompactTest, ViewOfAnotherPartitionIsNotUsed) {
+  const EdgeData data = MakeEdgeData(1000, 95);
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const size_t u = *data.df.schema().IndexOf("U");
+  const Pattern on_t({Predicate(t, CompareOp::kEq, Value("yes"))});
+  const Pattern on_u({Predicate(u, CompareOp::kEq, Value("hi"))});
+  const Bitmap all = data.df.AllRows();
+  CompactGroup view;
+  ASSERT_TRUE(est->GatherCompactGroup(all, nullptr, &view).ok());
+  ASSERT_TRUE(est->BindCompactGroup(on_t, &view).ok());
+  // "U" adjusts for nothing: its partition is not the view's.
+  const obs::Counter& compact_evals =
+      obs::MetricsRegistry::Global().GetCounter("estimation.compact_evals");
+  const uint64_t before = compact_evals.value();
+  const auto got = est->EstimateSubgroups(on_u, all, nullptr, 5, false, &view);
+  EXPECT_EQ(compact_evals.value(), before);
+  const auto want = est->EstimateSubgroups(on_u, all, nullptr, 5);
+  ASSERT_TRUE(got.ok() && want.ok());
+  ExpectSameBits(got->overall, want->overall, "other-partition");
 }
 
 // Regression test for the empty-arm guard: one-class inputs used to

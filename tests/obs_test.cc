@@ -18,6 +18,7 @@
 
 #include "causal/cate_stats_engine.h"
 #include "core/faircap.h"
+#include "core/incremental.h"
 #include "ingest/chunked_csv_reader.h"
 #include "util/obs/metrics.h"
 #include "util/obs/run_report.h"
@@ -214,7 +215,8 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"batch_evals\":", "\"partition_builds\":",
         "\"solve_regression\":", "\"solve_stratified\":",
         "\"solve_ipw_cells\":", "\"solve_ipw_rows\":",
-        "\"accumulate_path_sparse\":", "\"lattice_evaluations\":",
+        "\"accumulate_path_sparse\":", "\"compact_views\":",
+        "\"compact_evals\":", "\"lattice_evaluations\":",
         "\"pattern_tasks\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
   }
@@ -285,7 +287,8 @@ struct TestData {
   Pattern protected_pattern;
 };
 
-TestData MakeSmallSynthetic(size_t n, uint64_t seed) {
+// `t_levels` categories of the treatment attribute T (at most 4).
+TestData MakeSmallSynthetic(size_t n, uint64_t seed, size_t t_levels = 2) {
   auto schema = Schema::Create({
       {"Prot", AttrType::kCategorical, AttrRole::kImmutable},
       {"G", AttrType::kCategorical, AttrRole::kImmutable},
@@ -297,16 +300,19 @@ TestData MakeSmallSynthetic(size_t n, uint64_t seed) {
   Rng rng(seed);
   const char* g_levels[] = {"g0", "g1"};
   const char* z_levels[] = {"a", "b"};
+  const char* t_names[] = {"no", "yes", "t2", "t3"};
   for (size_t i = 0; i < n; ++i) {
     const bool prot = rng.NextBernoulli(0.3);
     const size_t g = rng.NextBounded(2);
     const size_t z = rng.NextBounded(2);
     const bool t = rng.NextBernoulli(0.3 + 0.2 * static_cast<double>(z));
+    const size_t t_code = t && t_levels > 2 ? 1 + rng.NextBounded(t_levels - 1)
+                                            : (t ? 1 : 0);
     const double o = 2.0 + 3.0 * static_cast<double>(z) + (t ? 4.0 : 0.0) +
                      static_cast<double>(rng.NextBounded(3));
     const Status st = df.AppendRow({Value(prot ? "yes" : "no"),
                                     Value(g_levels[g]), Value(z_levels[z]),
-                                    Value(t ? "yes" : "no"), Value(o)});
+                                    Value(t_names[t_code]), Value(o)});
     EXPECT_TRUE(st.ok());
   }
   CausalDag dag = CausalDag::Create(
@@ -330,8 +336,8 @@ TEST(RunReportTest, PipelineRunPopulatesRegistry) {
   auto result = solver->Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Scheduler totals flush at scheduler teardown (inside the run).
-  EXPECT_GE(registry.CounterValue("scheduler.instances"), 1u);
+  // One pool serves Step 2 and selection.
+  EXPECT_EQ(registry.CounterValue("scheduler.instances"), 1u);
   EXPECT_GT(registry.CounterValue("scheduler.executed"), 0u);
   EXPECT_GT(registry.CounterValue("mining.pattern_tasks"), 0u);
   EXPECT_GT(registry.CounterValue("mining.lattice_evaluations"), 0u);
@@ -370,6 +376,72 @@ TEST(RunReportTest, PartitionBuildHasItsOwnSpanAndCounter) {
   obs::ClearTrace();
   EXPECT_NE(trace.str().find("\"name\":\"partition_build\""),
             std::string::npos);
+}
+
+TEST(RunReportTest, CompactPathIsCountedAndTraced) {
+  // T's four categories share one adjustment set, so each grouping
+  // pattern's first lattice level is one batch of four: it is read from
+  // a compacted group. Every evaluation is a compact or a table pass.
+  TestData data = MakeSmallSynthetic(600, 31, /*t_levels=*/4);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  FairCapOptions options;
+  options.apriori.min_support_fraction = 0.2;
+  options.num_threads = 1;
+  options.fairness = FairnessConstraint::GroupSP(100.0);
+  auto solver =
+      FairCap::Create(&data.df, &data.dag, data.protected_pattern, options);
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  obs::EnableTracing();
+  auto result = solver->Run();
+  obs::DisableTracing();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const uint64_t views = registry.CounterValue("estimation.compact_views");
+  const uint64_t compact = registry.CounterValue("estimation.compact_evals");
+  EXPECT_EQ(views, result->num_grouping_patterns);
+  EXPECT_EQ(compact, 4 * result->num_grouping_patterns);
+  EXPECT_EQ(compact +
+                registry.CounterValue("estimation.accumulate_path_sparse"),
+            registry.CounterValue("estimation.batch_evals"));
+  std::ostringstream trace;
+  obs::WriteChromeTrace(trace);
+  obs::ClearTrace();
+  for (const char* span : {"compact_view", "eval", "accumulate", "solve",
+                           "engine_build", "partition_build"}) {
+    EXPECT_NE(trace.str().find("\"name\":\"" + std::string(span) + "\""),
+              std::string::npos)
+        << span;
+  }
+}
+
+TEST(RunReportTest, IncrementalPathHasAccumulateAndSolveSpans) {
+  // With an IncrementalState every estimate goes through
+  // EstimateWithCache, which never reads a compacted group: the
+  // accumulate and solve spans in the trace are its own.
+  TestData data = MakeSmallSynthetic(400, 37, /*t_levels=*/4);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  FairCapOptions options;
+  options.apriori.min_support_fraction = 0.2;
+  options.num_threads = 1;
+  options.incremental_state = std::make_shared<IncrementalState>();
+  auto solver =
+      FairCap::Create(&data.df, &data.dag, data.protected_pattern, options);
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  obs::EnableTracing();
+  auto result = solver->Run();
+  obs::DisableTracing();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(registry.CounterValue("estimation.compact_evals"), 0u);
+  EXPECT_GT(registry.CounterValue("append.evals_full"), 0u);
+  std::ostringstream trace;
+  obs::WriteChromeTrace(trace);
+  obs::ClearTrace();
+  for (const char* span : {"eval", "accumulate", "solve", "engine_build"}) {
+    EXPECT_NE(trace.str().find("\"name\":\"" + std::string(span) + "\""),
+              std::string::npos)
+        << span;
+  }
 }
 
 TEST(RunReportTest, InlineRunReportsInlineExecution) {

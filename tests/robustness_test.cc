@@ -8,6 +8,7 @@
 
 #include "core/faircap.h"
 #include "estimate_overall.h"
+#include "in_order_evaluator.h"
 #include "mining/lattice.h"
 #include "test_data.h"
 
@@ -143,7 +144,7 @@ TEST(RobustnessTest, LatticeAblationExploresMoreWithoutPruning) {
   const ToyData data = MakeToyData(1500);
   size_t evals_pruned = 0, evals_unpruned = 0;
   for (const bool prune : {true, false}) {
-    TreatmentEvaluator eval =
+    const LevelEvaluator eval = InOrder(
         [&](const Pattern& p) -> std::optional<TreatmentEval> {
       TreatmentEval e;
       // Make exactly one atom negative so pruning bites.
@@ -153,7 +154,7 @@ TEST(RobustnessTest, LatticeAblationExploresMoreWithoutPruning) {
                    : 1.0;
       e.score = e.cate;
       return e;
-    };
+    });
     LatticeOptions options;
     options.max_predicates = 2;
     options.require_positive_parents = prune;

@@ -762,7 +762,12 @@ int main(int argc, char** argv) {
   if (args.Get("metrics-json") == "true") {
     return Fail("--metrics-json needs a file: --metrics-json=FILE");
   }
-  if (!trace_path.empty()) obs::EnableTracing();
+  if (!trace_path.empty()) {
+    // The calling thread claims ParallelFor chunks next to the workers;
+    // name its track so it reads "main" beside "worker-N".
+    obs::SetThreadTraceName("main");
+    obs::EnableTracing();
+  }
 
   int rc;
   if (verb == "run") {
