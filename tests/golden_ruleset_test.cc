@@ -1,7 +1,10 @@
 // Golden-ruleset pins: the rulesets FairCap selects on german and on a
 // 5K-row stackoverflow table under group-SP fairness plus group coverage,
-// and on german under the paper's own German setting (group-BGL tau=0.1
-// plus group coverage theta=0.3, as bench_table4_german runs it). Each is
+// on german under the paper's own German setting (group-BGL tau=0.1
+// plus group coverage theta=0.3, as bench_table4_german runs it), and on
+// a 20K-row synthetic table with a real-valued outcome under the default
+// options (the shape of the 1M-row synthetic benchmark, no constraints,
+// so every evaluation takes the table pass). Each is
 // compared exactly against a fixture: grouping, intervention, support and
 // protected support of every rule, in selection order, plus its overall,
 // protected and non-protected utility printed as hex floats (%a), so a
@@ -22,6 +25,7 @@
 #include "core/faircap.h"
 #include "data/german.h"
 #include "data/stackoverflow.h"
+#include "ingest/synthetic.h"
 
 #ifndef FAIRCAP_GOLDEN_DIR
 #error "FAIRCAP_GOLDEN_DIR must name the golden fixture directory"
@@ -75,6 +79,18 @@ GoldenCase StackOverflow5k() {
   StackOverflowData data = MakeStackOverflow(config).ValueOrDie();
   return {"stackoverflow_5k", std::move(data.df), std::move(data.dag),
           std::move(data.protected_pattern), GoldenOptions(10000.0, 0.5)};
+}
+
+/// Synthetic 20K rows, real-valued outcome, default options, 1 thread.
+GoldenCase Synthetic20k() {
+  SyntheticConfig config;
+  config.num_rows = 20000;
+  config.seed = 1;
+  SyntheticData data = MakeSynthetic(config).ValueOrDie();
+  FairCapOptions options;
+  options.num_threads = 1;
+  return {"synthetic_20k", std::move(data.df), std::move(data.dag),
+          std::move(data.protected_pattern), std::move(options)};
 }
 
 /// A double as a C99 hex float: exact, so equal text means equal bits.
@@ -132,8 +148,13 @@ TEST(GoldenRulesetTest, StackOverflow5kGroupSpGroupCoverage) {
   ExpectMatchesFixture(StackOverflow5k());
 }
 
+TEST(GoldenRulesetTest, Synthetic20kDefaultOptions) {
+  ExpectMatchesFixture(Synthetic20k());
+}
+
 TEST(GoldenRulesetTest, DISABLED_RecordFixtures) {
-  for (const GoldenCase& c : {German(), GermanBgl(), StackOverflow5k()}) {
+  for (const GoldenCase& c :
+       {German(), GermanBgl(), StackOverflow5k(), Synthetic20k()}) {
     std::ofstream out(FixturePath(c));
     ASSERT_TRUE(out) << FixturePath(c);
     out << RulesetText(c);
