@@ -391,10 +391,10 @@ size_t CateStatsEngine::bytes() const {
          mask_bytes;
 }
 
-CateStatsEngine::Accum CateStatsEngine::MakeAccum() const {
-  Accum acc;
-  ResetAccum(&acc, partition_->cells().size() * 2);
-  return acc;
+size_t CateStatsEngine::AccumBytes() const {
+  const size_t m = need_moments() ? partition_->num_numeric() : 0;
+  return partition_->cells().size() * 2 *
+         (sizeof(simd::CateSlot) + (2 * m + m * (m + 1) / 2) * sizeof(double));
 }
 
 void CateStatsEngine::ResetAccum(Accum* acc, size_t slots) const {
@@ -433,58 +433,82 @@ simd::CateSink SinkOf(CateStatsEngine::Accum* acc) {
 
 }  // namespace
 
-void CateStatsEngine::AccumulateRange(const Bitmap& group,
+void CateStatsEngine::AccumulateTable(const CateStatsEngine* const* engines,
+                                      SubgroupAccums* accums, size_t count,
+                                      const Bitmap& group,
                                       const Bitmap* protected_mask,
-                                      size_t word_begin, size_t word_end,
-                                      Accum* overall, Accum* prot,
-                                      Accum* nonprot) const {
-  // All four bitmaps are walked in lockstep over one word range; a
-  // mismatched universe would read out of bounds of the shorter mask, so
-  // the sizes are checked in every build (once per pass, not per row).
-  const Bitmap& valid = partition_->outcome_valid();
-  FAIRCAP_CHECK(group.size() == treated_->size());
+                                      size_t row_begin) {
+  // The group, valid and protected bitmaps and every treated mask are
+  // walked in lockstep over one word range, and every treatment's slots
+  // are indexed by the first engine's cell ids; a mismatched universe or
+  // partition would read or write out of bounds, so both are checked in
+  // every build (once per pass, not per row).
+  FAIRCAP_CHECK(count >= 1 && count <= simd::kMaxCateBatch);
+  const CateStatsEngine& lead = *engines[0];
+  const ConfounderPartition& part = *lead.partition_;
+  const Bitmap& valid = part.outcome_valid();
   FAIRCAP_CHECK(valid.size() == group.size());
   FAIRCAP_CHECK(protected_mask == nullptr ||
                 protected_mask->size() == group.size());
-  FAIRCAP_CHECK(word_end <= group.num_words());
+  FAIRCAP_CHECK(row_begin <= group.size());
 
-  // The group mask ANDed with the valid-row mask picks the rows, the
-  // treated mask drives the arm bit, and the optional protected mask the
-  // subgroup sink — 64 rows per word, through the runtime-dispatched
-  // accumulation kernel. The outcome is read straight from the table
-  // column, fetched here on every pass: an append may reallocate it.
-  // Every float add runs in ascending-row order per slot, so the result
-  // is bit-identical at every SIMD level.
+  // The group mask ANDed with the valid-row mask picks the rows, each
+  // treated mask drives its treatment's arm bit, and the optional
+  // protected mask the subgroup sink — 64 rows per word, through the
+  // runtime-dispatched accumulation kernel. The outcome is read straight
+  // from the table column, fetched here on every pass: an append may
+  // reallocate it. Every float add runs in ascending-row order per slot,
+  // so the result is bit-identical at every SIMD level and batch width.
+  const bool split = protected_mask != nullptr;
   simd::CateAccumArgs args;
   args.group_words = group.words();
-  args.treated_words = treated_->words();
-  args.protected_words =
-      protected_mask != nullptr ? protected_mask->words() : nullptr;
+  args.protected_words = split ? protected_mask->words() : nullptr;
   args.valid_words = valid.words();
-  args.cell_of_row = partition_->cell_of_row().data();
-  args.outcome = df_->column(partition_->outcome_attr()).numeric_data();
-  args.num_numeric = partition_->num_numeric();
-  args.moments = need_moments();
-  args.zcols = args.moments ? partition_->numeric_value_ptrs() : nullptr;
-  args.word_begin = word_begin;
-  args.word_end = word_end;
-  args.overall = SinkOf(overall);
-  if (protected_mask != nullptr) {
-    args.prot = SinkOf(prot);
-    args.nonprot = SinkOf(nonprot);
+  args.cell_of_row = part.cell_of_row().data();
+  args.outcome = lead.df_->column(part.outcome_attr()).numeric_data();
+  args.num_numeric = part.num_numeric();
+  args.moments = lead.need_moments();
+  args.zcols = args.moments ? part.numeric_value_ptrs() : nullptr;
+  args.row_begin = row_begin;
+  args.word_end = group.num_words();
+  args.num_treatments = count;
+  const size_t slots = part.cells().size() * 2;
+  for (size_t i = 0; i < count; ++i) {
+    const CateStatsEngine& engine = *engines[i];
+    FAIRCAP_CHECK(engine.partition_.get() == &part &&
+                  engine.df_ == lead.df_ &&
+                  engine.need_moments() == args.moments);
+    FAIRCAP_CHECK(engine.treated_->size() == group.size());
+    SubgroupAccums& acc = accums[i];
+    acc.split = split;
+    acc.rows_covered = engine.df_->num_rows();
+    simd::CateTreatmentSinks& sinks = args.treatments[i];
+    sinks.treated_words = engine.treated_->words();
+    engine.ResetAccum(&acc.overall, slots);
+    sinks.overall = SinkOf(&acc.overall);
+    if (split) {
+      engine.ResetAccum(&acc.prot, slots);
+      engine.ResetAccum(&acc.nonprot, slots);
+      sinks.prot = SinkOf(&acc.prot);
+      sinks.nonprot = SinkOf(&acc.nonprot);
+    }
   }
 
-  const size_t rows_before = overall->rows;
   simd::ActiveKernels().cate_accumulate(args);
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  // Per-treatment row updates: a fused pass adds each row once per
+  // treatment.
   static obs::Counter& rows_counter =
       registry.GetCounter("simd.cate_accumulate_rows");
-  rows_counter.Add(overall->rows - rows_before);
-  // Every pass is a sparse pass (the one accumulate path).
+  rows_counter.Add(count * accums[0].overall.rows);
+  static obs::Counter& table_passes =
+      registry.GetCounter("estimation.table_passes");
+  table_passes.Increment();
+  // One per evaluation the pass serves (the one accumulate path).
   static obs::Counter& sparse_passes =
       registry.GetCounter("estimation.accumulate_path_sparse");
-  sparse_passes.Increment();
+  sparse_passes.Add(count);
 }
 
 Result<CateEstimate> CateStatsEngine::Solve(const Accum& acc,
@@ -889,52 +913,21 @@ void CateStatsEngine::MergeAccum(Accum* into, const Accum& from) const {
 CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateSubgroups(
     const Bitmap& group, const Bitmap* protected_mask) const {
   SubgroupAccums out;
-  out.split = protected_mask != nullptr;
-  out.rows_covered = df_->num_rows();
-  out.overall = MakeAccum();
-  if (out.split) {
-    out.prot = MakeAccum();
-    out.nonprot = MakeAccum();
-  }
-  AccumulateRange(group, protected_mask, 0, group.num_words(), &out.overall,
-                  &out.prot, &out.nonprot);
+  const CateStatsEngine* self = this;
+  AccumulateTable(&self, &out, 1, group, protected_mask, /*row_begin=*/0);
   return out;
 }
 
 CateStatsEngine::SubgroupAccums CateStatsEngine::AccumulateDelta(
     const Bitmap& group, const Bitmap* protected_mask,
     size_t row_begin) const {
-  // Checked in every build: a row_begin past the table would clear bits
-  // in a scratch word past the end of the bitmap below.
-  FAIRCAP_CHECK(group.size() == treated_->size());
-  FAIRCAP_CHECK(row_begin <= group.size());
+  // The pass starts at the word holding row_begin with that word's
+  // resident bits masked, so it reaches the delta rows in ascending row
+  // order — the order a cold pass would reach them after all resident
+  // rows.
   SubgroupAccums out;
-  out.split = protected_mask != nullptr;
-  out.rows_covered = df_->num_rows();
-  out.overall = MakeAccum();
-  if (out.split) {
-    out.prot = MakeAccum();
-    out.nonprot = MakeAccum();
-  }
-  // Scratch view of `group` restricted to the delta tail: only the words
-  // at and past the boundary are copied (the kernel never reads words
-  // below word_begin, so the resident words may stay zero), and the
-  // boundary word's resident bits are cleared. Walking words ascending
-  // accumulates the delta rows in ascending row order — the order a cold
-  // pass would reach them after all resident rows.
-  const size_t word_begin = row_begin / 64;
-  const size_t num_words = group.num_words();
-  Bitmap scratch(group.size(), /*value=*/false);
-  uint64_t* sw = scratch.mutable_words();
-  const uint64_t* gw = group.words();
-  for (size_t w = word_begin; w < num_words; ++w) sw[w] = gw[w];
-  const size_t boundary_bit = row_begin % 64;
-  if (boundary_bit != 0) {
-    sw[word_begin] &= ~((uint64_t{1} << boundary_bit) - 1);
-  }
-  AccumulateRange(scratch, protected_mask, word_begin, num_words,
-                  &out.overall, out.split ? &out.prot : nullptr,
-                  out.split ? &out.nonprot : nullptr);
+  const CateStatsEngine* self = this;
+  AccumulateTable(&self, &out, 1, group, protected_mask, row_begin);
   return out;
 }
 
@@ -1144,6 +1137,50 @@ void CateStatsEngine::AccumulateCompact(const CompactGroup& view,
   static obs::Counter& compact_evals =
       registry.GetCounter("estimation.compact_evals");
   compact_evals.Increment();
+}
+
+namespace {
+
+/// The most accumulator bytes one fused table pass keeps live, summed
+/// over its treatments' slots (and moment blocks): a wider batch is
+/// narrowed until its accums fit. Measured with perfbench so_fair
+/// (stackoverflow 38K, split accums, partitions of up to ~3,600 cells;
+/// 2 threads, seed 1, 6 alternating runs each): fusing with no cap
+/// raised peak RSS from 24.4-25.1 MB (unfused) to 26.3-27.1 MB; capped
+/// at 32 KB or 256 KB it read 24.7-25.0 MB, and op_s medians were 1.363
+/// (unfused), 1.361 (32 KB) and 1.364 s (256 KB). At 256 KB every
+/// synth_1m batch (unsplit accums over at most 18 cells) fuses whole.
+constexpr size_t kMaxFusedAccumBytes = 256 * 1024;
+
+}  // namespace
+
+std::vector<CateSubgroupEstimates> CateStatsEngine::EstimateSubgroupsBatch(
+    const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
+    const Bitmap* protected_mask, size_t min_group_size,
+    size_t min_subgroup_size, bool skip_subgroups_unless_positive) {
+  std::vector<CateSubgroupEstimates> out(engines.size());
+  if (engines.empty()) return out;
+  const size_t sinks = protected_mask != nullptr ? 3 : 1;
+  const size_t treatment_bytes =
+      std::max<size_t>(1, sinks * engines.front()->AccumBytes());
+  const size_t width = std::clamp<size_t>(
+      kMaxFusedAccumBytes / treatment_bytes, 1, simd::kMaxCateBatch);
+  std::vector<SubgroupAccums> accums(std::min(width, engines.size()));
+  for (size_t begin = 0; begin < engines.size(); begin += width) {
+    const size_t count = std::min(width, engines.size() - begin);
+    {
+      const obs::TraceSpan accumulate_span("accumulate");
+      AccumulateTable(engines.data() + begin, accums.data(), count, group,
+                      protected_mask, /*row_begin=*/0);
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const obs::TraceSpan solve_span("solve");
+      out[begin + i] = engines[begin + i]->SolveFromAccums(
+          accums[i], group, protected_mask, min_group_size,
+          min_subgroup_size, skip_subgroups_unless_positive);
+    }
+  }
+  return out;
 }
 
 CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(

@@ -39,6 +39,14 @@
 // ascending order, so one set of solvers serves both and the estimates
 // are the same bits.
 //
+// The treatments of a smaller batch (fewer than the view pays for) walk
+// the table, but together: EstimateSubgroupsBatch accumulates up to
+// simd::kMaxCateBatch treatments over one partition in one table pass,
+// reading each row's bits, cell id and outcome once and adding the row
+// to every treatment's own accums. A single treatment, and an append's
+// delta pass from its boundary row, are the same pass with one
+// treatment.
+//
 // Every statistic is summed in one representation: counts in integers,
 // outcome sums and moments in double, added in ascending row order. A
 // slot's count, Σy and Σy² sit together in one record (simd::CateSlot),
@@ -397,6 +405,21 @@ class CateStatsEngine {
       bool skip_subgroups_unless_positive = false,
       CompactGroup* view = nullptr) const;
 
+  /// Estimates each engine's treatment over one `group`, with the same
+  /// bits EstimateSubgroups gives for each alone on the table pass, but
+  /// with each group row read once for several treatments: the engines
+  /// are taken in order in chunks of up to simd::kMaxCateBatch, each
+  /// accumulated by one fused table pass (each treatment into its own
+  /// accums) and then solved per treatment (SolveFromAccums). A chunk is
+  /// narrowed so that its accums stay within a fixed byte budget (see
+  /// kMaxFusedAccumBytes in the .cc). All engines must share one
+  /// partition, one table and one statistics shape; a mismatch aborts in
+  /// every build type.
+  static std::vector<CateSubgroupEstimates> EstimateSubgroupsBatch(
+      const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
+      const Bitmap* protected_mask, size_t min_group_size,
+      size_t min_subgroup_size, bool skip_subgroups_unless_positive = false);
+
   /// Binds a gathered `view` to this engine's partition: gathers the
   /// rows' cells (and numeric confounder values when the method needs
   /// them) and renumbers the cells densely.
@@ -523,12 +546,15 @@ class CateStatsEngine {
     bool protected_member = false;           ///< filter polarity
   };
 
-  /// Accumulation restricted to bitmap words [word_begin, word_end). The
-  /// full pass is [0, group.num_words()); an append's delta pass starts
-  /// at the word holding its first new row.
-  void AccumulateRange(const Bitmap& group, const Bitmap* protected_mask,
-                       size_t word_begin, size_t word_end, Accum* overall,
-                       Accum* prot, Accum* nonprot) const;
+  /// The table pass: zeroes accums[0..count) and accumulates the rows >=
+  /// row_begin of `group` into accums[i] for engines[i], reading each row
+  /// once for all `count` (1..simd::kMaxCateBatch) treatments. The full
+  /// pass starts at row 0; an append's delta pass at its first new row.
+  /// The engines must share one partition (checked in every build).
+  static void AccumulateTable(const CateStatsEngine* const* engines,
+                              SubgroupAccums* accums, size_t count,
+                              const Bitmap& group,
+                              const Bitmap* protected_mask, size_t row_begin);
 
   /// Element-wise `into += from` over every statistic (counts, outcome
   /// sums, numeric moments) — folds an append's delta into a cached
@@ -588,7 +614,8 @@ class CateStatsEngine {
     return options_.method == CateMethod::kRegression &&
            partition_->num_numeric() > 0;
   }
-  Accum MakeAccum() const;
+  /// Bytes of one accum's slots and moment blocks.
+  size_t AccumBytes() const;
   /// Zeroes `acc` to `slots` slots (and the moment blocks when needed),
   /// reusing its buffers.
   void ResetAccum(Accum* acc, size_t slots) const;

@@ -304,6 +304,65 @@ Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
                                    skip_subgroups_unless_positive, view);
 }
 
+Result<std::vector<Result<CateSubgroupEstimates>>>
+CateEstimator::EstimateSubgroupsBatch(
+    const std::vector<const Pattern*>& interventions, const Bitmap& group,
+    const Bitmap* protected_mask, size_t min_subgroup_size,
+    bool skip_subgroups_unless_positive) const {
+  FAIRCAP_RETURN_NOT_OK(
+      CheckSpansTable(group, protected_mask, df_->num_rows()));
+  static obs::Counter& batch_evals =
+      obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
+  batch_evals.Add(interventions.size());
+  std::vector<Result<CateSubgroupEstimates>> out;
+  out.reserve(interventions.size());
+  // The engines are held for the pass: a budgeted cache may evict them.
+  std::vector<std::shared_ptr<const CateStatsEngine>> held;
+  std::vector<size_t> held_at;
+  for (size_t i = 0; i < interventions.size(); ++i) {
+    Result<std::shared_ptr<const CateStatsEngine>> engine =
+        EngineFor(*interventions[i]);
+    if (!engine.ok()) {
+      out.emplace_back(engine.status());
+      continue;
+    }
+    if (!held.empty() &&
+        (*engine)->adjustment() != held.front()->adjustment()) {
+      return Status::InvalidArgument(
+          "batched interventions must share one adjustment set: " +
+          interventions[i]->Key() + " differs from " +
+          interventions[held_at.front()]->Key());
+    }
+    out.emplace_back(Status::FailedPrecondition("not computed"));
+    held.push_back(std::move(engine).ValueOrDie());
+    held_at.push_back(i);
+  }
+  const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
+                                                : options_.min_group_size;
+  // One adjustment set is one partition, except when a budgeted cache
+  // rebuilt it mid-batch; an engine on another partition runs alone.
+  std::vector<const CateStatsEngine*> fused;
+  std::vector<size_t> fused_at;
+  for (size_t k = 0; k < held.size(); ++k) {
+    if (&held[k]->partition() == &held.front()->partition()) {
+      fused.push_back(held[k].get());
+      fused_at.push_back(held_at[k]);
+    } else {
+      out[held_at[k]] = held[k]->EstimateSubgroups(
+          group, protected_mask, options_.min_group_size, min_sub,
+          skip_subgroups_unless_positive);
+    }
+  }
+  std::vector<CateSubgroupEstimates> estimates =
+      CateStatsEngine::EstimateSubgroupsBatch(
+          fused, group, protected_mask, options_.min_group_size, min_sub,
+          skip_subgroups_unless_positive);
+  for (size_t k = 0; k < fused.size(); ++k) {
+    out[fused_at[k]] = std::move(estimates[k]);
+  }
+  return out;
+}
+
 Status CateEstimator::GatherCompactGroup(const Bitmap& group,
                                          const Bitmap* protected_mask,
                                          CompactGroup* view) const {

@@ -127,6 +127,18 @@ class CateEstimator {
       bool skip_subgroups_unless_positive = false,
       CompactGroup* view = nullptr) const;
 
+  /// Estimates each of `interventions` over one `group` as
+  /// EstimateSubgroups does on the table pass — the same bits, and a
+  /// failing engine fails only its own entry — with each group row read
+  /// once for several treatments (CateStatsEngine::EstimateSubgroupsBatch).
+  /// The interventions must share one adjustment set, so that their
+  /// engines share one confounder partition: InvalidArgument otherwise,
+  /// and when a bitmap does not span exactly the table's rows.
+  Result<std::vector<Result<CateSubgroupEstimates>>> EstimateSubgroupsBatch(
+      const std::vector<const Pattern*>& interventions, const Bitmap& group,
+      const Bitmap* protected_mask, size_t min_subgroup_size = 0,
+      bool skip_subgroups_unless_positive = false) const;
+
   /// Gathers the rows of `group` with a non-null outcome (split on
   /// `protected_mask` when non-null) into `view`. InvalidArgument when a
   /// bitmap does not span exactly the table's rows.

@@ -16,13 +16,16 @@ namespace faircap {
 namespace {
 
 /// The fewest treatments of one lattice level sharing one confounder
-/// partition that Step 2 evaluates from a CompactGroup. Measured on a
-/// 38K-row stackoverflow table: binding a view costs ~0.46 of a table
-/// evaluation and each evaluation on it ~0.80 of one, so a view breaks
-/// even at ~2.3 evaluations; three would save ~5% of the batch (within
-/// noise) and would put synth_1m's three-treatment batches over 1M-row
-/// groups (~12 MB per view) on the compact path. Four is the smallest
-/// batch with a clear margin.
+/// partition that Step 2 evaluates from a CompactGroup; smaller batches
+/// take fused table passes (CateEstimator::EstimateSubgroupsBatch).
+/// Measured on a 38K-row stackoverflow table against one table pass per
+/// treatment: binding a view costs ~0.46 of a table evaluation and each
+/// evaluation on it ~0.80 of one, so a view breaks even at ~2.3
+/// evaluations, and four is the smallest batch with a clear margin. A
+/// fused pass reads a batch's rows once for up to four treatments, so
+/// against it a view breaks even later, not earlier (not re-measured);
+/// and a view of one of synth_1m's 1M-row groups would hold ~12 MB
+/// where a fused pass holds only its accums.
 constexpr size_t kMinCompactBatch = 4;
 
 }  // namespace
@@ -267,26 +270,29 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
 
     const Bitmap* const split_mask =
         needs_group_utilities ? &protected_mask_ : nullptr;
-    // One treatment, read from `view` when it is non-null.
-    auto evaluate = [&](const Pattern& intervention, CompactGroup* view)
+    // The estimate step for one treatment, read from `view` when it is
+    // non-null: the overall estimate and the protected / non-protected
+    // slices come from the same one-pass engine.
+    auto estimate = [&](const Pattern& intervention, CompactGroup* view)
+        -> Result<CateSubgroupEstimates> {
+      return inc != nullptr
+                 ? inc->EstimateWithCache(
+                       estimator_, group_key, intervention, group.coverage,
+                       protected_mask_,
+                       /*want_subgroups=*/needs_group_utilities,
+                       options_.min_subgroup_arm,
+                       /*skip_subgroups_unless_positive=*/true)
+                 : estimator_.EstimateSubgroups(
+                       intervention, group.coverage, split_mask,
+                       options_.min_subgroup_arm,
+                       /*skip_subgroups_unless_positive=*/true, view);
+    };
+    // The interpret step: a treatment's lattice evaluation from its
+    // estimates.
+    auto interpret = [&](const Result<CateSubgroupEstimates>& estimates)
         -> std::optional<TreatmentEval> {
-      const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
-      // The overall estimate and the protected / non-protected slices
-      // come from the same one-pass engine.
-      Result<CateSubgroupEstimates> batch =
-          inc != nullptr
-              ? inc->EstimateWithCache(
-                    estimator_, group_key, intervention, group.coverage,
-                    protected_mask_,
-                    /*want_subgroups=*/needs_group_utilities,
-                    options_.min_subgroup_arm,
-                    /*skip_subgroups_unless_positive=*/true)
-              : estimator_.EstimateSubgroups(
-                    intervention, group.coverage, split_mask,
-                    options_.min_subgroup_arm,
-                    /*skip_subgroups_unless_positive=*/true, view);
-      if (!batch.ok()) return std::nullopt;
-      const CateSubgroupEstimates ests = std::move(batch).ValueOrDie();
+      if (!estimates.ok()) return std::nullopt;
+      const CateSubgroupEstimates& ests = *estimates;
       if (!ests.overall.ok()) return std::nullopt;
       const CateEstimate& overall = *ests.overall;
       TreatmentEval eval;
@@ -342,14 +348,21 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
       }
       return eval;
     };
+    auto evaluate = [&](const Pattern& intervention, CompactGroup* view) {
+      const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
+      return interpret(estimate(intervention, view));
+    };
 
     // A lattice level arrives whole. Its treatments are grouped by
     // adjustment set (one confounder partition each), in first-appearance
     // order; a group of at least kMinCompactBatch treatments is evaluated
     // from this pattern's rows gathered into a CompactGroup (once per
-    // pattern) and bound to the group's partition (once per level), the
-    // rest walk the table. The incremental path keeps its per-treatment
-    // accum cache.
+    // pattern) and bound to the group's partition (once per level). The
+    // other groups walk the table, all of a group's treatments in fused
+    // passes (CateEstimator::EstimateSubgroupsBatch), so their
+    // "accumulate" and "solve" spans sit under "lattice" and each "eval"
+    // span holds the interpret step alone. The incremental path keeps its
+    // per-treatment accum cache.
     CompactGroup view;  // buffers reused across this traversal's levels
     bool gathered = false;
     const LevelEvaluator evaluator = [&](const std::vector<Pattern>& level) {
@@ -391,8 +404,21 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
               gathered &&
               estimator_.BindCompactGroup(level[batch.front()], &view).ok();
         }
-        for (const size_t i : batch) {
-          results[i] = evaluate(level[i], compact ? &view : nullptr);
+        if (compact) {
+          for (const size_t i : batch) results[i] = evaluate(level[i], &view);
+          continue;
+        }
+        std::vector<const Pattern*> interventions;
+        for (const size_t i : batch) interventions.push_back(&level[i]);
+        const Result<std::vector<Result<CateSubgroupEstimates>>> estimates =
+            estimator_.EstimateSubgroupsBatch(
+                interventions, group.coverage, split_mask,
+                options_.min_subgroup_arm,
+                /*skip_subgroups_unless_positive=*/true);
+        for (size_t k = 0; k < batch.size(); ++k) {
+          const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
+          results[batch[k]] = estimates.ok() ? interpret((*estimates)[k])
+                                             : std::nullopt;
         }
       }
       return results;

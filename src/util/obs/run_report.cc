@@ -45,14 +45,21 @@ constexpr const char* kStandardCounters[] = {
     "estimation.solve_stratified",
     "estimation.solve_ipw_cells",
     "estimation.solve_ipw_rows",
+    // Evaluations served by a table pass, and the table row passes that
+    // served them: a fused pass serves up to four evaluations of one
+    // partition, so table_passes <= accumulate_path_sparse.
     "estimation.accumulate_path_sparse",
+    "estimation.table_passes",
     // Step 2's compacted groups (causal/cate_stats_engine.h CompactGroup):
     // partitions bound to a gathered group, and evaluations read from
-    // one. compact_evals + accumulate_path_sparse = the row passes.
+    // one. compact_evals + accumulate_path_sparse = batch_evals, the
+    // evaluations of a run without an incremental state.
     "estimation.compact_views",
     "estimation.compact_evals",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",
+    // Per-treatment row updates: a fused pass counts each row once per
+    // treatment it serves.
     "simd.cate_accumulate_rows",
     // Incremental append + delta-aware re-mining (core/incremental.h,
     // dataframe/predicate_index.h, causal/estimator.h).

@@ -21,8 +21,8 @@
 //     "simd":         { level, level_name },
 //     "estimation":   { batch_evals, partition_builds, solve_regression,
 //                       solve_stratified, solve_ipw_cells, solve_ipw_rows,
-//                       accumulate_path_sparse, compact_views,
-//                       compact_evals },
+//                       accumulate_path_sparse, table_passes,
+//                       compact_views, compact_evals },
 //     "mining":       { lattice_evaluations, pattern_tasks, ... }
 //   }
 // Extra metrics registered by future subsystems appear as extra keys /

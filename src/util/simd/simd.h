@@ -105,14 +105,27 @@ struct CateSink {
   double* zzsum = nullptr;      ///< [2C * m(m+1)/2], upper-tri packed
 };
 
-/// Inputs of the fused accumulation pass: four bitmaps walked in lockstep
-/// over one word range, the row->cell map, the table's outcome column,
-/// and (for the regression-with-numeric-confounders case) the cached
-/// numeric confounder columns. A row is accumulated iff its group bit and
-/// its valid bit are both set.
+/// Most treatments one table pass accumulates at once.
+constexpr size_t kMaxCateBatch = 4;
+
+/// One treatment of a table pass: its treated mask (the arm bit of each
+/// row) and its own overall / protected / non-protected sinks.
+struct CateTreatmentSinks {
+  const uint64_t* treated_words = nullptr;
+  CateSink overall;
+  CateSink prot;
+  CateSink nonprot;
+};
+
+/// Inputs of the fused accumulation pass: the group, valid and protected
+/// bitmaps walked in lockstep over one word range, the row->cell map, the
+/// table's outcome column, (for the regression-with-numeric-confounders
+/// case) the cached numeric confounder columns, and 1..kMaxCateBatch
+/// treatments over that one partition. A row is accumulated iff its group
+/// bit and its valid bit are both set; its cell, outcome and subgroup are
+/// read once and added to every treatment's sinks.
 struct CateAccumArgs {
   const uint64_t* group_words = nullptr;
-  const uint64_t* treated_words = nullptr;
   /// Null: no protected split (prot/nonprot sinks unused).
   const uint64_t* protected_words = nullptr;
   /// Rows whose outcome is non-null; every other row is masked out word
@@ -127,11 +140,14 @@ struct CateAccumArgs {
   const double* const* zcols = nullptr;
   size_t num_numeric = 0;
   bool moments = false;
-  size_t word_begin = 0;
+  /// The first row accumulated: the pass starts at word row_begin / 64
+  /// with that word's lower bits masked (an append's delta pass).
+  size_t row_begin = 0;
+  /// One past the last word read.
   size_t word_end = 0;
-  CateSink overall;
-  CateSink prot;
-  CateSink nonprot;
+  /// 1..kMaxCateBatch.
+  size_t num_treatments = 0;
+  CateTreatmentSinks treatments[kMaxCateBatch];
 };
 
 /// Inputs of the compact accumulation pass: a group's rows gathered once
@@ -189,11 +205,12 @@ struct Kernels {
   void (*mask_numeric_cmp)(const double* values, size_t n, Cmp op, double rhs,
                            uint64_t* out);
   /// The fused CateStatsEngine accumulation pass over one word range:
-  /// group/valid/treated(/protected) bitmaps in lockstep, per-(cell, arm)
-  /// {n, Σy, Σy²} (+ numeric moments) into the overall sink and, when
-  /// splitting, the protected-or-nonprotected sink — each bitmap word and
-  /// outcome cache line touched once. Row counts come from per-word
-  /// popcounts; float adds run in ascending row order with the scalar
+  /// group/valid(/protected) bitmaps in lockstep, and for each of the
+  /// pass's treatments per-(cell, arm) {n, Σy, Σy²} (+ numeric moments)
+  /// into its overall sink and, when splitting, its protected-or-
+  /// nonprotected sink — each bitmap word, cell id and outcome read once
+  /// for all treatments. Row counts come from per-word popcounts; every
+  /// slot receives its float adds in ascending row order with the scalar
   /// loop's associations.
   void (*cate_accumulate)(const CateAccumArgs& args);
   /// The same accumulation over a gathered group: per-row cell ids and

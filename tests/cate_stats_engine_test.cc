@@ -1117,6 +1117,144 @@ TEST(CateStatsEngineCompactTest, ViewOfAnotherPartitionIsNotUsed) {
   ExpectSameBits(got->overall, want->overall, "other-partition");
 }
 
+// A fused table pass accumulates up to simd::kMaxCateBatch treatments
+// of one partition at once, each into its own sinks. Every treatment of
+// a batch of width 1..5 (5 takes two passes) must get exactly the bits
+// of its own one-at-a-time EstimateSubgroups, for every method, group
+// density, split and ISA tier. `interventions` share one adjustment set.
+void ExpectFusedMatchesSingle(const DataFrame& df, const CausalDag& dag,
+                              const Pattern& protected_pattern,
+                              const std::vector<Pattern>& interventions,
+                              uint64_t seed, const std::string& label) {
+  ASSERT_GE(interventions.size(), 5u) << label;
+  const Bitmap protected_mask = protected_pattern.Evaluate(df);
+  Rng rng(seed);
+  const Bitmap groups[] = {df.AllRows(), RandomGroup(df.num_rows(), 0.6, &rng),
+                           RandomGroup(df.num_rows(), 0.05, &rng)};
+  const obs::Counter& table_passes =
+      obs::MetricsRegistry::Global().GetCounter("estimation.table_passes");
+  for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+    const simd::ScopedSimdLevel pin(level);
+    for (const CateMethod method : {CateMethod::kRegression,
+                                    CateMethod::kStratified, CateMethod::kIpw}) {
+      CateOptions options;
+      options.method = method;
+      const auto est = CateEstimator::Create(&df, &dag, options);
+      ASSERT_TRUE(est.ok());
+      for (size_t g = 0; g < 3; ++g) {
+        for (const bool split : {false, true}) {
+          const Bitmap* prot = split ? &protected_mask : nullptr;
+          for (size_t width = 1; width <= 5; ++width) {
+            const std::string tag =
+                label + "/" + simd::SimdLevelName(level) + "/m" +
+                std::to_string(static_cast<int>(method)) + "/g" +
+                std::to_string(g) + (split ? "/split" : "/whole") + "/B" +
+                std::to_string(width);
+            std::vector<const Pattern*> batch;
+            for (size_t i = 0; i < width; ++i) {
+              batch.push_back(&interventions[i]);
+            }
+            const uint64_t passes_before = table_passes.value();
+            const auto got = est->EstimateSubgroupsBatch(
+                batch, groups[g], prot, 5,
+                /*skip_subgroups_unless_positive=*/false);
+            ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
+            EXPECT_EQ(table_passes.value() - passes_before,
+                      (width + simd::kMaxCateBatch - 1) / simd::kMaxCateBatch)
+                << tag;
+            ASSERT_EQ(got->size(), width) << tag;
+            for (size_t i = 0; i < width; ++i) {
+              const std::string at = tag + "/i" + std::to_string(i);
+              const auto want =
+                  est->EstimateSubgroups(*batch[i], groups[g], prot, 5);
+              const auto& one = (*got)[i];
+              ASSERT_TRUE(want.ok() && one.ok()) << at;
+              ExpectSameBits(one->overall, want->overall, at + "/overall");
+              ExpectSameBits(one->protected_group, want->protected_group,
+                             at + "/protected");
+              ExpectSameBits(one->nonprotected, want->nonprotected,
+                             at + "/nonprotected");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CateStatsEngineBatchTest, FusedPassMatchesSingleTreatmentPasses) {
+  // Categorical and numeric confounders, both with nulls, 5% null
+  // outcomes, 3001 rows (a partial last word). "U" is not in the DAG, so
+  // every pattern over T, alone or with U, adjusts for {Zc, Zn}.
+  {
+    const EdgeData data = MakeEdgeData(3001, 97, /*outcome_null_rate=*/0.05);
+    const size_t t = *data.df.schema().IndexOf("T");
+    const size_t u = *data.df.schema().IndexOf("U");
+    std::vector<Pattern> interventions;
+    for (const char* t_value : {"yes", "no"}) {
+      const Predicate on_t(t, CompareOp::kEq, Value(t_value));
+      interventions.push_back(Pattern({on_t}));
+      for (const char* u_value : {"hi", "lo"}) {
+        interventions.push_back(
+            Pattern({on_t, Predicate(u, CompareOp::kEq, Value(u_value))}));
+      }
+    }
+    ExpectFusedMatchesSingle(data.df, data.dag, data.protected_pattern,
+                             interventions, 97, "edge");
+  }
+  // Categorical-only confounders (the grouped IPW solve): the largest
+  // set of sampled interventions that share one adjustment set.
+  GermanConfig config;
+  config.num_rows = 1500;
+  config.seed = 98;
+  const auto data = MakeGerman(config);
+  ASSERT_TRUE(data.ok());
+  const auto est = CateEstimator::Create(&data->df, &data->dag);
+  ASSERT_TRUE(est.ok());
+  Rng rng(98);
+  std::vector<std::vector<size_t>> adjustments;
+  std::vector<std::vector<Pattern>> by_adjustment;
+  for (Pattern& p : SampleInterventions(data->df, 60, &rng)) {
+    const auto adjustment = est->AdjustmentAttrs(p);
+    ASSERT_TRUE(adjustment.ok());
+    const auto it =
+        std::find(adjustments.begin(), adjustments.end(), *adjustment);
+    const size_t at = static_cast<size_t>(it - adjustments.begin());
+    if (it == adjustments.end()) {
+      adjustments.push_back(*adjustment);
+      by_adjustment.emplace_back();
+    }
+    by_adjustment[at].push_back(std::move(p));
+  }
+  const auto largest = std::max_element(
+      by_adjustment.begin(), by_adjustment.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  ExpectFusedMatchesSingle(data->df, data->dag, data->protected_pattern,
+                           *largest, 98, "german");
+}
+
+TEST(CateStatsEngineBatchTest, InterventionsOverOtherPartitionsAreRejected) {
+  const EdgeData data = MakeEdgeData(1000, 99);
+  const auto est = CateEstimator::Create(&data.df, &data.dag);
+  ASSERT_TRUE(est.ok());
+  const size_t t = *data.df.schema().IndexOf("T");
+  const size_t u = *data.df.schema().IndexOf("U");
+  // T adjusts for {Zc, Zn}; U for nothing.
+  const Pattern on_t({Predicate(t, CompareOp::kEq, Value("yes"))});
+  const Pattern on_u({Predicate(u, CompareOp::kEq, Value("hi"))});
+  const Bitmap all = data.df.AllRows();
+  const auto mixed = est->EstimateSubgroupsBatch({&on_t, &on_u}, all, nullptr);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+
+  const auto engine_t = est->EngineFor(on_t);
+  const auto engine_u = est->EngineFor(on_u);
+  ASSERT_TRUE(engine_t.ok() && engine_u.ok());
+  EXPECT_DEATH((void)CateStatsEngine::EstimateSubgroupsBatch(
+                   {engine_t->get(), engine_u->get()}, all, nullptr, 5, 5),
+               "CHECK failed.*partition");
+}
+
 // Regression test for the empty-arm guard: one-class inputs used to
 // divide by a zero weight sum and return a NaN estimate.
 TEST(HajekIpwTest, EmptyArmFailsInsteadOfNaN) {

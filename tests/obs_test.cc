@@ -215,7 +215,8 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"batch_evals\":", "\"partition_builds\":",
         "\"solve_regression\":", "\"solve_stratified\":",
         "\"solve_ipw_cells\":", "\"solve_ipw_rows\":",
-        "\"accumulate_path_sparse\":", "\"compact_views\":",
+        "\"accumulate_path_sparse\":", "\"table_passes\":",
+        "\"compact_views\":",
         "\"compact_evals\":", "\"lattice_evaluations\":",
         "\"pattern_tasks\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
@@ -400,9 +401,11 @@ TEST(RunReportTest, CompactPathIsCountedAndTraced) {
   const uint64_t compact = registry.CounterValue("estimation.compact_evals");
   EXPECT_EQ(views, result->num_grouping_patterns);
   EXPECT_EQ(compact, 4 * result->num_grouping_patterns);
-  EXPECT_EQ(compact +
-                registry.CounterValue("estimation.accumulate_path_sparse"),
-            registry.CounterValue("estimation.batch_evals"));
+  const uint64_t sparse =
+      registry.CounterValue("estimation.accumulate_path_sparse");
+  EXPECT_EQ(compact + sparse, registry.CounterValue("estimation.batch_evals"));
+  // A fused table pass serves several evaluations.
+  EXPECT_LE(registry.CounterValue("estimation.table_passes"), sparse);
   std::ostringstream trace;
   obs::WriteChromeTrace(trace);
   obs::ClearTrace();
