@@ -314,11 +314,14 @@ CateEstimator::EstimateSubgroupsBatch(
   static obs::Counter& batch_evals =
       obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
   batch_evals.Add(interventions.size());
+  const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
+                                                : options_.min_group_size;
   std::vector<Result<CateSubgroupEstimates>> out;
   out.reserve(interventions.size());
   // The engines are held for the pass: a budgeted cache may evict them.
   std::vector<std::shared_ptr<const CateStatsEngine>> held;
-  std::vector<size_t> held_at;
+  std::vector<const CateStatsEngine*> fused;
+  std::vector<size_t> fused_at;
   for (size_t i = 0; i < interventions.size(); ++i) {
     Result<std::shared_ptr<const CateStatsEngine>> engine =
         EngineFor(*interventions[i]);
@@ -326,32 +329,25 @@ CateEstimator::EstimateSubgroupsBatch(
       out.emplace_back(engine.status());
       continue;
     }
-    if (!held.empty() &&
-        (*engine)->adjustment() != held.front()->adjustment()) {
+    const CateStatsEngine& e = **engine;
+    if (!fused.empty() && e.adjustment() != fused.front()->adjustment()) {
       return Status::InvalidArgument(
           "batched interventions must share one adjustment set: " +
           interventions[i]->Key() + " differs from " +
-          interventions[held_at.front()]->Key());
+          interventions[fused_at.front()]->Key());
     }
-    out.emplace_back(Status::FailedPrecondition("not computed"));
-    held.push_back(std::move(engine).ValueOrDie());
-    held_at.push_back(i);
-  }
-  const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
-                                                : options_.min_group_size;
-  // One adjustment set is one partition, except when a budgeted cache
-  // rebuilt it mid-batch; an engine on another partition runs alone.
-  std::vector<const CateStatsEngine*> fused;
-  std::vector<size_t> fused_at;
-  for (size_t k = 0; k < held.size(); ++k) {
-    if (&held[k]->partition() == &held.front()->partition()) {
-      fused.push_back(held[k].get());
-      fused_at.push_back(held_at[k]);
+    if (fused.empty() || &e.partition() == &fused.front()->partition()) {
+      out.emplace_back(Status::FailedPrecondition("not computed"));
+      fused.push_back(&e);
+      fused_at.push_back(i);
     } else {
-      out[held_at[k]] = held[k]->EstimateSubgroups(
-          group, protected_mask, options_.min_group_size, min_sub,
-          skip_subgroups_unless_positive);
+      // One adjustment set is one partition, except when a budgeted
+      // cache rebuilt it mid-batch: this engine's pass runs alone.
+      out.emplace_back(e.EstimateSubgroups(group, protected_mask,
+                                           options_.min_group_size, min_sub,
+                                           skip_subgroups_unless_positive));
     }
+    held.push_back(std::move(engine).ValueOrDie());
   }
   std::vector<CateSubgroupEstimates> estimates =
       CateStatsEngine::EstimateSubgroupsBatch(

@@ -238,7 +238,8 @@ inline void AddRow(const CateSink& all, const CateSink& part, size_t idx,
 /// microbenchmark (dense group, 30 cells) with identical instructions,
 /// from where the larger function placed it.
 template <size_t kB, bool kSplit, bool kMoments>
-__attribute__((noinline, aligned(64))) void AccumulateWords(const CateAccumArgs& args) {
+__attribute__((noinline, aligned(64))) void AccumulateWords(
+    const CateAccumArgs& args) {
   PassCounts counts[kB];
   const uint64_t* tw[kB];
   // Subgroup sinks by protected bit: [0] non-protected, [1] protected.
