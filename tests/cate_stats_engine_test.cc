@@ -1135,8 +1135,8 @@ void ExpectFusedMatchesSingle(const DataFrame& df, const CausalDag& dag,
       obs::MetricsRegistry::Global().GetCounter("estimation.table_passes");
   for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
     const simd::ScopedSimdLevel pin(level);
-    for (const CateMethod method : {CateMethod::kRegression,
-                                    CateMethod::kStratified, CateMethod::kIpw}) {
+    for (const CateMethod method :
+         {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
       CateOptions options;
       options.method = method;
       const auto est = CateEstimator::Create(&df, &dag, options);
