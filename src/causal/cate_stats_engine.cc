@@ -1143,13 +1143,14 @@ namespace {
 
 /// The most accumulator bytes one fused table pass keeps live, summed
 /// over its treatments' slots (and moment blocks): a wider batch is
-/// narrowed until its accums fit. Measured with perfbench so_fair
-/// (stackoverflow 38K, split accums, partitions of up to ~3,600 cells;
-/// 2 threads, seed 1, 6 alternating runs each): fusing with no cap
-/// raised peak RSS from 24.4-25.1 MB (unfused) to 26.3-27.1 MB; capped
-/// at 32 KB or 256 KB it read 24.7-25.0 MB, and op_s medians were 1.363
-/// (unfused), 1.361 (32 KB) and 1.364 s (256 KB). At 256 KB every
-/// synth_1m batch (unsplit accums over at most 18 cells) fuses whole.
+/// narrowed until its accums fit. Measured with perfbench so_fair on a
+/// 4-core AVX-512 host (stackoverflow 38K, split accums, partitions of
+/// up to ~3,600 cells; 2 threads, seed 1; 6 rotated runs per setting, 3
+/// uncapped): fusing with no cap raised peak RSS from 24.4-25.1 MB
+/// (unfused) to 26.3-27.1 MB; capped at 32 KB or 256 KB it read
+/// 24.7-25.0 MB, and op_s medians were 1.363 (unfused), 1.361 (32 KB)
+/// and 1.364 s (256 KB). At 256 KB every synth_1m batch (unsplit accums
+/// over at most 18 cells) fuses whole.
 constexpr size_t kMaxFusedAccumBytes = 256 * 1024;
 
 }  // namespace
