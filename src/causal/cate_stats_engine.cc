@@ -1007,6 +1007,7 @@ void CompactGroup::Gather(const DataFrame& df, size_t outcome_attr,
   FAIRCAP_CHECK(group.num_words() <= UINT32_MAX);
   FAIRCAP_CHECK(df.column(outcome_attr).type() == AttrType::kNumeric);
   partition_.reset();
+  gathered_ = true;
   outcome_attr_ = outcome_attr;
   table_rows_ = num_rows;
   split_ = protected_mask != nullptr;
@@ -1141,6 +1142,17 @@ void CateStatsEngine::AccumulateCompact(const CompactGroup& view,
 
 namespace {
 
+/// The fewest engines of one batch that read a CompactGroup; smaller
+/// batches take fused table passes. Measured on a 38K-row stackoverflow
+/// table against one table pass per treatment: binding a view costs ~0.46
+/// of a table evaluation and each evaluation on it ~0.80 of one, so a
+/// view breaks even at ~2.3 evaluations, and four is the smallest batch
+/// with a clear margin. A fused pass reads a batch's rows once for up to
+/// four treatments, so against it a view breaks even later, not earlier
+/// (not re-measured); and a view of one of synth_1m's 1M-row groups would
+/// hold ~12 MB where a fused pass holds only its accums.
+constexpr size_t kMinCompactBatch = 4;
+
 /// The most accumulator bytes one fused table pass keeps live, summed
 /// over its treatments' slots (and moment blocks): a wider batch is
 /// narrowed until its accums fit. Measured with perfbench so_fair on a
@@ -1158,12 +1170,45 @@ constexpr size_t kMaxFusedAccumBytes = 256 * 1024;
 std::vector<CateSubgroupEstimates> CateStatsEngine::EstimateSubgroupsBatch(
     const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
     const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive) {
+    size_t min_subgroup_size, bool skip_subgroups_unless_positive,
+    CompactGroup* view) {
   std::vector<CateSubgroupEstimates> out(engines.size());
   if (engines.empty()) return out;
+  const CateStatsEngine& lead = *engines.front();
+  if (view != nullptr && engines.size() >= kMinCompactBatch) {
+    if (!view->gathered_) {
+      view->Gather(*lead.df_, lead.partition_->outcome_attr(), group,
+                   protected_mask);
+    }
+    if (view->partition_ != lead.partition_) lead.BindCompactGroup(view);
+    // The view must describe exactly these passes: same rows, same
+    // protected split.
+    FAIRCAP_CHECK(view->table_rows_ == group.size());
+    FAIRCAP_CHECK(view->split_ == (protected_mask != nullptr));
+    const CellList cells{view->cells_.data(), view->cells_.size(),
+                         view->by_stratum_.data(), view->by_stratum_.size()};
+    SubgroupAccums accums;
+    for (size_t i = 0; i < engines.size(); ++i) {
+      const CateStatsEngine& engine = *engines[i];
+      // The cell numbering and statistics shape are the bound partition's.
+      FAIRCAP_CHECK(engine.partition_ == lead.partition_ &&
+                    engine.need_moments() == view->moments_);
+      FAIRCAP_CHECK(engine.treated_->size() == group.size());
+      {
+        const obs::TraceSpan accumulate_span("accumulate");
+        engine.AccumulateCompact(*view, &accums);
+      }
+      const obs::TraceSpan solve_span("solve");
+      out[i] = engine.SolveSubgroups(accums, cells, view->count_blocks_,
+                                     group, protected_mask, min_group_size,
+                                     min_subgroup_size,
+                                     skip_subgroups_unless_positive);
+    }
+    return out;
+  }
   const size_t sinks = protected_mask != nullptr ? 3 : 1;
   const size_t treatment_bytes =
-      std::max<size_t>(1, sinks * engines.front()->AccumBytes());
+      std::max<size_t>(1, sinks * lead.AccumBytes());
   const size_t width = std::clamp<size_t>(
       kMaxFusedAccumBytes / treatment_bytes, 1, simd::kMaxCateBatch);
   std::vector<SubgroupAccums> accums(std::min(width, engines.size()));
@@ -1182,42 +1227,6 @@ std::vector<CateSubgroupEstimates> CateStatsEngine::EstimateSubgroupsBatch(
     }
   }
   return out;
-}
-
-CateSubgroupEstimates CateStatsEngine::EstimateSubgroups(
-    const Bitmap& group, const Bitmap* protected_mask, size_t min_group_size,
-    size_t min_subgroup_size, bool skip_subgroups_unless_positive,
-    CompactGroup* view) const {
-  // Child spans of the caller's "eval": the row pass and the solves. The
-  // accums live for this call only: per-thread buffers kept across calls
-  // measured ~0.5 MB more peak RSS on so_fair.
-  SubgroupAccums acc;
-  if (view != nullptr) {
-    // The view must describe exactly this pass: same partition (cell
-    // numbering), same rows, same protected split, same statistics.
-    FAIRCAP_CHECK(view->partition_.get() == partition_.get());
-    FAIRCAP_CHECK(view->table_rows_ == group.size() &&
-                  treated_->size() == group.size());
-    FAIRCAP_CHECK(view->split_ == (protected_mask != nullptr));
-    FAIRCAP_CHECK(view->moments_ == need_moments());
-    {
-      const obs::TraceSpan accumulate_span("accumulate");
-      AccumulateCompact(*view, &acc);
-    }
-    const obs::TraceSpan solve_span("solve");
-    const CellList cells{view->cells_.data(), view->cells_.size(),
-                         view->by_stratum_.data(), view->by_stratum_.size()};
-    return SolveSubgroups(acc, cells, view->count_blocks_, group,
-                          protected_mask, min_group_size, min_subgroup_size,
-                          skip_subgroups_unless_positive);
-  }
-  {
-    const obs::TraceSpan accumulate_span("accumulate");
-    acc = AccumulateSubgroups(group, protected_mask);
-  }
-  const obs::TraceSpan solve_span("solve");
-  return SolveFromAccums(acc, group, protected_mask, min_group_size,
-                         min_subgroup_size, skip_subgroups_unless_positive);
 }
 
 }  // namespace faircap

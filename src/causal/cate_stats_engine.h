@@ -28,24 +28,25 @@
 // bitmap is never materialized at all.
 //
 // Step 2 evaluates ~160 treatments against one grouping pattern, and the
-// treatments of one lattice level share a few partitions. For those, a
-// CompactGroup gathers the group's rows once per pattern (the non-zero
-// words of group ∧ valid and the rows' outcomes) and their cells,
-// renumbered densely 0..k-1, once per partition. Each treatment then
-// accumulates 2k slots from those dense arrays, and the solvers walk the
-// k cells the group touches instead of all C cells of the partition.
-// Every solver iterates an accum's cell list: for the table pass it is
-// the partition's 0..C-1, for a compact pass the touched cells in
-// ascending order, so one set of solvers serves both and the estimates
-// are the same bits.
+// treatments of one lattice level share a few partitions. It hands each
+// level to EstimateSubgroupsBatch one partition at a time, which picks
+// how to read the group's rows. A batch large enough to pay for a view
+// reads a CompactGroup: the group's rows gathered once per pattern (the
+// non-zero words of group ∧ valid and the rows' outcomes) and their
+// cells, renumbered densely 0..k-1, once per partition. Each treatment
+// then accumulates 2k slots from those dense arrays, and the solvers
+// walk the k cells the group touches instead of all C cells of the
+// partition. Every solver iterates an accum's cell list: for the table
+// pass it is the partition's 0..C-1, for a compact pass the touched cells
+// in ascending order, so one set of solvers serves both and the
+// estimates are the same bits.
 //
-// The treatments of a smaller batch (fewer than the view pays for) walk
-// the table, but together: EstimateSubgroupsBatch accumulates up to
-// simd::kMaxCateBatch treatments over one partition in one table pass,
-// reading each row's bits, cell id and outcome once and adding the row
-// to every treatment's own accums. A single treatment, and an append's
-// delta pass from its boundary row, are the same pass with one
-// treatment.
+// A smaller batch walks the table, but together: up to
+// simd::kMaxCateBatch treatments over one partition are accumulated in
+// one table pass, which reads each row's bits, cell id and outcome once
+// and adds the row to every treatment's own accums. A single treatment,
+// and an append's delta pass from its boundary row, are the same pass
+// with one treatment.
 //
 // Every statistic is summed in one representation: counts in integers,
 // outcome sums and moments in double, added in ascending row order. A
@@ -305,35 +306,31 @@ class ConfounderPartition {
 
 /// One group's rows gathered into dense arrays, so that every treatment
 /// evaluated against the group accumulates from them instead of
-/// re-walking the table. Two stages:
-///   * CateEstimator::GatherCompactGroup (once per group): the non-zero
-///     words of group ∧ valid — each with its index, its bits and its
-///     protected bits — and the outcomes of those rows in ascending row
-///     order. Validity is a property of the outcome alone, so this stage
-///     serves every confounder partition of the table.
-///   * CateStatsEngine::BindCompactGroup (once per partition): the rows'
-///     cells renumbered densely 0..k-1 in ascending cell order, the
+/// re-walking the table. A caller creates one, empty, per group and
+/// protected mask and passes it to every EstimateSubgroupsBatch call over
+/// that group; the batch fills it in two stages, each when a batch first
+/// reads it:
+///   * gather (once per group): the non-zero words of group ∧ valid —
+///     each with its index, its bits and its protected bits — and the
+///     outcomes of those rows in ascending row order. Validity is a
+///     property of the outcome alone, so this stage serves every
+///     confounder partition of the table.
+///   * bind (whenever a batch's partition is not the bound one): the
+///     rows' cells renumbered densely 0..k-1 in ascending cell order, the
 ///     dense-to-partition cell list, the dense ids of the stratified
 ///     cells in ascending stratum order, and, for the regression method
 ///     with numeric confounders, each row's numeric confounder values.
-/// Any engine over the bound partition can then answer EstimateSubgroups
-/// from the view. A subgroup's rows per cell are the same for every
-/// treatment, so the view also keeps the treatment-invariant part of each
-/// subgroup's regression count block once it has been summed; a view is
-/// therefore used by one thread at a time. The renumbering is monotone
-/// and rows stay ascending, so every per-slot sum and every solver loop
-/// sees its terms in the table pass's order: the estimates are
-/// bit-identical. Both stages overwrite the buffers in place, so one
-/// object serves a whole lattice traversal at about 12 bytes per group
-/// row.
+/// A subgroup's rows per cell are the same for every treatment, so the
+/// view also keeps the treatment-invariant part of each subgroup's
+/// regression count block once it has been summed; a view is therefore
+/// used by one thread at a time. The renumbering is monotone and rows stay
+/// ascending, so every per-slot sum and every solver loop sees its terms
+/// in the table pass's order: the estimates are bit-identical. A bind
+/// overwrites the buffers in place, so one object serves a whole lattice
+/// traversal at about 12 bytes per group row.
 class CompactGroup {
- public:
-  /// The partition bound last (null before the first bind).
-  const ConfounderPartition* partition() const { return partition_.get(); }
-
  private:
-  friend class CateEstimator;    // GatherCompactGroup
-  friend class CateStatsEngine;  // BindCompactGroup, the compact pass
+  friend class CateStatsEngine;  // gather, bind and the compact pass
 
   /// The entries of a subgroup's X'X count block weighted by each cell's
   /// row count n0 + n1 (intercept and one-hot columns): they do not
@@ -350,6 +347,7 @@ class CompactGroup {
               const Bitmap* protected_mask);
 
   // Gathered rows.
+  bool gathered_ = false;
   size_t outcome_attr_ = 0;
   size_t table_rows_ = 0;  ///< group.size() at Gather
   bool split_ = false;     ///< protected bits gathered
@@ -387,43 +385,38 @@ class CateStatsEngine {
                   std::shared_ptr<const Bitmap> treated,
                   std::shared_ptr<const ConfounderPartition> partition);
 
-  /// One pass over `group` rows answers all requested subgroups. When
-  /// `protected_mask` is non-null the accumulation is split on the
-  /// protected bit, yielding group ∩ protected and group ∩ ¬protected
-  /// without materializing either bitmap. `min_group_size` floors the
-  /// overall estimate's arms, `min_subgroup_size` the subgroup ones.
-  /// With `skip_subgroups_unless_positive`, the subgroup systems are only
+  /// Estimates each engine's treatment over one `group`: one accumulation
+  /// pass per treatment answers all of its requested subgroups, then its
+  /// small systems are solved (SolveFromAccums). When `protected_mask` is
+  /// non-null the accumulation is split on the protected bit, yielding
+  /// group ∩ protected and group ∩ ¬protected without materializing
+  /// either bitmap. `min_group_size` floors the overall estimate's arms,
+  /// `min_subgroup_size` the subgroup ones. With
+  /// `skip_subgroups_unless_positive`, the subgroup systems are only
   /// solved when the overall estimate succeeded with CATE > 0 (the
   /// Section 5.2 lattice prunes on the overall sign, so subgroup solves
   /// for non-positive treatments would be wasted work).
-  /// With a `view` gathered from `group` and `protected_mask` and bound to
-  /// this engine's partition, the pass reads the view instead of the
-  /// table; the estimates are bit-identical.
-  CateSubgroupEstimates EstimateSubgroups(
-      const Bitmap& group, const Bitmap* protected_mask,
-      size_t min_group_size, size_t min_subgroup_size,
-      bool skip_subgroups_unless_positive = false,
-      CompactGroup* view = nullptr) const;
-
-  /// Estimates each engine's treatment over one `group`, with the same
-  /// bits EstimateSubgroups gives for each alone on the table pass, but
-  /// with each group row read once for several treatments: the engines
-  /// are taken in order in chunks of up to simd::kMaxCateBatch, each
-  /// accumulated by one fused table pass (each treatment into its own
-  /// accums) and then solved per treatment (SolveFromAccums). A chunk is
-  /// narrowed so that its accums stay within a fixed byte budget (see
-  /// kMaxFusedAccumBytes in the .cc). All engines must share one
-  /// partition, one table and one statistics shape; a mismatch aborts in
-  /// every build type.
+  ///
+  /// How the rows are read is chosen here, and every choice gives each
+  /// treatment the bits a table pass of its own gives:
+  ///   * with a `view` (see CompactGroup) and at least kMinCompactBatch
+  ///     engines (in the .cc), from the view: gathered from `group` and
+  ///     `protected_mask` on first use, bound to the engines' partition
+  ///     unless it already is;
+  ///   * otherwise from the table, the engines taken in order in chunks
+  ///     of up to simd::kMaxCateBatch, each accumulated by one fused table
+  ///     pass (each treatment into its own accums). A chunk is narrowed
+  ///     so that its accums stay within a fixed byte budget
+  ///     (kMaxFusedAccumBytes in the .cc).
+  /// All engines must share one partition, one table and one statistics
+  /// shape, and a view must have been gathered from this `group` and
+  /// `protected_mask`; a mismatch the engines can see aborts in every
+  /// build type.
   static std::vector<CateSubgroupEstimates> EstimateSubgroupsBatch(
       const std::vector<const CateStatsEngine*>& engines, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_group_size,
-      size_t min_subgroup_size, bool skip_subgroups_unless_positive = false);
-
-  /// Binds a gathered `view` to this engine's partition: gathers the
-  /// rows' cells (and numeric confounder values when the method needs
-  /// them) and renumbers the cells densely.
-  void BindCompactGroup(CompactGroup* view) const;
+      size_t min_subgroup_size, bool skip_subgroups_unless_positive = false,
+      CompactGroup* view = nullptr);
 
   /// Per-subgroup sufficient statistics, indexed cell-major with two arms
   /// (idx = 2*cell + arm; arm 1 = treated). Numeric moment blocks are
@@ -456,7 +449,7 @@ class CateStatsEngine {
   };
 
   /// Full accumulation pass over `group`, in ascending row order — the
-  /// same pass EstimateSubgroups runs before its solves. The protected
+  /// pass EstimateSubgroupsBatch runs for one treatment. The protected
   /// split is always filled when `protected_mask` is non-null, so a
   /// cached result can serve later solves regardless of which subgroups
   /// they request.
@@ -489,11 +482,11 @@ class CateStatsEngine {
                            const SubgroupAccums& from) const;
 
   /// Solves the overall / protected / non-protected estimates from
-  /// already-accumulated stats, byte-identical to EstimateSubgroups over
-  /// the same group. The accums must be at the partition's current slot
-  /// count (a fresh AccumulateSubgroups, or a MergeSubgroupAccums target);
-  /// a mismatch aborts in every build type. `group` / `protected_mask` are
-  /// needed only by the IPW row-fallback re-walk.
+  /// already-accumulated stats, byte-identical to EstimateSubgroupsBatch
+  /// over the same group. The accums must be at the partition's current
+  /// slot count (a fresh AccumulateSubgroups, or a MergeSubgroupAccums
+  /// target); a mismatch aborts in every build type. `group` /
+  /// `protected_mask` are needed only by the IPW row-fallback re-walk.
   CateSubgroupEstimates SolveFromAccums(
       const SubgroupAccums& accums, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_group_size,
@@ -565,6 +558,11 @@ class CateStatsEngine {
   /// partition slot count (new cells append, so resident slots keep
   /// their indices).
   void GrowAccum(Accum* acc) const;
+
+  /// Binds a gathered `view` to this engine's partition: gathers the
+  /// rows' cells (and numeric confounder values when the method needs
+  /// them) and renumbers the cells densely.
+  void BindCompactGroup(CompactGroup* view) const;
 
   /// Compact counterpart of AccumulateSubgroups: fills `out` (slots sized
   /// to the view's cells) from `view`.

@@ -283,32 +283,20 @@ Status CheckSpansTable(const Bitmap& group, const Bitmap* protected_mask,
 Result<CateSubgroupEstimates> CateEstimator::EstimateSubgroups(
     const Pattern& intervention, const Bitmap& group,
     const Bitmap* protected_mask, size_t min_subgroup_size,
-    bool skip_subgroups_unless_positive, CompactGroup* view) const {
-  FAIRCAP_RETURN_NOT_OK(
-      CheckSpansTable(group, protected_mask, df_->num_rows()));
-  static obs::Counter& batch_evals =
-      obs::MetricsRegistry::Global().GetCounter("estimation.batch_evals");
-  batch_evals.Increment();
+    bool skip_subgroups_unless_positive) const {
   FAIRCAP_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const CateStatsEngine> engine,
-      EngineFor(intervention));
-  const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
-                                                : options_.min_group_size;
-  // A view of another partition (a racing rebuild under an engine
-  // budget) cannot serve this engine's cell numbering.
-  if (view != nullptr && view->partition() != &engine->partition()) {
-    view = nullptr;
-  }
-  return engine->EstimateSubgroups(group, protected_mask,
-                                   options_.min_group_size, min_sub,
-                                   skip_subgroups_unless_positive, view);
+      std::vector<Result<CateSubgroupEstimates>> estimates,
+      EstimateSubgroupsBatch({&intervention}, group, protected_mask,
+                             min_subgroup_size,
+                             skip_subgroups_unless_positive));
+  return std::move(estimates.front());
 }
 
 Result<std::vector<Result<CateSubgroupEstimates>>>
 CateEstimator::EstimateSubgroupsBatch(
     const std::vector<const Pattern*>& interventions, const Bitmap& group,
     const Bitmap* protected_mask, size_t min_subgroup_size,
-    bool skip_subgroups_unless_positive) const {
+    bool skip_subgroups_unless_positive, CompactGroup* view) const {
   FAIRCAP_RETURN_NOT_OK(
       CheckSpansTable(group, protected_mask, df_->num_rows()));
   static obs::Counter& batch_evals =
@@ -316,65 +304,45 @@ CateEstimator::EstimateSubgroupsBatch(
   batch_evals.Add(interventions.size());
   const size_t min_sub = min_subgroup_size != 0 ? min_subgroup_size
                                                 : options_.min_group_size;
-  std::vector<Result<CateSubgroupEstimates>> out;
-  out.reserve(interventions.size());
-  // The engines are held for the pass: a budgeted cache may evict them.
-  std::vector<std::shared_ptr<const CateStatsEngine>> held;
-  std::vector<const CateStatsEngine*> fused;
-  std::vector<size_t> fused_at;
+  std::vector<Result<CateSubgroupEstimates>> out(
+      interventions.size(), Status::FailedPrecondition("not computed"));
+  // The engines are held for the passes (a budgeted cache may evict
+  // them) and batched by partition, in first-appearance order.
+  std::vector<std::shared_ptr<const CateStatsEngine>> engines(
+      interventions.size());
+  std::vector<std::vector<size_t>> batches;
   for (size_t i = 0; i < interventions.size(); ++i) {
     Result<std::shared_ptr<const CateStatsEngine>> engine =
         EngineFor(*interventions[i]);
     if (!engine.ok()) {
-      out.emplace_back(engine.status());
+      out[i] = engine.status();
       continue;
     }
-    const CateStatsEngine& e = **engine;
-    if (!fused.empty() && e.adjustment() != fused.front()->adjustment()) {
-      return Status::InvalidArgument(
-          "batched interventions must share one adjustment set: " +
-          interventions[i]->Key() + " differs from " +
-          interventions[fused_at.front()]->Key());
-    }
-    if (fused.empty() || &e.partition() == &fused.front()->partition()) {
-      out.emplace_back(Status::FailedPrecondition("not computed"));
-      fused.push_back(&e);
-      fused_at.push_back(i);
+    engines[i] = std::move(engine).ValueOrDie();
+    const auto same_partition = [&](const std::vector<size_t>& batch) {
+      return &engines[batch.front()]->partition() == &engines[i]->partition();
+    };
+    const auto it = std::find_if(batches.begin(), batches.end(),
+                                 same_partition);
+    if (it == batches.end()) {
+      batches.push_back({i});
     } else {
-      // One adjustment set is one partition, except when a budgeted
-      // cache rebuilt it mid-batch: this engine's pass runs alone.
-      out.emplace_back(e.EstimateSubgroups(group, protected_mask,
-                                           options_.min_group_size, min_sub,
-                                           skip_subgroups_unless_positive));
+      it->push_back(i);
     }
-    held.push_back(std::move(engine).ValueOrDie());
   }
-  std::vector<CateSubgroupEstimates> estimates =
-      CateStatsEngine::EstimateSubgroupsBatch(
-          fused, group, protected_mask, options_.min_group_size, min_sub,
-          skip_subgroups_unless_positive);
-  for (size_t k = 0; k < fused.size(); ++k) {
-    out[fused_at[k]] = std::move(estimates[k]);
+  std::vector<const CateStatsEngine*> batch_engines;
+  for (const std::vector<size_t>& batch : batches) {
+    batch_engines.clear();
+    for (const size_t i : batch) batch_engines.push_back(engines[i].get());
+    std::vector<CateSubgroupEstimates> estimates =
+        CateStatsEngine::EstimateSubgroupsBatch(
+            batch_engines, group, protected_mask, options_.min_group_size,
+            min_sub, skip_subgroups_unless_positive, view);
+    for (size_t k = 0; k < batch.size(); ++k) {
+      out[batch[k]] = std::move(estimates[k]);
+    }
   }
   return out;
-}
-
-Status CateEstimator::GatherCompactGroup(const Bitmap& group,
-                                         const Bitmap* protected_mask,
-                                         CompactGroup* view) const {
-  FAIRCAP_RETURN_NOT_OK(
-      CheckSpansTable(group, protected_mask, df_->num_rows()));
-  view->Gather(*df_, outcome_attr_, group, protected_mask);
-  return Status::OK();
-}
-
-Status CateEstimator::BindCompactGroup(const Pattern& intervention,
-                                       CompactGroup* view) const {
-  FAIRCAP_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const CateStatsEngine> engine,
-      EngineFor(intervention));
-  engine->BindCompactGroup(view);
-  return Status::OK();
 }
 
 CateEstimator::AppendRefreshStats CateEstimator::NotifyAppend() {

@@ -100,56 +100,43 @@ class CateEstimator {
                                       const CausalDag* dag,
                                       CateOptions options = {});
 
-  /// Estimates the effect of `intervention` (T=1 iff the pattern matches)
-  /// on the outcome within `group` and, when `protected_mask` is
-  /// non-null, within group ∩ protected and group ∩ ¬protected — one
-  /// word-driven pass over the table (CateStatsEngine), and no
-  /// non-protected bitmap is ever materialized. Engines are cached per
-  /// treatment and confounder partitions per adjustment set (LRU + shared
-  /// ownership, like the PredicateIndex conjunction cache). The overall
-  /// estimate is floored by the configured min_group_size;
-  /// `min_subgroup_size` floors the two subgroup estimates (0 = the
-  /// configured min_group_size). An estimate whose arm falls below its
-  /// floor, or with no overlapping stratum, carries FailedPrecondition in
-  /// its own field. With `skip_subgroups_unless_positive` the subgroup
+  /// Estimates the effect of each of `interventions` (T=1 iff the
+  /// pattern matches) on the outcome within `group` and, when
+  /// `protected_mask` is non-null, within group ∩ protected and group ∩
+  /// ¬protected: one word-driven accumulation per treatment
+  /// (CateStatsEngine), and no non-protected bitmap is ever materialized.
+  /// Engines are cached per treatment and confounder partitions per
+  /// adjustment set (LRU + shared ownership, like the PredicateIndex
+  /// conjunction cache). The overall estimate is floored by the configured
+  /// min_group_size; `min_subgroup_size` floors the two subgroup estimates
+  /// (0 = the configured min_group_size). An estimate whose arm falls below
+  /// its floor, or with no overlapping stratum, carries FailedPrecondition
+  /// in its own field. With `skip_subgroups_unless_positive` the subgroup
   /// systems are solved only when the overall CATE came out positive (the
-  /// lattice prunes on the overall sign). The call itself fails when the
-  /// intervention is empty or does not validate against the table, or
-  /// (InvalidArgument) when `group` or `protected_mask` does not span
-  /// exactly the table's rows. A `view` that GatherCompactGroup gathered
-  /// from this `group` and `protected_mask` serves the pass when
-  /// BindCompactGroup bound it to the partition this intervention's
-  /// engine uses (otherwise the pass walks the table); the estimates are
-  /// the same bits.
-  Result<CateSubgroupEstimates> EstimateSubgroups(
-      const Pattern& intervention, const Bitmap& group,
+  /// lattice prunes on the overall sign).
+  ///
+  /// The interventions are batched by their engines' confounder
+  /// partition, in first-appearance order, and each batch is handed to
+  /// CateStatsEngine::EstimateSubgroupsBatch, which reads a large batch
+  /// from `view` and a small one in fused table passes. `view`, when
+  /// non-null, is an empty CompactGroup or one that earlier calls filled
+  /// from this same `group` and `protected_mask`. Every entry holds the
+  /// bits a batch of one would give it. An intervention that is empty or
+  /// does not validate against the table fails its own entry only; the
+  /// call fails (InvalidArgument) when `group` or `protected_mask` does
+  /// not span exactly the table's rows.
+  Result<std::vector<Result<CateSubgroupEstimates>>> EstimateSubgroupsBatch(
+      const std::vector<const Pattern*>& interventions, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
       bool skip_subgroups_unless_positive = false,
       CompactGroup* view = nullptr) const;
 
-  /// Estimates each of `interventions` over one `group` as
-  /// EstimateSubgroups does on the table pass — the same bits, and a
-  /// failing engine fails only its own entry — with each group row read
-  /// once for several treatments (CateStatsEngine::EstimateSubgroupsBatch).
-  /// The interventions must share one adjustment set, so that their
-  /// engines share one confounder partition: InvalidArgument otherwise,
-  /// and when a bitmap does not span exactly the table's rows.
-  Result<std::vector<Result<CateSubgroupEstimates>>> EstimateSubgroupsBatch(
-      const std::vector<const Pattern*>& interventions, const Bitmap& group,
+  /// EstimateSubgroupsBatch for one intervention: its entry, or the call's
+  /// failure.
+  Result<CateSubgroupEstimates> EstimateSubgroups(
+      const Pattern& intervention, const Bitmap& group,
       const Bitmap* protected_mask, size_t min_subgroup_size = 0,
       bool skip_subgroups_unless_positive = false) const;
-
-  /// Gathers the rows of `group` with a non-null outcome (split on
-  /// `protected_mask` when non-null) into `view`. InvalidArgument when a
-  /// bitmap does not span exactly the table's rows.
-  Status GatherCompactGroup(const Bitmap& group, const Bitmap* protected_mask,
-                            CompactGroup* view) const;
-
-  /// Binds a gathered `view` to the confounder partition of
-  /// `intervention`'s engine, so that every intervention with the same
-  /// adjustment set can be estimated from it. Fails as EngineFor does.
-  Status BindCompactGroup(const Pattern& intervention,
-                          CompactGroup* view) const;
 
   /// The cached sufficient-statistics engine for `intervention`, built on
   /// first use. Shared ownership: the engine stays valid for the holder

@@ -13,23 +13,6 @@
 
 namespace faircap {
 
-namespace {
-
-/// The fewest treatments of one lattice level sharing one confounder
-/// partition that Step 2 evaluates from a CompactGroup; smaller batches
-/// take fused table passes (CateEstimator::EstimateSubgroupsBatch).
-/// Measured on a 38K-row stackoverflow table against one table pass per
-/// treatment: binding a view costs ~0.46 of a table evaluation and each
-/// evaluation on it ~0.80 of one, so a view breaks even at ~2.3
-/// evaluations, and four is the smallest batch with a clear margin. A
-/// fused pass reads a batch's rows once for up to four treatments, so
-/// against it a view breaks even later, not earlier (not re-measured);
-/// and a view of one of synth_1m's 1M-row groups would hold ~12 MB
-/// where a fused pass holds only its accums.
-constexpr size_t kMinCompactBatch = 4;
-
-}  // namespace
-
 Result<FairCap> FairCap::Create(const DataFrame* df, const CausalDag* dag,
                                 Pattern protected_pattern,
                                 FairCapOptions options) {
@@ -246,9 +229,9 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
   IncrementalState* const inc = options_.incremental_state.get();
 
   auto mine_one = [&](size_t g) {
-    // One span per grouping pattern ("args":{"v":g}); the nested "eval"
-    // spans, and their "accumulate" and "solve" children, give the trace
-    // its pattern -> eval hierarchy on each worker track.
+    // One span per grouping pattern ("args":{"v":g}); the nested
+    // "lattice" span and its "accumulate", "solve" and "eval" spans give
+    // the trace its pattern -> eval hierarchy on each worker track.
     const obs::TraceSpan pattern_span("pattern",
                                       static_cast<int64_t>(g));
     const FrequentPattern& group = groups[g];
@@ -270,23 +253,6 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
 
     const Bitmap* const split_mask =
         needs_group_utilities ? &protected_mask_ : nullptr;
-    // The estimate step for one treatment, read from `view` when it is
-    // non-null: the overall estimate and the protected / non-protected
-    // slices come from the same one-pass engine.
-    auto estimate = [&](const Pattern& intervention, CompactGroup* view)
-        -> Result<CateSubgroupEstimates> {
-      return inc != nullptr
-                 ? inc->EstimateWithCache(
-                       estimator_, group_key, intervention, group.coverage,
-                       protected_mask_,
-                       /*want_subgroups=*/needs_group_utilities,
-                       options_.min_subgroup_arm,
-                       /*skip_subgroups_unless_positive=*/true)
-                 : estimator_.EstimateSubgroups(
-                       intervention, group.coverage, split_mask,
-                       options_.min_subgroup_arm,
-                       /*skip_subgroups_unless_positive=*/true, view);
-    };
     // The interpret step: a treatment's lattice evaluation from its
     // estimates.
     auto interpret = [&](const Result<CateSubgroupEstimates>& estimates)
@@ -348,78 +314,40 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
       }
       return eval;
     };
-    auto evaluate = [&](const Pattern& intervention, CompactGroup* view) {
-      const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
-      return interpret(estimate(intervention, view));
-    };
-
-    // A lattice level arrives whole. Its treatments are grouped by
-    // adjustment set (one confounder partition each), in first-appearance
-    // order; a group of at least kMinCompactBatch treatments is evaluated
-    // from this pattern's rows gathered into a CompactGroup (once per
-    // pattern) and bound to the group's partition (once per level). The
-    // other groups walk the table, all of a group's treatments in fused
-    // passes (CateEstimator::EstimateSubgroupsBatch), so their
-    // "accumulate" and "solve" spans sit under "lattice" and each "eval"
-    // span holds the interpret step alone. The incremental path keeps its
-    // per-treatment accum cache.
-    CompactGroup view;  // buffers reused across this traversal's levels
-    bool gathered = false;
+    // A lattice level arrives whole and goes to the estimator in one
+    // call, with this pattern's CompactGroup: the estimator batches the
+    // level by confounder partition and picks, per batch, a compact or a
+    // fused table pass, so the "accumulate" and "solve" spans sit under
+    // "lattice" and each "eval" span holds the interpret step alone. The
+    // incremental path keeps its per-treatment accum cache.
+    CompactGroup view;  // filled on first use, reused across levels
     const LevelEvaluator evaluator = [&](const std::vector<Pattern>& level) {
       std::vector<std::optional<TreatmentEval>> results(level.size());
       if (inc != nullptr) {
         for (size_t i = 0; i < level.size(); ++i) {
-          results[i] = evaluate(level[i], nullptr);
+          const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
+          results[i] = interpret(inc->EstimateWithCache(
+              estimator_, group_key, level[i], group.coverage,
+              protected_mask_, /*want_subgroups=*/needs_group_utilities,
+              options_.min_subgroup_arm,
+              /*skip_subgroups_unless_positive=*/true));
         }
         return results;
       }
-      std::vector<std::vector<size_t>> adjustments;
-      std::vector<std::vector<size_t>> members;
-      for (size_t i = 0; i < level.size(); ++i) {
-        const Result<std::vector<size_t>> adjustment =
-            estimator_.AdjustmentAttrs(level[i]);
-        if (!adjustment.ok()) {
-          results[i] = evaluate(level[i], nullptr);
-          continue;
-        }
-        const auto it =
-            std::find(adjustments.begin(), adjustments.end(), *adjustment);
-        if (it == adjustments.end()) {
-          adjustments.push_back(*adjustment);
-          members.push_back({i});
-        } else {
-          members[static_cast<size_t>(it - adjustments.begin())].push_back(i);
-        }
+      std::vector<const Pattern*> interventions;
+      interventions.reserve(level.size());
+      for (const Pattern& intervention : level) {
+        interventions.push_back(&intervention);
       }
-      for (const std::vector<size_t>& batch : members) {
-        bool compact = false;
-        if (batch.size() >= kMinCompactBatch) {
-          if (!gathered) {
-            gathered = estimator_
-                           .GatherCompactGroup(group.coverage, split_mask,
-                                               &view)
-                           .ok();
-          }
-          compact =
-              gathered &&
-              estimator_.BindCompactGroup(level[batch.front()], &view).ok();
-        }
-        if (compact) {
-          for (const size_t i : batch) results[i] = evaluate(level[i], &view);
-          continue;
-        }
-        std::vector<const Pattern*> interventions;
-        for (const size_t i : batch) interventions.push_back(&level[i]);
-        const Result<std::vector<Result<CateSubgroupEstimates>>> estimates =
-            estimator_.EstimateSubgroupsBatch(
-                interventions, group.coverage, split_mask,
-                options_.min_subgroup_arm,
-                /*skip_subgroups_unless_positive=*/true);
-        for (size_t k = 0; k < batch.size(); ++k) {
-          const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
-          results[batch[k]] = estimates.ok() ? interpret((*estimates)[k])
-                                             : std::nullopt;
-        }
+      const Result<std::vector<Result<CateSubgroupEstimates>>> estimates =
+          estimator_.EstimateSubgroupsBatch(
+              interventions, group.coverage, split_mask,
+              options_.min_subgroup_arm,
+              /*skip_subgroups_unless_positive=*/true, &view);
+      for (size_t i = 0; i < level.size(); ++i) {
+        const obs::TraceSpan eval_span("eval", static_cast<int64_t>(g));
+        results[i] = estimates.ok() ? interpret((*estimates)[i])
+                                    : std::nullopt;
       }
       return results;
     };

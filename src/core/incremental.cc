@@ -175,8 +175,7 @@ Result<CateSubgroupEstimates> IncrementalState::EstimateWithCache(
   // accumulated under: the lineage id changes whenever a partition is
   // rebuilt cold (copy-extension inherits it), so a stale accum can
   // never be merged against re-numbered cells.
-  // Child spans of the caller's "eval", as in
-  // CateStatsEngine::EstimateSubgroups: the row pass (delta or full) and
+  // Child spans of the caller's "eval": the row pass (delta or full) and
   // the solves.
   if (entry != nullptr && entry->lineage == lineage &&
       entry->accums.rows_covered <= num_rows) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "dataframe/predicate_index.h"
+#include "util/logging.h"
 
 namespace faircap {
 
@@ -177,7 +178,8 @@ DataFrame DataFrame::TakeRows(const std::vector<uint32_t>& rows) const {
 }
 
 DataFrame DataFrame::SampleFraction(double fraction, Rng* rng) const {
-  assert(fraction >= 0.0 && fraction <= 1.0);
+  // Past 1 (or NaN) the row count below would read past perm.end().
+  FAIRCAP_CHECK(fraction >= 0.0 && fraction <= 1.0);
   const size_t target = static_cast<size_t>(
       std::llround(fraction * static_cast<double>(num_rows_)));
   std::vector<size_t> perm = rng->Permutation(num_rows_);
@@ -187,8 +189,12 @@ DataFrame DataFrame::SampleFraction(double fraction, Rng* rng) const {
 }
 
 double DataFrame::Mean(size_t col, const Bitmap& mask) const {
+  // A categorical column holds no numeric values to read, and a mask of
+  // another row count would index past the column.
+  FAIRCAP_CHECK(col < columns_.size());
   const Column& c = columns_[col];
-  assert(c.type() == AttrType::kNumeric);
+  FAIRCAP_CHECK(c.type() == AttrType::kNumeric);
+  FAIRCAP_CHECK(mask.size() == num_rows_);
   double sum = 0.0;
   size_t n = 0;
   mask.ForEach([&](size_t row) {

@@ -98,10 +98,13 @@ class DataFrame {
   DataFrame TakeRows(const std::vector<uint32_t>& rows) const;
 
   /// Uniform sample without replacement of ~`fraction` of the rows.
+  /// A fraction outside [0, 1] (or NaN) aborts in every build type.
   DataFrame SampleFraction(double fraction, Rng* rng) const;
 
   /// Mean of numeric column `col` over rows in `mask`, skipping nulls.
-  /// Returns NaN when the selection has no non-null values.
+  /// Returns NaN when the selection has no non-null values. A `col` that
+  /// is out of range or not numeric, or a `mask` over another row count,
+  /// aborts in every build type.
   double Mean(size_t col, const Bitmap& mask) const;
 
   /// Mean over all rows.

@@ -106,6 +106,10 @@ void EnsureStandardMetricsRegistered() {
 void WriteRunReport(std::ostream& out) {
   EnsureStandardMetricsRegistered();
   MetricsRegistry& registry = MetricsRegistry::Global();
+  // The tier is read from the dispatcher, not from the gauge: a registry
+  // Reset zeroes the gauge (kScalar) while the pinned tier keeps running.
+  const simd::SimdLevel level = simd::ActiveSimdLevel();
+  registry.GetGauge("simd.level").Set(static_cast<double>(level));
   // Body: the registry's section-grouped JSON, with the schema marker and
   // the human-readable SIMD tier name spliced in. The registry output is
   // "{...}"; splice after the opening brace so "schema" leads and the
@@ -117,15 +121,9 @@ void WriteRunReport(std::ostream& out) {
   const std::string simd_key = "\"simd\":{";
   const size_t simd_at = json.find(simd_key);
   if (simd_at != std::string::npos) {
-    const auto level = static_cast<simd::SimdLevel>(
-        static_cast<int>(registry.GaugeValue("simd.level")));
-    std::string name = "unknown";
-    if (level >= simd::SimdLevel::kScalar &&
-        level <= simd::SimdLevel::kAvx512) {
-      name = simd::SimdLevelName(level);
-    }
     json.insert(simd_at + simd_key.size(),
-                "\"level_name\":\"" + name + "\",");
+                std::string("\"level_name\":\"") +
+                    simd::SimdLevelName(level) + "\",");
   }
   out << "{\"schema\":\"faircap.run_report.v1\"," << json.substr(1);
 }

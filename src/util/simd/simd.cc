@@ -12,6 +12,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/simd/simd_kernels_core.h"
 
@@ -162,8 +163,8 @@ Status SetSimdLevel(SimdLevel level) {
 
 ScopedSimdLevel::ScopedSimdLevel(SimdLevel level)
     : previous_(ActiveSimdLevel()) {
-  const Status status = SetSimdLevel(level);
-  (void)status;  // tests pin only levels from SupportedSimdLevels()
+  // A pin that did not take would run, and pass, on another tier.
+  FAIRCAP_CHECK(SetSimdLevel(level).ok());
 }
 
 ScopedSimdLevel::~ScopedSimdLevel() {

@@ -66,7 +66,8 @@ SimdLevel ActiveSimdLevel();
 Status SetSimdLevel(SimdLevel level);
 
 /// RAII level pin for tests: sets `level`, restores the previous level on
-/// destruction.
+/// destruction. A level the host or build does not support aborts in
+/// every build type.
 class ScopedSimdLevel {
  public:
   explicit ScopedSimdLevel(SimdLevel level);

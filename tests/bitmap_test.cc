@@ -304,6 +304,14 @@ TEST(BitmapSimdSweepTest, LevelKnobRoundTrips) {
   EXPECT_FALSE(simd::ParseSimdLevel("sse9", &parsed));
 }
 
+TEST(BitmapSimdSweepDeathTest, PinningAnUnsupportedLevelAborts) {
+  if (simd::MaxSupportedSimdLevel() == simd::SimdLevel::kAvx512) {
+    GTEST_SKIP() << "every tier runs on this host";
+  }
+  EXPECT_DEATH({ const simd::ScopedSimdLevel pin(simd::SimdLevel::kAvx512); },
+               "CHECK failed");
+}
+
 // Resize is the append-path primitive: a resident mask extends to cover
 // delta rows. Growth must preserve every resident bit, leave the new
 // tail clear, and keep the padding invariant (so Count/complement stay

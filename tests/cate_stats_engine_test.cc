@@ -735,7 +735,9 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
   const auto held = est->EngineFor(t_yes);
   ASSERT_TRUE(held.ok());
   const Result<CateEstimate> before =
-      (*held)->EstimateSubgroups(all, nullptr, 10, 10).overall;
+      CateStatsEngine::EstimateSubgroupsBatch({held->get()}, all, nullptr, 10,
+                                              10)[0]
+          .overall;
 
   // A 1-byte budget keeps only the most recently used engine.
   est->SetEngineMemoryBudget(1);
@@ -748,7 +750,9 @@ TEST(CateStatsEngineCacheTest, BudgetEvictsLruEnginesAndSharedPtrSurvives) {
 
   // The held engine still answers, identically, after eviction.
   const Result<CateEstimate> after =
-      (*held)->EstimateSubgroups(all, nullptr, 10, 10).overall;
+      CateStatsEngine::EstimateSubgroupsBatch({held->get()}, all, nullptr, 10,
+                                              10)[0]
+          .overall;
   ASSERT_EQ(before.ok(), after.ok());
   if (before.ok()) {
     EXPECT_EQ(before->cate, after->cate);
@@ -999,11 +1003,12 @@ TEST(CateStatsEngineIntegerOutcomeTest, BitIdenticalAcrossTiers) {
                                 "nulls");
 }
 
-// Seeded random groups and interventions, every method, split and unsplit:
-// the view is gathered once per group and bound whenever an intervention
-// uses another partition than the last one (as Step 2 binds once per
-// partition batch, so consecutive interventions share the view and its
-// count blocks). Each estimate must equal the table pass bit for bit
+// Seeded random groups and interventions, every method, group density
+// and split: the interventions are estimated as one level, in one
+// EstimateSubgroupsBatch call with a fresh view, so every partition that
+// holds at least four of them reads the view (gathered once, bound once
+// per such partition) and the others take fused table passes. Each
+// estimate must equal its own one-at-a-time table pass bit for bit
 // (ExpectSameBits: status, cate, std_error and both arm counts of all
 // three estimates).
 void ExpectCompactMatchesTable(const DataFrame& df, const CausalDag& dag,
@@ -1012,58 +1017,72 @@ void ExpectCompactMatchesTable(const DataFrame& df, const CausalDag& dag,
                                uint64_t seed, const std::string& label) {
   const Bitmap protected_mask = protected_pattern.Evaluate(df);
   Rng rng(seed);
-  for (Pattern& p : SampleInterventions(df, 8, &rng)) {
+  for (Pattern& p : SampleInterventions(df, 24, &rng)) {
     interventions.push_back(std::move(p));
   }
-  // Interventions over the same attributes (one partition) side by side.
-  std::stable_sort(interventions.begin(), interventions.end(),
-                   [](const Pattern& a, const Pattern& b) {
-                     return a.Attributes() < b.Attributes();
-                   });
-  const Bitmap groups[] = {df.AllRows(), RandomGroup(df.num_rows(), 0.6, &rng),
-                           RandomGroup(df.num_rows(), 0.05, &rng)};
+  std::vector<const Pattern*> level;
+  for (const Pattern& p : interventions) level.push_back(&p);
+  const auto groups = DensitySweepGroups(df, &rng);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const obs::Counter& compact_evals =
-      obs::MetricsRegistry::Global().GetCounter("estimation.compact_evals");
+      registry.GetCounter("estimation.compact_evals");
+  const obs::Counter& compact_views =
+      registry.GetCounter("estimation.compact_views");
   for (const CateMethod method :
        {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
     CateOptions options;
     options.method = method;
     const auto est = CateEstimator::Create(&df, &dag, options);
     ASSERT_TRUE(est.ok());
-    for (size_t g = 0; g < 3; ++g) {
+    // The compact share of the level: the partitions with >= 4 members.
+    std::vector<const ConfounderPartition*> partitions;
+    for (const Pattern* p : level) {
+      const auto engine = est->EngineFor(*p);
+      ASSERT_TRUE(engine.ok()) << label;
+      partitions.push_back(&(*engine)->partition());
+    }
+    uint64_t want_compact = 0;
+    uint64_t want_views = 0;
+    for (size_t i = 0; i < partitions.size(); ++i) {
+      if (std::find(partitions.begin(), partitions.begin() + i,
+                    partitions[i]) != partitions.begin() + i) {
+        continue;
+      }
+      const auto members = static_cast<uint64_t>(
+          std::count(partitions.begin(), partitions.end(), partitions[i]));
+      if (members >= 4) {
+        want_compact += members;
+        ++want_views;
+      }
+    }
+    ASSERT_GT(want_compact, 0u) << label;
+    for (const auto& [name, group] : groups) {
       for (const bool split : {false, true}) {
+        const std::string tag =
+            label + "/m" + std::to_string(static_cast<int>(method)) + "/" +
+            name + (split ? "/split" : "/whole");
         const Bitmap* prot = split ? &protected_mask : nullptr;
         CompactGroup view;
-        ASSERT_TRUE(est->GatherCompactGroup(groups[g], prot, &view).ok());
-        size_t binds = 0;
-        for (size_t i = 0; i < interventions.size(); ++i) {
-          const std::string tag =
-              label + "/m" + std::to_string(static_cast<int>(method)) +
-              "/g" + std::to_string(g) + (split ? "/split" : "/whole") +
-              "/i" + std::to_string(i);
-          const auto engine = est->EngineFor(interventions[i]);
-          ASSERT_TRUE(engine.ok()) << tag;
-          if (view.partition() != &(*engine)->partition()) {
-            ASSERT_TRUE(est->BindCompactGroup(interventions[i], &view).ok())
-                << tag;
-            ++binds;
-          }
-          const auto want = est->EstimateSubgroups(interventions[i],
-                                                   groups[g], prot, 5);
-          const uint64_t before = compact_evals.value();
-          const auto got = est->EstimateSubgroups(
-              interventions[i], groups[g], prot, 5,
-              /*skip_subgroups_unless_positive=*/false, &view);
-          EXPECT_EQ(compact_evals.value(), before + 1) << tag;
-          ASSERT_TRUE(want.ok() && got.ok()) << tag;
-          ExpectSameBits(got->overall, want->overall, tag + "/overall");
-          ExpectSameBits(got->protected_group, want->protected_group,
-                         tag + "/protected");
-          ExpectSameBits(got->nonprotected, want->nonprotected,
-                         tag + "/nonprotected");
+        const uint64_t evals_before = compact_evals.value();
+        const uint64_t views_before = compact_views.value();
+        const auto got = est->EstimateSubgroupsBatch(
+            level, group, prot, 5, /*skip_subgroups_unless_positive=*/false,
+            &view);
+        ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
+        ASSERT_EQ(got->size(), level.size()) << tag;
+        EXPECT_EQ(compact_evals.value() - evals_before, want_compact) << tag;
+        EXPECT_EQ(compact_views.value() - views_before, want_views) << tag;
+        for (size_t i = 0; i < level.size(); ++i) {
+          const std::string at = tag + "/i" + std::to_string(i);
+          const auto want = est->EstimateSubgroups(*level[i], group, prot, 5);
+          const auto& one = (*got)[i];
+          ASSERT_TRUE(want.ok() && one.ok()) << at;
+          ExpectSameBits(one->overall, want->overall, at + "/overall");
+          ExpectSameBits(one->protected_group, want->protected_group,
+                         at + "/protected");
+          ExpectSameBits(one->nonprotected, want->nonprotected,
+                         at + "/nonprotected");
         }
-        // Some binds served several interventions.
-        EXPECT_LT(binds, interventions.size()) << label;
       }
     }
   }
@@ -1094,27 +1113,83 @@ TEST(CateStatsEngineCompactTest, MatchesTablePath) {
                             94, "german");
 }
 
-TEST(CateStatsEngineCompactTest, ViewOfAnotherPartitionIsNotUsed) {
-  const EdgeData data = MakeEdgeData(1000, 95);
-  const auto est = CateEstimator::Create(&data.df, &data.dag);
-  ASSERT_TRUE(est.ok());
+// One level over two partitions, interleaved, plus an empty pattern:
+// the four treatments over T (adjusting for {Zc, Zn}) read the view, the
+// two over U alone (adjusting for nothing) share one fused table pass,
+// and the empty pattern fails its own entry only. Every other entry gets
+// the bits of its own table pass. A second level over T's partition
+// reads the view as the first one bound it.
+TEST(CateStatsEngineBatchTest, LevelOverTwoPartitionsSplitsCompactAndFused) {
+  const EdgeData data = MakeEdgeData(3001, 95, /*outcome_null_rate=*/0.05);
   const size_t t = *data.df.schema().IndexOf("T");
   const size_t u = *data.df.schema().IndexOf("U");
-  const Pattern on_t({Predicate(t, CompareOp::kEq, Value("yes"))});
-  const Pattern on_u({Predicate(u, CompareOp::kEq, Value("hi"))});
+  const Predicate t_yes(t, CompareOp::kEq, Value("yes"));
+  const Predicate t_no(t, CompareOp::kEq, Value("no"));
+  const Predicate u_hi(u, CompareOp::kEq, Value("hi"));
+  const Predicate u_lo(u, CompareOp::kEq, Value("lo"));
+  const std::vector<Pattern> first = {
+      Pattern({t_yes}),       Pattern({u_hi}), Pattern({t_no}),
+      Pattern(),              Pattern({t_yes, u_hi}), Pattern({u_lo}),
+      Pattern({t_no, u_lo})};
+  const std::vector<Pattern> second = {
+      Pattern({t_yes, u_lo}), Pattern({t_no, u_hi}), Pattern({t_yes}),
+      Pattern({t_no})};
   const Bitmap all = data.df.AllRows();
-  CompactGroup view;
-  ASSERT_TRUE(est->GatherCompactGroup(all, nullptr, &view).ok());
-  ASSERT_TRUE(est->BindCompactGroup(on_t, &view).ok());
-  // "U" adjusts for nothing: its partition is not the view's.
-  const obs::Counter& compact_evals =
-      obs::MetricsRegistry::Global().GetCounter("estimation.compact_evals");
-  const uint64_t before = compact_evals.value();
-  const auto got = est->EstimateSubgroups(on_u, all, nullptr, 5, false, &view);
-  EXPECT_EQ(compact_evals.value(), before);
-  const auto want = est->EstimateSubgroups(on_u, all, nullptr, 5);
-  ASSERT_TRUE(got.ok() && want.ok());
-  ExpectSameBits(got->overall, want->overall, "other-partition");
+  const Bitmap prot = data.protected_pattern.Evaluate(data.df);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const char* const kCounters[] = {
+      "estimation.batch_evals", "estimation.compact_views",
+      "estimation.compact_evals", "estimation.table_passes",
+      "estimation.accumulate_path_sparse"};
+  for (const CateMethod method :
+       {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw}) {
+    CateOptions options;
+    options.method = method;
+    const auto est = CateEstimator::Create(&data.df, &data.dag, options);
+    ASSERT_TRUE(est.ok());
+    CompactGroup view;
+    // {batch_evals, compact_views, compact_evals, table_passes, sparse}
+    // added by each level.
+    const uint64_t want_counts[2][5] = {{7, 1, 4, 1, 2}, {4, 0, 4, 0, 0}};
+    size_t at_level = 0;
+    for (const std::vector<Pattern>* level : {&first, &second}) {
+      const std::string tag = "m" + std::to_string(static_cast<int>(method)) +
+                              "/level" + std::to_string(at_level);
+      std::vector<const Pattern*> interventions;
+      for (const Pattern& p : *level) interventions.push_back(&p);
+      uint64_t before[5];
+      for (size_t c = 0; c < 5; ++c) {
+        before[c] = registry.CounterValue(kCounters[c]);
+      }
+      const auto got = est->EstimateSubgroupsBatch(
+          interventions, all, &prot, 5,
+          /*skip_subgroups_unless_positive=*/false, &view);
+      ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
+      ASSERT_EQ(got->size(), level->size()) << tag;
+      for (size_t c = 0; c < 5; ++c) {
+        EXPECT_EQ(registry.CounterValue(kCounters[c]) - before[c],
+                  want_counts[at_level][c])
+            << tag << ": " << kCounters[c];
+      }
+      for (size_t i = 0; i < level->size(); ++i) {
+        const std::string at = tag + "/i" + std::to_string(i);
+        const auto& one = (*got)[i];
+        if ((*level)[i].empty()) {
+          ASSERT_FALSE(one.ok()) << at;
+          EXPECT_EQ(one.status().code(), StatusCode::kInvalidArgument) << at;
+          continue;
+        }
+        const auto want = est->EstimateSubgroups((*level)[i], all, &prot, 5);
+        ASSERT_TRUE(want.ok() && one.ok()) << at;
+        ExpectSameBits(one->overall, want->overall, at + "/overall");
+        ExpectSameBits(one->protected_group, want->protected_group,
+                       at + "/protected");
+        ExpectSameBits(one->nonprotected, want->nonprotected,
+                       at + "/nonprotected");
+      }
+      ++at_level;
+    }
+  }
 }
 
 // A fused table pass accumulates up to simd::kMaxCateBatch treatments
@@ -1233,26 +1308,32 @@ TEST(CateStatsEngineBatchTest, FusedPassMatchesSingleTreatmentPasses) {
                            *largest, 98, "german");
 }
 
-TEST(CateStatsEngineBatchTest, InterventionsOverOtherPartitionsAreRejected) {
+TEST(CateStatsEngineBatchTest, EnginesOverTwoPartitionsAbort) {
   const EdgeData data = MakeEdgeData(1000, 99);
   const auto est = CateEstimator::Create(&data.df, &data.dag);
   ASSERT_TRUE(est.ok());
   const size_t t = *data.df.schema().IndexOf("T");
   const size_t u = *data.df.schema().IndexOf("U");
   // T adjusts for {Zc, Zn}; U for nothing.
-  const Pattern on_t({Predicate(t, CompareOp::kEq, Value("yes"))});
-  const Pattern on_u({Predicate(u, CompareOp::kEq, Value("hi"))});
-  const Bitmap all = data.df.AllRows();
-  const auto mixed = est->EstimateSubgroupsBatch({&on_t, &on_u}, all, nullptr);
-  ASSERT_FALSE(mixed.ok());
-  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
-
-  const auto engine_t = est->EngineFor(on_t);
-  const auto engine_u = est->EngineFor(on_u);
+  const auto engine_t = est->EngineFor(
+      Pattern({Predicate(t, CompareOp::kEq, Value("yes"))}));
+  const auto engine_u = est->EngineFor(
+      Pattern({Predicate(u, CompareOp::kEq, Value("hi"))}));
   ASSERT_TRUE(engine_t.ok() && engine_u.ok());
+  const CateStatsEngine* on_t = engine_t->get();
+  const CateStatsEngine* on_u = engine_u->get();
+  const Bitmap all = data.df.AllRows();
+  // The fused table pass and the compact pass.
   EXPECT_DEATH((void)CateStatsEngine::EstimateSubgroupsBatch(
-                   {engine_t->get(), engine_u->get()}, all, nullptr, 5, 5),
+                   {on_t, on_u}, all, nullptr, 5, 5),
                "CHECK failed.*partition");
+  EXPECT_DEATH(
+      {
+        CompactGroup view;
+        (void)CateStatsEngine::EstimateSubgroupsBatch(
+            {on_t, on_t, on_t, on_u}, all, nullptr, 5, 5, false, &view);
+      },
+      "CHECK failed.*partition");
 }
 
 // Regression test for the empty-arm guard: one-class inputs used to

@@ -115,6 +115,23 @@ TEST(DataFrameTest, SampleFraction) {
   EXPECT_EQ(none.num_rows(), 0u);
 }
 
+// Checked in every build type: in Release these read out of bounds.
+TEST(DataFrameDeathTest, SampleFractionRejectsFractionOutsideUnitRange) {
+  const DataFrame df = SmallFrame();
+  Rng rng(5);
+  EXPECT_DEATH((void)df.SampleFraction(1.5, &rng), "fraction");
+  EXPECT_DEATH((void)df.SampleFraction(-0.1, &rng), "fraction");
+  EXPECT_DEATH((void)df.SampleFraction(std::nan(""), &rng), "fraction");
+}
+
+TEST(DataFrameDeathTest, MeanRejectsBadColumnOrMask) {
+  const DataFrame df = SmallFrame();
+  EXPECT_DEATH((void)df.Mean(3, df.AllRows()), "col < columns_.size");
+  EXPECT_DEATH((void)df.Mean(0, df.AllRows()), "kNumeric");
+  EXPECT_DEATH((void)df.Mean(2, Bitmap(3, /*value=*/true)), "num_rows_");
+  EXPECT_DEATH((void)df.Mean(2, Bitmap(5, /*value=*/true)), "num_rows_");
+}
+
 TEST(DataFrameTest, SetRoleRebuildsSchema) {
   DataFrame df = SmallFrame();
   ASSERT_TRUE(df.SetRole("job", AttrRole::kIgnored).ok());

@@ -24,6 +24,7 @@
 #include "util/obs/run_report.h"
 #include "util/obs/trace.h"
 #include "util/random.h"
+#include "util/simd/simd.h"
 
 namespace faircap {
 namespace {
@@ -230,21 +231,24 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
 }
 
 TEST(RunReportTest, SimdLevelNameMatchesGauge) {
-  obs::EnsureStandardMetricsRegistered();
-  std::ostringstream out;
-  obs::WriteRunReport(out);
-  const std::string json = out.str();
-  // Whatever tier the gauge holds, the report names one of the known
-  // tiers (or "unknown" before any kernel dispatch resolved).
-  const bool named = json.find("\"level_name\":\"scalar\"") !=
-                         std::string::npos ||
-                     json.find("\"level_name\":\"avx2\"") !=
-                         std::string::npos ||
-                     json.find("\"level_name\":\"avx512\"") !=
-                         std::string::npos ||
-                     json.find("\"level_name\":\"unknown\"") !=
-                         std::string::npos;
-  EXPECT_TRUE(named);
+  // A Reset zeroes the "simd.level" gauge; the report must still name the
+  // tier that runs, and set the gauge to it.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto report_names = [&](simd::SimdLevel level) {
+    registry.Reset();
+    std::ostringstream out;
+    obs::WriteRunReport(out);
+    EXPECT_EQ(registry.GaugeValue("simd.level"), static_cast<double>(level));
+    return out.str().find(std::string("\"level_name\":\"") +
+                          simd::SimdLevelName(level) + "\"") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(report_names(simd::ActiveSimdLevel()));
+  {
+    const simd::ScopedSimdLevel pin(simd::SimdLevel::kScalar);
+    EXPECT_TRUE(report_names(simd::SimdLevel::kScalar));
+  }
+  EXPECT_TRUE(report_names(simd::ActiveSimdLevel()));
 }
 
 TEST(RunReportTest, SchemaInferenceHasItsOwnSpanAndCounters) {
