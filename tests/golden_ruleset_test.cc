@@ -8,7 +8,8 @@
 // compared exactly against a fixture: grouping, intervention, support and
 // protected support of every rule, in selection order, plus its overall,
 // protected and non-protected utility printed as hex floats (%a), so a
-// change in the last bit of any utility fails the pin.
+// change in the last bit of any utility fails the pin. A last line pins
+// the selected ruleset's statistics (Definition 4.5) the same way.
 //
 // The fixtures live in tests/fixtures/golden/. To re-record them after a
 // change that is meant to alter the rulesets, run golden_ruleset_test
@@ -102,7 +103,8 @@ std::string HexFloat(double v) {
 
 /// One line per selected rule: grouping | intervention | support |
 /// protected support | utility | protected utility | non-protected
-/// utility.
+/// utility; then one ruleset line: covered | covered protected |
+/// expected utility | protected | non-protected | unfairness.
 std::string RulesetText(const GoldenCase& c) {
   auto solver =
       FairCap::Create(&c.df, &c.dag, c.protected_pattern, c.options);
@@ -120,6 +122,12 @@ std::string RulesetText(const GoldenCase& c) {
         << HexFloat(rule.utility_protected) << " | "
         << HexFloat(rule.utility_nonprotected) << "\n";
   }
+  const RulesetStats& stats = result->stats;
+  out << stats.covered << " | " << stats.covered_protected << " | "
+      << HexFloat(stats.exp_utility) << " | "
+      << HexFloat(stats.exp_utility_protected) << " | "
+      << HexFloat(stats.exp_utility_nonprotected) << " | "
+      << HexFloat(stats.unfairness) << "\n";
   return out.str();
 }
 
