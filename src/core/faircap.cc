@@ -140,9 +140,8 @@ PrescriptionRule FairCap::CostRule(const Pattern& grouping,
   rule.grouping = grouping;
   rule.intervention = intervention;
   rule.coverage = grouping.Evaluate(*df_);
-  rule.coverage_protected = rule.coverage & protected_mask_;
   rule.support = rule.coverage.Count();
-  rule.support_protected = rule.coverage_protected.Count();
+  rule.support_protected = rule.coverage.AndCount(protected_mask_);
 
   if (rule.support == 0 || intervention.empty()) return rule;
 
@@ -239,7 +238,7 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     // unchanged gained no delta rows, so its cached candidate rules are
     // exactly what this lattice traversal would re-derive.
     if (inc != nullptr &&
-        inc->TryReuseGroup(group, protected_mask_, &per_group[g], &evals[g])) {
+        inc->TryReuseGroup(group, &per_group[g], &evals[g])) {
       return;
     }
     const std::string group_key =

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/benefit.h"
+#include "util/obs/trace.h"
 #include "util/task_scheduler.h"
 
 namespace faircap {
@@ -274,6 +275,7 @@ GreedyResult GreedySelect(const std::vector<PrescriptionRule>& candidates,
     eligible.push_back(i);
   }
   if (eligible.empty()) {
+    const obs::TraceSpan stats_span("ruleset_stats");
     result.stats = ComputeRulesetStats(candidates, {}, protected_mask);
     result.constraints_satisfied =
         fairness.StatsSatisfy(result.stats) &&
@@ -426,9 +428,14 @@ GreedyResult GreedySelect(const std::vector<PrescriptionRule>& candidates,
   result.selected = std::move(selected);
   // Externally visible stats come from the canonical full recompute: the
   // incremental sums can differ from it in the last ulp (association
-  // order), and callers compare reported stats across runs.
-  result.stats =
-      ComputeRulesetStats(candidates, result.selected, protected_mask);
+  // order), and callers compare reported stats across runs. The span
+  // lives here, not in ComputeRulesetStats, which the brute-force
+  // baseline calls once per subset.
+  {
+    const obs::TraceSpan stats_span("ruleset_stats");
+    result.stats =
+        ComputeRulesetStats(candidates, result.selected, protected_mask);
+  }
   result.constraints_satisfied = fairness.StatsSatisfy(result.stats) &&
                                  coverage.StatsSatisfy(result.stats);
   return result;

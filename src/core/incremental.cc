@@ -94,7 +94,6 @@ void IncrementalState::OnAppend(const DataFrame& df) {
 }
 
 bool IncrementalState::TryReuseGroup(const FrequentPattern& group,
-                                     const Bitmap& protected_mask,
                                      std::vector<PrescriptionRule>* rules,
                                      size_t* num_evaluated) {
   const std::string key = group.pattern.Key();
@@ -103,14 +102,14 @@ bool IncrementalState::TryReuseGroup(const FrequentPattern& group,
     const auto it = groups_.find(key);
     if (it != groups_.end() && it->second.support == group.support) {
       // No delta row entered this coverage, so every cached estimate is
-      // exactly what a cold re-mine would produce; only the bitmaps need
-      // re-materializing (support counts were stored with the rules).
+      // exactly what a cold re-mine would produce; only the coverage
+      // bitmap needs re-materializing (support counts were stored with
+      // the rules).
       rules->clear();
       rules->reserve(it->second.rules.size());
       for (const PrescriptionRule& cached : it->second.rules) {
         PrescriptionRule rule = cached;
         rule.coverage = group.coverage;
-        rule.coverage_protected = rule.coverage & protected_mask;
         rules->push_back(std::move(rule));
       }
       *num_evaluated = it->second.num_evaluated;
@@ -132,7 +131,6 @@ void IncrementalState::StoreGroup(const FrequentPattern& group,
   for (const PrescriptionRule& rule : rules) {
     PrescriptionRule stored = rule;
     stored.coverage = Bitmap();
-    stored.coverage_protected = Bitmap();
     entry.rules.push_back(std::move(stored));
   }
   MutexLock lock(mu_);

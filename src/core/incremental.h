@@ -66,17 +66,18 @@ class IncrementalState {
 
   /// Group-level reuse: when sound (see header comment) and the group's
   /// support matches the cached run, re-materializes the cached candidate
-  /// rules (coverage bitmaps are rebuilt from `group.coverage`, which the
-  /// Apriori re-run already extended) and returns true. Counts
+  /// rules (each rule's coverage bitmap is copied from `group.coverage`,
+  /// which the Apriori re-run already extended; the stored support and
+  /// protected support still hold because no delta row entered the
+  /// coverage) and returns true. Counts
   /// `append.patterns_reused` on a hit, `append.patterns_rechecked` on a
   /// miss.
   bool TryReuseGroup(const FrequentPattern& group,
-                     const Bitmap& protected_mask,
                      std::vector<PrescriptionRule>* rules,
                      size_t* num_evaluated);
 
   /// Stores a mined group's candidate rules for the next run. Coverage
-  /// bitmaps are dropped (they are re-materialized on reuse).
+  /// bitmaps are dropped (each is re-materialized on reuse).
   void StoreGroup(const FrequentPattern& group,
                   const std::vector<PrescriptionRule>& rules,
                   size_t num_evaluated);

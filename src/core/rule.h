@@ -13,15 +13,17 @@
 
 namespace faircap {
 
-/// One prescription rule with cached coverage and utilities.
+/// One prescription rule with cached coverage and utilities. The rule
+/// holds one bitmap, its coverage; the protected part of the coverage is
+/// kept only as a count, and a reader that needs its rows intersects
+/// `coverage` with the protected mask.
 struct PrescriptionRule {
   Pattern grouping;      ///< over immutable attributes (P_grp)
   Pattern intervention;  ///< over mutable attributes (P_int)
 
-  Bitmap coverage;            ///< Coverage(P_grp) over the full DataFrame
-  Bitmap coverage_protected;  ///< coverage ∩ protected group
-  size_t support = 0;             ///< |coverage|
-  size_t support_protected = 0;   ///< |coverage_protected|
+  Bitmap coverage;  ///< Coverage(P_grp) over the full DataFrame
+  size_t support = 0;            ///< |coverage|
+  size_t support_protected = 0;  ///< |coverage ∩ protected group|
 
   /// CATE(P_int, O | P_grp) — Definition 4.4 (1). Zero if coverage empty.
   double utility = 0.0;

@@ -1,10 +1,29 @@
 #include "core/ruleset.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
+#include "util/logging.h"
+
 namespace faircap {
+
+namespace {
+
+constexpr size_t kStatsBlockRows = kRulesetStatsBlockWords * 64;
+
+// Calls fn(row) for every set bit of `word`, ascending; `base` is the
+// row of the word's bit 0.
+template <typename Fn>
+inline void ForEachBit(uint64_t word, size_t base, Fn&& fn) {
+  while (word != 0) {
+    fn(base + static_cast<size_t>(__builtin_ctzll(word)));
+    word &= word - 1;
+  }
+}
+
+}  // namespace
 
 RulesetStats ComputeRulesetStats(
     const std::vector<PrescriptionRule>& candidates,
@@ -13,46 +32,78 @@ RulesetStats ComputeRulesetStats(
   stats.num_rules = selected.size();
   stats.population = protected_mask.size();
   stats.population_protected = protected_mask.Count();
+  for (size_t idx : selected) {
+    FAIRCAP_CHECK(candidates[idx].coverage.size() == protected_mask.size());
+  }
   if (stats.population == 0) return stats;
 
   const size_t n = stats.population;
   constexpr double kUnset = -std::numeric_limits<double>::infinity();
   // Per-tuple best (overall / non-protected) and worst (protected) rule
-  // utilities across covering rules.
-  std::vector<double> best_overall(n, kUnset);
-  std::vector<double> best_nonprotected(n, kUnset);
-  std::vector<double> worst_protected(n, -kUnset);
-  Bitmap covered(n);
+  // utilities across covering rules, for the rows of one block. Each row
+  // sees the selected rules in selection order and each sum takes its
+  // rows in ascending order, exactly as a whole-table pass would, so the
+  // block size never changes a bit of the result.
+  double best_overall[kStatsBlockRows];
+  double best_nonprotected[kStatsBlockRows];
+  double worst_protected[kStatsBlockRows];
+  uint64_t covered[kRulesetStatsBlockWords];
 
-  for (size_t idx : selected) {
-    const PrescriptionRule& rule = candidates[idx];
-    rule.coverage.ForEach([&](size_t row) {
-      covered.Set(row);
-      best_overall[row] = std::max(best_overall[row], rule.utility);
-      if (protected_mask.Get(row)) {
-        worst_protected[row] =
-            std::min(worst_protected[row], rule.utility_protected);
-      } else {
-        best_nonprotected[row] =
-            std::max(best_nonprotected[row], rule.utility_nonprotected);
+  const uint64_t* prot = protected_mask.words();
+  const size_t num_words = protected_mask.num_words();
+  double sum_overall = 0.0, sum_protected = 0.0, sum_nonprotected = 0.0;
+  size_t covered_all = 0, covered_protected = 0, covered_nonprotected = 0;
+  for (size_t w0 = 0; w0 < num_words; w0 += kRulesetStatsBlockWords) {
+    const size_t block_words =
+        std::min(kRulesetStatsBlockWords, num_words - w0);
+    const size_t block_rows = block_words * 64;
+    std::fill_n(best_overall, block_rows, kUnset);
+    std::fill_n(best_nonprotected, block_rows, kUnset);
+    std::fill_n(worst_protected, block_rows, -kUnset);
+    std::fill_n(covered, block_words, uint64_t{0});
+
+    for (size_t idx : selected) {
+      const PrescriptionRule& rule = candidates[idx];
+      const uint64_t* cov = rule.coverage.words() + w0;
+      for (size_t w = 0; w < block_words; ++w) {
+        const uint64_t bits = cov[w];
+        if (bits == 0) continue;
+        covered[w] |= bits;
+        const size_t base = w * 64;
+        const uint64_t p = prot[w0 + w];
+        ForEachBit(bits, base, [&](size_t r) {
+          best_overall[r] = std::max(best_overall[r], rule.utility);
+        });
+        ForEachBit(bits & p, base, [&](size_t r) {
+          worst_protected[r] =
+              std::min(worst_protected[r], rule.utility_protected);
+        });
+        ForEachBit(bits & ~p, base, [&](size_t r) {
+          best_nonprotected[r] =
+              std::max(best_nonprotected[r], rule.utility_nonprotected);
+        });
       }
-    });
+    }
+
+    for (size_t w = 0; w < block_words; ++w) {
+      const uint64_t bits = covered[w];
+      if (bits == 0) continue;
+      const size_t base = w * 64;
+      const uint64_t p = prot[w0 + w];
+      covered_all += static_cast<size_t>(__builtin_popcountll(bits));
+      covered_protected += static_cast<size_t>(__builtin_popcountll(bits & p));
+      covered_nonprotected +=
+          static_cast<size_t>(__builtin_popcountll(bits & ~p));
+      ForEachBit(bits, base,
+                 [&](size_t r) { sum_overall += best_overall[r]; });
+      ForEachBit(bits & p, base,
+                 [&](size_t r) { sum_protected += worst_protected[r]; });
+      ForEachBit(bits & ~p, base,
+                 [&](size_t r) { sum_nonprotected += best_nonprotected[r]; });
+    }
   }
 
-  double sum_overall = 0.0, sum_protected = 0.0, sum_nonprotected = 0.0;
-  size_t covered_protected = 0, covered_nonprotected = 0;
-  covered.ForEach([&](size_t row) {
-    sum_overall += best_overall[row];
-    if (protected_mask.Get(row)) {
-      ++covered_protected;
-      sum_protected += worst_protected[row];
-    } else {
-      ++covered_nonprotected;
-      sum_nonprotected += best_nonprotected[row];
-    }
-  });
-
-  stats.covered = covered.Count();
+  stats.covered = covered_all;
   stats.covered_protected = covered_protected;
   stats.coverage_fraction =
       static_cast<double>(stats.covered) / static_cast<double>(n);

@@ -14,6 +14,7 @@
 #ifndef FAIRCAP_CORE_RULESET_H_
 #define FAIRCAP_CORE_RULESET_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "core/rule.h"
@@ -43,9 +44,17 @@ struct RulesetStats {
   double unfairness = 0.0;
 };
 
+/// ComputeRulesetStats walks the table this many bitmap words (64 rows
+/// each) at a time, so its per-row scratch is three fixed block-sized
+/// arrays (24 KB on the stack) rather than three population-sized ones.
+inline constexpr size_t kRulesetStatsBlockWords = 16;
+
 /// Computes Definition 4.5 statistics for the rules indexed by `selected`
-/// within `candidates`. `protected_mask` marks protected rows; all rule
-/// coverage bitmaps must be over the same row universe.
+/// within `candidates`. `protected_mask` marks protected rows; every
+/// selected rule's coverage must span the same rows (checked in every
+/// build type). Each covered row takes the selected rules in selection
+/// order and each sum adds its rows in ascending order, so the result
+/// does not depend on the block size.
 RulesetStats ComputeRulesetStats(
     const std::vector<PrescriptionRule>& candidates,
     const std::vector<size_t>& selected, const Bitmap& protected_mask);

@@ -3,15 +3,17 @@
 #ifndef FAIRCAP_UTIL_RESULT_H_
 #define FAIRCAP_UTIL_RESULT_H_
 
-#include <cassert>
 #include <optional>
 #include <utility>
 
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace faircap {
 
-/// Holds either a value of type T or an error Status.
+/// Holds either a value of type T or an error Status. Misuse (reading the
+/// value of an error Result, or building one from an OK Status) aborts
+/// through FAIRCAP_CHECK in every build type.
 ///
 /// Usage:
 ///   Result<DataFrame> r = StreamCsv(path, schema);
@@ -25,7 +27,7 @@ class Result {
 
   /// Constructs from an error status. Must not be OK.
   Result(Status status) : status_(std::move(status)) {  // NOLINT
-    assert(!status_.ok() && "Result constructed from OK status without value");
+    FAIRCAP_CHECK(!status_.ok());
   }
 
   bool ok() const { return value_.has_value(); }
@@ -33,15 +35,15 @@ class Result {
 
   /// Returns the contained value; the Result must be OK.
   const T& ValueOrDie() const& {
-    assert(ok());
+    FAIRCAP_CHECK(ok());
     return *value_;
   }
   T& ValueOrDie() & {
-    assert(ok());
+    FAIRCAP_CHECK(ok());
     return *value_;
   }
   T ValueOrDie() && {
-    assert(ok());
+    FAIRCAP_CHECK(ok());
     return std::move(*value_);
   }
 

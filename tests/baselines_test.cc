@@ -120,9 +120,8 @@ TEST(BruteForceTest, FindsOptimumAndGreedyIsClose) {
          ++r) {
       rule.coverage.Set(r);
     }
-    rule.coverage_protected = rule.coverage & protected_mask;
     rule.support = rule.coverage.Count();
-    rule.support_protected = rule.coverage_protected.Count();
+    rule.support_protected = rule.coverage.AndCount(protected_mask);
     rule.utility = 5.0 + static_cast<double>(i);
     rule.utility_protected = rule.utility - 1.0;
     rule.utility_nonprotected = rule.utility + 1.0;
@@ -152,7 +151,6 @@ TEST(BruteForceTest, RespectsConstraints) {
   for (int i = 0; i < 2; ++i) {
     PrescriptionRule rule;
     rule.coverage = Bitmap(100, true);
-    rule.coverage_protected = rule.coverage & protected_mask;
     rule.support = 100;
     rule.support_protected = 20;
     if (i == 0) {

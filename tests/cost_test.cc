@@ -62,9 +62,8 @@ PrescriptionRule CoverRule(size_t begin, size_t end, double utility) {
   PrescriptionRule rule;
   rule.coverage = Bitmap(100);
   for (size_t i = begin; i < end; ++i) rule.coverage.Set(i);
-  rule.coverage_protected = rule.coverage & mask;
   rule.support = rule.coverage.Count();
-  rule.support_protected = rule.coverage_protected.Count();
+  rule.support_protected = rule.coverage.AndCount(mask);
   rule.utility = utility;
   rule.utility_protected = utility;
   rule.utility_nonprotected = utility;

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -449,6 +450,62 @@ TEST(RunReportTest, IncrementalPathHasAccumulateAndSolveSpans) {
               std::string::npos)
         << span;
   }
+}
+
+// The complete ("X") events of a Chrome trace: name, track, start, end.
+struct XEvent {
+  std::string name;
+  int tid = 0;
+  double begin_us = 0.0;
+  double end_us = 0.0;
+};
+
+std::vector<XEvent> ParseXEvents(const std::string& json) {
+  static const std::regex kEvent(
+      R"re(\{"ph":"X","pid":\d+,"tid":(\d+),"ts":([^,]+),)re"
+      R"re("dur":([^,]+),"name":"([^"]+)")re");
+  std::vector<XEvent> events;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), kEvent);
+       it != std::sregex_iterator(); ++it) {
+    const std::smatch& m = *it;
+    const double ts = std::stod(m[2].str());
+    events.push_back(
+        {m[4].str(), std::stoi(m[1].str()), ts, ts + std::stod(m[3].str())});
+  }
+  return events;
+}
+
+TEST(RunReportTest, SelectionTracesItsRulesetStatsRecompute) {
+  // The greedy selection ends with one canonical ruleset-statistics
+  // recompute, traced as a "ruleset_stats" span inside "selection".
+  TestData data = MakeSmallSynthetic(400, 41);
+  FairCapOptions options;
+  options.apriori.min_support_fraction = 0.2;
+  options.num_threads = 2;
+  options.fairness = FairnessConstraint::GroupSP(100.0);
+  auto solver =
+      FairCap::Create(&data.df, &data.dag, data.protected_pattern, options);
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  obs::ClearTrace();
+  obs::EnableTracing();
+  auto result = solver->Run();
+  obs::DisableTracing();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::ostringstream trace;
+  obs::WriteChromeTrace(trace);
+  obs::ClearTrace();
+  std::vector<XEvent> selection, stats;
+  for (const XEvent& e : ParseXEvents(trace.str())) {
+    if (e.name == "selection") selection.push_back(e);
+    if (e.name == "ruleset_stats") stats.push_back(e);
+  }
+  ASSERT_EQ(selection.size(), 1u);
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].tid, selection[0].tid);
+  // Timestamps are printed in microseconds to six significant digits.
+  constexpr double kSlackUs = 1.0;
+  EXPECT_GE(stats[0].begin_us, selection[0].begin_us - kSlackUs);
+  EXPECT_LE(stats[0].end_us, selection[0].end_us + kSlackUs);
 }
 
 TEST(RunReportTest, InlineRunReportsInlineExecution) {

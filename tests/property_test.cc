@@ -117,9 +117,8 @@ std::vector<PrescriptionRule> RandomRules(uint64_t seed, size_t count,
     for (size_t r = 0; r < n; ++r) {
       if (rng.NextBernoulli(0.5)) rule.coverage.Set(r);
     }
-    rule.coverage_protected = rule.coverage & protected_mask;
     rule.support = rule.coverage.Count();
-    rule.support_protected = rule.coverage_protected.Count();
+    rule.support_protected = rule.coverage.AndCount(protected_mask);
     rule.utility = rng.NextUniform(0.0, 100.0);
     rule.utility_protected = rng.NextUniform(0.0, 100.0);
     rule.utility_nonprotected = rng.NextUniform(0.0, 100.0);
@@ -185,7 +184,6 @@ TEST_P(EpsilonSweep, GreedyHonoursEpsilon) {
   for (int gap = 0; gap <= 50; gap += 10) {
     PrescriptionRule rule;
     rule.coverage = Bitmap(100, true);
-    rule.coverage_protected = rule.coverage & mask;
     rule.support = 100;
     rule.support_protected = 20;
     rule.utility = 50.0 + gap;  // bigger gap, bigger utility (the tension)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "util/result.h"
 
 namespace faircap {
@@ -87,6 +90,28 @@ TEST(ResultTest, AssignOrReturnMacroChains) {
   const Result<int> err = Quarter(6);  // 6/2 = 3, odd
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Misuse aborts in every build type, Release included: reading the value
+// of an error Result, and building a Result from an OK Status (which
+// would otherwise report OK while holding no value).
+TEST(ResultDeathTest, ReadingAnErrorResultAborts) {
+  Result<int> r(Status::NotFound("nope"));
+  const Result<int>& cr = r;
+  EXPECT_DEATH((void)r.ValueOrDie(), "ok\\(\\)");
+  EXPECT_DEATH((void)cr.ValueOrDie(), "ok\\(\\)");
+  EXPECT_DEATH((void)*r, "ok\\(\\)");
+  EXPECT_DEATH((void)*cr, "ok\\(\\)");
+  EXPECT_DEATH((void)Result<int>(Status::IOError("x")).ValueOrDie(),
+               "ok\\(\\)");
+  Result<std::string> s(Status::Internal("gone"));
+  const Result<std::string>& cs = s;
+  EXPECT_DEATH((void)s->size(), "ok\\(\\)");
+  EXPECT_DEATH((void)cs->size(), "ok\\(\\)");
+}
+
+TEST(ResultDeathTest, ResultFromOkStatusAborts) {
+  EXPECT_DEATH((void)Result<int>(Status::OK()), "!status_.ok\\(\\)");
 }
 
 }  // namespace
