@@ -391,9 +391,9 @@ size_t CateStatsEngine::bytes() const {
          mask_bytes;
 }
 
-size_t CateStatsEngine::AccumBytes() const {
+size_t CateStatsEngine::AccumBytes(size_t cells) const {
   const size_t m = need_moments() ? partition_->num_numeric() : 0;
-  return partition_->cells().size() * 2 *
+  return cells * 2 *
          (sizeof(simd::CateSlot) + (2 * m + m * (m + 1) / 2) * sizeof(double));
 }
 
@@ -432,6 +432,22 @@ simd::CateSink SinkOf(CateStatsEngine::Accum* acc) {
 }
 
 }  // namespace
+
+void CateStatsEngine::ResetTreatment(size_t slots, bool split,
+                                     size_t rows_covered, SubgroupAccums* acc,
+                                     simd::CateTreatmentSinks* sinks) const {
+  acc->split = split;
+  acc->rows_covered = rows_covered;
+  sinks->treated_words = treated_->words();
+  ResetAccum(&acc->overall, slots);
+  sinks->overall = SinkOf(&acc->overall);
+  if (split) {
+    ResetAccum(&acc->prot, slots);
+    ResetAccum(&acc->nonprot, slots);
+    sinks->prot = SinkOf(&acc->prot);
+    sinks->nonprot = SinkOf(&acc->nonprot);
+  }
+}
 
 void CateStatsEngine::AccumulateTable(const CateStatsEngine* const* engines,
                                       SubgroupAccums* accums, size_t count,
@@ -479,19 +495,8 @@ void CateStatsEngine::AccumulateTable(const CateStatsEngine* const* engines,
                   engine.df_ == lead.df_ &&
                   engine.need_moments() == args.moments);
     FAIRCAP_CHECK(engine.treated_->size() == group.size());
-    SubgroupAccums& acc = accums[i];
-    acc.split = split;
-    acc.rows_covered = engine.df_->num_rows();
-    simd::CateTreatmentSinks& sinks = args.treatments[i];
-    sinks.treated_words = engine.treated_->words();
-    engine.ResetAccum(&acc.overall, slots);
-    sinks.overall = SinkOf(&acc.overall);
-    if (split) {
-      engine.ResetAccum(&acc.prot, slots);
-      engine.ResetAccum(&acc.nonprot, slots);
-      sinks.prot = SinkOf(&acc.prot);
-      sinks.nonprot = SinkOf(&acc.nonprot);
-    }
+    engine.ResetTreatment(slots, split, engine.df_->num_rows(), &accums[i],
+                          &args.treatments[i]);
   }
 
   simd::ActiveKernels().cate_accumulate(args);
@@ -1103,66 +1108,71 @@ void CateStatsEngine::BindCompactGroup(CompactGroup* view) const {
   }
 }
 
-void CateStatsEngine::AccumulateCompact(const CompactGroup& view,
-                                        SubgroupAccums* out) const {
+void CateStatsEngine::AccumulateCompact(const CateStatsEngine* const* engines,
+                                        SubgroupAccums* accums, size_t count,
+                                        const CompactGroup& view) {
+  FAIRCAP_CHECK(count >= 1 && count <= simd::kMaxCateBatch);
   const size_t slots = view.cells_.size() * 2;
-  out->split = view.split_;
-  out->rows_covered = view.table_rows_;
-  ResetAccum(&out->overall, slots);
-  if (out->split) {
-    ResetAccum(&out->prot, slots);
-    ResetAccum(&out->nonprot, slots);
-  }
   simd::CateCompactArgs args;
   args.word_index = view.word_index_.data();
   args.word_bits = view.word_bits_.data();
   args.word_prot = view.split_ ? view.word_prot_.data() : nullptr;
   args.num_words = view.word_index_.size();
-  args.treated_words = treated_->words();
   args.cell = view.cell_.data();
   args.outcome = view.outcome_.data();
-  args.num_numeric = view.moments_ ? partition_->num_numeric() : 0;
+  args.num_numeric = view.moments_ ? view.partition_->num_numeric() : 0;
   args.moments = view.moments_;
   args.zcols = args.moments ? view.z_ptrs_.data() : nullptr;
-  args.overall = SinkOf(&out->overall);
-  if (out->split) {
-    args.prot = SinkOf(&out->prot);
-    args.nonprot = SinkOf(&out->nonprot);
+  args.num_treatments = count;
+  for (size_t i = 0; i < count; ++i) {
+    const CateStatsEngine& engine = *engines[i];
+    // The cell numbering and statistics shape are the bound partition's,
+    // and every treated mask is read at the view's table word indices.
+    FAIRCAP_CHECK(engine.partition_ == view.partition_ &&
+                  engine.need_moments() == view.moments_);
+    FAIRCAP_CHECK(engine.treated_->size() == view.table_rows_);
+    engine.ResetTreatment(slots, view.split_, view.table_rows_, &accums[i],
+                          &args.treatments[i]);
   }
   simd::ActiveKernels().cate_accumulate_compact(args);
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& rows_counter =
       registry.GetCounter("simd.cate_accumulate_rows");
-  rows_counter.Add(out->overall.rows);
+  rows_counter.Add(count * accums[0].overall.rows);
+  static obs::Counter& compact_passes =
+      registry.GetCounter("estimation.compact_passes");
+  compact_passes.Increment();
   static obs::Counter& compact_evals =
       registry.GetCounter("estimation.compact_evals");
-  compact_evals.Increment();
+  compact_evals.Add(count);
 }
 
 namespace {
 
 /// The fewest engines of one batch that read a CompactGroup; smaller
 /// batches take fused table passes. Measured on a 38K-row stackoverflow
-/// table against one table pass per treatment: binding a view costs ~0.46
-/// of a table evaluation and each evaluation on it ~0.80 of one, so a
-/// view breaks even at ~2.3 evaluations, and four is the smallest batch
-/// with a clear margin. A fused pass reads a batch's rows once for up to
-/// four treatments, so against it a view breaks even later, not earlier
-/// (not re-measured); and a view of one of synth_1m's 1M-row groups would
-/// hold ~12 MB where a fused pass holds only its accums.
+/// table with one pass per treatment on both paths (fusing, on either
+/// path, came later and the threshold was not re-measured): binding a
+/// view costs ~0.46 of a table evaluation and each evaluation on it
+/// ~0.80 of one, so a view breaks even at ~2.3 evaluations, and four is
+/// the smallest batch with a clear margin. A view of one of synth_1m's
+/// 1M-row groups would hold ~12 MB where a fused table pass holds only
+/// its accums.
 constexpr size_t kMinCompactBatch = 4;
 
-/// The most accumulator bytes one fused table pass keeps live, summed
-/// over its treatments' slots (and moment blocks): a wider batch is
-/// narrowed until its accums fit. Measured with perfbench so_fair on a
-/// 4-core AVX-512 host (stackoverflow 38K, split accums, partitions of
-/// up to ~3,600 cells; 2 threads, seed 1; 6 rotated runs per setting, 3
-/// uncapped): fusing with no cap raised peak RSS from 24.4-25.1 MB
-/// (unfused) to 26.3-27.1 MB; capped at 32 KB or 256 KB it read
-/// 24.7-25.0 MB, and op_s medians were 1.363 (unfused), 1.361 (32 KB)
-/// and 1.364 s (256 KB). At 256 KB every synth_1m batch (unsplit accums
-/// over at most 18 cells) fuses whole.
+/// The most accumulator bytes one fused pass, table or compact, keeps
+/// live, summed over its treatments' slots (and moment blocks): a wider
+/// chunk is narrowed until its accums fit. Measured with perfbench
+/// so_fair on a 4-core AVX-512 host (stackoverflow 38K, split accums,
+/// partitions of up to ~3,600 cells; 2 threads, seed 1; 6 rotated runs
+/// per setting, 3 uncapped): fusing table passes with no cap raised peak
+/// RSS from 24.4-25.1 MB (unfused) to 26.3-27.1 MB; capped at 32 KB or
+/// 256 KB it read 24.7-25.0 MB, and op_s medians were 1.363 (unfused),
+/// 1.361 (32 KB) and 1.364 s (256 KB). Fusing compact passes uncapped
+/// read so_fair peak RSS 22.8 -> 25.8 MB; a compact chunk's budget counts
+/// the 2k slots of the k cells the group touches. At 256 KB every
+/// synth_1m batch (unsplit accums over at most 18 cells) fuses whole.
 constexpr size_t kMaxFusedAccumBytes = 256 * 1024;
 
 }  // namespace
@@ -1175,7 +1185,10 @@ std::vector<CateSubgroupEstimates> CateStatsEngine::EstimateSubgroupsBatch(
   std::vector<CateSubgroupEstimates> out(engines.size());
   if (engines.empty()) return out;
   const CateStatsEngine& lead = *engines.front();
-  if (view != nullptr && engines.size() >= kMinCompactBatch) {
+  const bool compact = view != nullptr && engines.size() >= kMinCompactBatch;
+  CellList cells = lead.TableCells();
+  CountBlock* count_blocks = nullptr;
+  if (compact) {
     if (!view->gathered_) {
       view->Gather(*lead.df_, lead.partition_->outcome_attr(), group,
                    protected_mask);
@@ -1185,30 +1198,15 @@ std::vector<CateSubgroupEstimates> CateStatsEngine::EstimateSubgroupsBatch(
     // protected split.
     FAIRCAP_CHECK(view->table_rows_ == group.size());
     FAIRCAP_CHECK(view->split_ == (protected_mask != nullptr));
-    const CellList cells{view->cells_.data(), view->cells_.size(),
-                         view->by_stratum_.data(), view->by_stratum_.size()};
-    SubgroupAccums accums;
-    for (size_t i = 0; i < engines.size(); ++i) {
-      const CateStatsEngine& engine = *engines[i];
-      // The cell numbering and statistics shape are the bound partition's.
-      FAIRCAP_CHECK(engine.partition_ == lead.partition_ &&
-                    engine.need_moments() == view->moments_);
-      FAIRCAP_CHECK(engine.treated_->size() == group.size());
-      {
-        const obs::TraceSpan accumulate_span("accumulate");
-        engine.AccumulateCompact(*view, &accums);
-      }
-      const obs::TraceSpan solve_span("solve");
-      out[i] = engine.SolveSubgroups(accums, cells, view->count_blocks_,
-                                     group, protected_mask, min_group_size,
-                                     min_subgroup_size,
-                                     skip_subgroups_unless_positive);
-    }
-    return out;
+    cells = CellList{view->cells_.data(), view->cells_.size(),
+                     view->by_stratum_.data(), view->by_stratum_.size()};
+    count_blocks = view->count_blocks_;
   }
+  // The engines are taken in order, in chunks of up to kMaxCateBatch that
+  // one pass accumulates; each treatment is then solved from its accums.
   const size_t sinks = protected_mask != nullptr ? 3 : 1;
   const size_t treatment_bytes =
-      std::max<size_t>(1, sinks * lead.AccumBytes());
+      std::max<size_t>(1, sinks * lead.AccumBytes(cells.size));
   const size_t width = std::clamp<size_t>(
       kMaxFusedAccumBytes / treatment_bytes, 1, simd::kMaxCateBatch);
   std::vector<SubgroupAccums> accums(std::min(width, engines.size()));
@@ -1216,14 +1214,19 @@ std::vector<CateSubgroupEstimates> CateStatsEngine::EstimateSubgroupsBatch(
     const size_t count = std::min(width, engines.size() - begin);
     {
       const obs::TraceSpan accumulate_span("accumulate");
-      AccumulateTable(engines.data() + begin, accums.data(), count, group,
-                      protected_mask, /*row_begin=*/0);
+      if (compact) {
+        AccumulateCompact(engines.data() + begin, accums.data(), count,
+                          *view);
+      } else {
+        AccumulateTable(engines.data() + begin, accums.data(), count, group,
+                        protected_mask, /*row_begin=*/0);
+      }
     }
     for (size_t i = 0; i < count; ++i) {
       const obs::TraceSpan solve_span("solve");
-      out[begin + i] = engines[begin + i]->SolveFromAccums(
-          accums[i], group, protected_mask, min_group_size,
-          min_subgroup_size, skip_subgroups_unless_positive);
+      out[begin + i] = engines[begin + i]->SolveSubgroups(
+          accums[i], cells, count_blocks, group, protected_mask,
+          min_group_size, min_subgroup_size, skip_subgroups_unless_positive);
     }
   }
   return out;

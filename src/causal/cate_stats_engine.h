@@ -39,13 +39,13 @@
 // partition. Every solver iterates an accum's cell list: for the table
 // pass it is the partition's 0..C-1, for a compact pass the touched cells
 // in ascending order, so one set of solvers serves both and the
-// estimates are the same bits.
+// estimates are the same bits. A smaller batch walks the table.
 //
-// A smaller batch walks the table, but together: up to
+// Either way the treatments are read together: up to
 // simd::kMaxCateBatch treatments over one partition are accumulated in
-// one table pass, which reads each row's bits, cell id and outcome once
-// and adds the row to every treatment's own accums. A single treatment,
-// and an append's delta pass from its boundary row, are the same pass
+// one pass, which reads each row's bits, cell id and outcome once and
+// adds the row to every treatment's own accums. A single treatment, and
+// an append's delta pass from its boundary row, are the same table pass
 // with one treatment.
 //
 // Every statistic is summed in one representation: counts in integers,
@@ -304,9 +304,10 @@ class ConfounderPartition {
   uint64_t lineage_id_ = 0;
 };
 
-/// One group's rows gathered into dense arrays, so that every treatment
-/// evaluated against the group accumulates from them instead of
-/// re-walking the table. A caller creates one, empty, per group and
+/// One group's rows gathered into dense arrays, so that the treatments
+/// evaluated against the group accumulate from them instead of
+/// re-walking the table, up to simd::kMaxCateBatch treatments per pass
+/// over the arrays. A caller creates one, empty, per group and
 /// protected mask and passes it to every EstimateSubgroupsBatch call over
 /// that group; the batch fills it in two stages, each when a batch first
 /// reads it:
@@ -386,8 +387,8 @@ class CateStatsEngine {
                   std::shared_ptr<const ConfounderPartition> partition);
 
   /// Estimates each engine's treatment over one `group`: one accumulation
-  /// pass per treatment answers all of its requested subgroups, then its
-  /// small systems are solved (SolveFromAccums). When `protected_mask` is
+  /// answers all of a treatment's requested subgroups, then its small
+  /// systems are solved. When `protected_mask` is
   /// non-null the accumulation is split on the protected bit, yielding
   /// group ∩ protected and group ∩ ¬protected without materializing
   /// either bitmap. `min_group_size` floors the overall estimate's arms,
@@ -403,11 +404,13 @@ class CateStatsEngine {
   ///     engines (in the .cc), from the view: gathered from `group` and
   ///     `protected_mask` on first use, bound to the engines' partition
   ///     unless it already is;
-  ///   * otherwise from the table, the engines taken in order in chunks
-  ///     of up to simd::kMaxCateBatch, each accumulated by one fused table
-  ///     pass (each treatment into its own accums). A chunk is narrowed
-  ///     so that its accums stay within a fixed byte budget
-  ///     (kMaxFusedAccumBytes in the .cc).
+  ///   * otherwise from the table.
+  /// Either way the engines are taken in order in chunks of up to
+  /// simd::kMaxCateBatch, each accumulated by one fused pass (each
+  /// treatment into its own accums). A chunk is narrowed so that its
+  /// accums stay within a fixed byte budget (kMaxFusedAccumBytes in the
+  /// .cc): over the partition's C cells for a table pass, over the k
+  /// cells the group touches for a compact one.
   /// All engines must share one partition, one table and one statistics
   /// shape, and a view must have been gathered from this `group` and
   /// `protected_mask`; a mismatch the engines can see aborts in every
@@ -564,10 +567,14 @@ class CateStatsEngine {
   /// them) and renumbers the cells densely.
   void BindCompactGroup(CompactGroup* view) const;
 
-  /// Compact counterpart of AccumulateSubgroups: fills `out` (slots sized
-  /// to the view's cells) from `view`.
-  void AccumulateCompact(const CompactGroup& view,
-                         SubgroupAccums* out) const;
+  /// The compact pass: zeroes accums[0..count) (slots sized to the view's
+  /// cells) and accumulates the view's rows into accums[i] for
+  /// engines[i], reading each gathered row once for all `count`
+  /// (1..simd::kMaxCateBatch) treatments. The engines must share the
+  /// view's bound partition (checked in every build).
+  static void AccumulateCompact(const CateStatsEngine* const* engines,
+                                SubgroupAccums* accums, size_t count,
+                                const CompactGroup& view);
 
   using CountBlock = CompactGroup::CountBlock;
 
@@ -612,11 +619,17 @@ class CateStatsEngine {
     return options_.method == CateMethod::kRegression &&
            partition_->num_numeric() > 0;
   }
-  /// Bytes of one accum's slots and moment blocks.
-  size_t AccumBytes() const;
+  /// Bytes of one accum's slots and moment blocks over `cells` cells.
+  size_t AccumBytes(size_t cells) const;
   /// Zeroes `acc` to `slots` slots (and the moment blocks when needed),
   /// reusing its buffers.
   void ResetAccum(Accum* acc, size_t slots) const;
+  /// Readies this engine's treatment of a fused pass: zeroes `acc`'s
+  /// overall accum (and, when `split`, its subgroup accums) to `slots`
+  /// slots and points `sinks` at them and at this treated mask.
+  void ResetTreatment(size_t slots, bool split, size_t rows_covered,
+                      SubgroupAccums* acc,
+                      simd::CateTreatmentSinks* sinks) const;
 
   const DataFrame* df_;
   CateOptions options_;

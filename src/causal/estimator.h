@@ -118,7 +118,8 @@ class CateEstimator {
   /// The interventions are batched by their engines' confounder
   /// partition, in first-appearance order, and each batch is handed to
   /// CateStatsEngine::EstimateSubgroupsBatch, which reads a large batch
-  /// from `view` and a small one in fused table passes. `view`, when
+  /// from `view` and a small one from the table, up to four treatments
+  /// per fused pass either way. `view`, when
   /// non-null, is an empty CompactGroup or one that earlier calls filled
   /// from this same `group` and `protected_mask`. Every entry holds the
   /// bits a batch of one would give it. An intervention that is empty or

@@ -1,6 +1,7 @@
 #include "core/faircap.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "causal/cate_stats_engine.h"
 #include "core/benefit.h"
@@ -222,10 +223,14 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     own_pool = std::make_unique<TaskScheduler>(options_.num_threads);
     scheduler = own_pool.get();
   }
-  const uint64_t chunks_before =
+  const uint64_t claims_before =
       scheduler != nullptr ? scheduler->GetStats().executed : 0;
 
   IncrementalState* const inc = options_.incremental_state.get();
+  // Each mined (not reused) pattern's wall time: the cost tail the
+  // largest-first schedule below works around.
+  static obs::Histogram& pattern_us =
+      obs::MetricsRegistry::Global().GetHistogram("mining.pattern_us");
 
   auto mine_one = [&](size_t g) {
     // One span per grouping pattern ("args":{"v":g}); the nested
@@ -241,6 +246,7 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
         inc->TryReuseGroup(group, &per_group[g], &evals[g])) {
       return;
     }
+    const StopWatch pattern_watch;
     const std::string group_key =
         inc != nullptr ? group.pattern.Key() : std::string();
     // Subgroup cardinalities come from fused word-level counts; the
@@ -315,8 +321,8 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
     };
     // A lattice level arrives whole and goes to the estimator in one
     // call, with this pattern's CompactGroup: the estimator batches the
-    // level by confounder partition and picks, per batch, a compact or a
-    // fused table pass, so the "accumulate" and "solve" spans sit under
+    // level by confounder partition and picks, per batch, fused compact
+    // or table passes, so the "accumulate" and "solve" spans sit under
     // "lattice" and each "eval" span holds the interpret step alone. The
     // incremental path keeps its per-treatment accum cache.
     CompactGroup view;  // filled on first use, reused across levels
@@ -376,19 +382,34 @@ Result<std::vector<PrescriptionRule>> FairCap::MineCandidateRules(
       emit(*lattice.best, lattice.best_eval);
     }
     if (inc != nullptr) inc->StoreGroup(group, per_group[g], evals[g]);
+    pattern_us.Observe(pattern_watch.ElapsedSeconds() * 1e6);
   };
 
   if (scheduler == nullptr) {
     for (size_t g = 0; g < groups.size(); ++g) mine_one(g);
   } else {
-    scheduler->ParallelFor(groups.size(), mine_one);
+    // The pool hands out one pattern at a time, so the largest patterns
+    // (by support, ties by index) go first: a large pattern claimed last
+    // would leave the other threads idle while it runs. The order only
+    // picks which pattern a thread claims next; results still land in
+    // per_group[g].
+    std::vector<size_t> order(groups.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (groups[a].support != groups[b].support) {
+        return groups[a].support > groups[b].support;
+      }
+      return a < b;
+    });
+    scheduler->ParallelFor(groups.size(),
+                           [&](size_t i) { mine_one(order[i]); });
   }
   if (scheduler_stats != nullptr) {
     // Inline, every grouping pattern is one task of the calling thread.
     *scheduler_stats =
         scheduler != nullptr
             ? SchedulerStats{scheduler->num_threads(),
-                             scheduler->GetStats().executed - chunks_before}
+                             scheduler->GetStats().executed - claims_before}
             : SchedulerStats{0, groups.size()};
   }
 

@@ -43,8 +43,8 @@ struct FairCapOptions {
   /// concurrency, 1 = sequential); Run starts one pool for both. Grouping
   /// patterns are the unit of parallel work: each runs its whole
   /// intervention lattice as one index of a ParallelFor on the flat pool
-  /// (util/task_scheduler.h), whose calling thread claims chunks too, so
-  /// T > 1 mines on T + 1 threads. Every evaluation sums its rows in
+  /// (util/task_scheduler.h), largest pattern first; the pool's calling
+  /// thread claims patterns too, so T > 1 mines on T + 1 threads. Every evaluation sums its rows in
   /// ascending order. A pattern's results land in its own slot, so the
   /// selected rules and their utilities are bit-identical at every thread
   /// count.
@@ -84,7 +84,7 @@ struct FairCapOptions {
 /// util/obs/metrics.h — for the machine-readable run report).
 struct SchedulerStats {
   size_t workers = 0;  ///< pool workers besides the caller (0 = inline)
-  size_t tasks = 0;    ///< chunks claimed; inline, the grouping patterns
+  size_t tasks = 0;    ///< grouping patterns run (claimed or inline)
 };
 
 /// Wall-clock seconds per pipeline step (Figure 3).

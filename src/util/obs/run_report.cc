@@ -17,7 +17,7 @@ namespace {
 /// harnesses, dashboards — can index unconditionally.
 constexpr const char* kStandardCounters[] = {
     "scheduler.instances",
-    // Chunks claimed by pool workers and ParallelFor callers.
+    // Indices claimed by pool workers and ParallelFor callers.
     "scheduler.executed",
     "index_cache.hits",
     "index_cache.misses",
@@ -51,11 +51,14 @@ constexpr const char* kStandardCounters[] = {
     "estimation.accumulate_path_sparse",
     "estimation.table_passes",
     // Step 2's compacted groups (causal/cate_stats_engine.h CompactGroup):
-    // partitions bound to a gathered group, and evaluations read from
-    // one. compact_evals + accumulate_path_sparse = batch_evals, the
-    // evaluations of a run without an incremental state.
+    // partitions bound to a gathered group, evaluations read from one,
+    // and the fused passes that read them (up to four evaluations each,
+    // so compact_passes <= compact_evals). compact_evals +
+    // accumulate_path_sparse = batch_evals, the evaluations of a run
+    // without an incremental state.
     "estimation.compact_views",
     "estimation.compact_evals",
+    "estimation.compact_passes",
     "mining.lattice_evaluations",
     "mining.pattern_tasks",
     // Per-treatment row updates: a fused pass counts each row once per

@@ -1,6 +1,8 @@
 #include "util/obs/trace.h"
 
+#include <cinttypes>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -126,6 +128,21 @@ size_t TraceEventCount() {
   return count;
 }
 
+namespace {
+
+// Chrome trace timestamps are microseconds. The integer nanoseconds are
+// written as microseconds with exactly three decimals, so a timestamp
+// keeps its nanoseconds however long the run (a double at the stream's
+// default 6 significant digits steps by 10 us past 1 s).
+void WriteMicros(std::ostream& out, uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
+                static_cast<unsigned>(ns % 1000));
+  out << buf;
+}
+
+}  // namespace
+
 void WriteChromeTrace(std::ostream& out) {
   internal::TraceRegistry& reg = internal::Registry();
   MutexLock lock(reg.mu);
@@ -151,12 +168,12 @@ void WriteChromeTrace(std::ostream& out) {
     }
     for (const internal::TraceEvent& event : thread->events) {
       comma();
-      // Chrome trace timestamps are microseconds; keep ns precision via
-      // the fractional part.
       out << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << thread->tid
-          << ",\"ts\":" << static_cast<double>(event.start_ns) / 1e3
-          << ",\"dur\":" << static_cast<double>(event.dur_ns) / 1e3
-          << ",\"name\":\"" << event.name << "\"";
+          << ",\"ts\":";
+      WriteMicros(out, event.start_ns);
+      out << ",\"dur\":";
+      WriteMicros(out, event.dur_ns);
+      out << ",\"name\":\"" << event.name << "\"";
       if (event.arg >= 0) out << ",\"args\":{\"v\":" << event.arg << "}";
       out << "}";
     }

@@ -106,11 +106,12 @@ struct CateSink {
   double* zzsum = nullptr;      ///< [2C * m(m+1)/2], upper-tri packed
 };
 
-/// Most treatments one table pass accumulates at once.
+/// Most treatments one table or compact pass accumulates at once.
 constexpr size_t kMaxCateBatch = 4;
 
-/// One treatment of a table pass: its treated mask (the arm bit of each
-/// row) and its own overall / protected / non-protected sinks.
+/// One treatment of a table or compact pass: its treated mask over the
+/// whole table (the arm bit of each row) and its own overall / protected
+/// / non-protected sinks.
 struct CateTreatmentSinks {
   const uint64_t* treated_words = nullptr;
   CateSink overall;
@@ -152,10 +153,12 @@ struct CateAccumArgs {
 };
 
 /// Inputs of the compact accumulation pass: a group's rows gathered once
-/// into dense arrays (CompactGroup, causal/cate_stats_engine.h). Stored
-/// word i stands for table word word_index[i]: its rows are the set bits
-/// of word_bits[i], and they hold consecutive positions of the per-row
-/// arrays in ascending row order.
+/// into dense arrays (CompactGroup, causal/cate_stats_engine.h), and
+/// 1..kMaxCateBatch treatments over the partition the arrays are bound
+/// to. Stored word i stands for table word word_index[i]: its rows are
+/// the set bits of word_bits[i], and they hold consecutive positions of
+/// the per-row arrays in ascending row order. A row's cell, outcome and
+/// subgroup are read once and added to every treatment's sinks.
 struct CateCompactArgs {
   const uint32_t* word_index = nullptr;
   const uint64_t* word_bits = nullptr;
@@ -163,8 +166,6 @@ struct CateCompactArgs {
   /// (prot/nonprot sinks unused).
   const uint64_t* word_prot = nullptr;
   size_t num_words = 0;
-  /// The treated mask over the whole table, read at word_index[i].
-  const uint64_t* treated_words = nullptr;
   /// Dense cell id per gathered row: its slots are 2*id + arm.
   const uint32_t* cell = nullptr;
   /// Outcome per gathered row.
@@ -174,9 +175,10 @@ struct CateCompactArgs {
   const double* const* zcols = nullptr;
   size_t num_numeric = 0;
   bool moments = false;
-  CateSink overall;
-  CateSink prot;
-  CateSink nonprot;
+  /// 1..kMaxCateBatch; each treatment's treated mask is read at
+  /// word_index[i].
+  size_t num_treatments = 0;
+  CateTreatmentSinks treatments[kMaxCateBatch];
 };
 
 /// The per-ISA kernel table. Results are identical across tiers (see file
@@ -214,9 +216,10 @@ struct Kernels {
   /// slot receives its float adds in ascending row order with the scalar
   /// loop's associations.
   void (*cate_accumulate)(const CateAccumArgs& args);
-  /// The same accumulation over a gathered group: per-row cell ids and
-  /// outcomes are read sequentially, the arm bit from the treated word of
-  /// each stored word. Per-slot float adds keep ascending row order.
+  /// The same fused accumulation over a gathered group: per-row cell ids
+  /// and outcomes are read sequentially, once for all of the pass's
+  /// treatments, and each treatment's arm bit comes from its treated word
+  /// at each stored word. Per-slot float adds keep ascending row order.
   void (*cate_accumulate_compact)(const CateCompactArgs& args);
 };
 

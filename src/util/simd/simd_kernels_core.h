@@ -1,8 +1,8 @@
 // Internal: portable kernel bodies shared by the per-ISA translation
 // units. The scalar tier uses these as THE implementation; the AVX2 and
 // AVX-512 tiers use them for word tails and for the two accumulation
-// loops (over the table's words, for one to kMaxCateBatch treatments in
-// one pass, and over a compacted group), which share one per-row add
+// loops (over the table's words and over a compacted group, each for one
+// to kMaxCateBatch treatments in one pass), which share one per-row add
 // (AddRow).
 //
 // Everything here sits in an unnamed namespace, so each TU that includes
@@ -290,81 +290,111 @@ __attribute__((noinline, aligned(64))) void AccumulateWords(
 }
 
 /// The compact counterpart of AccumulateWords: the same per-row adds in
-/// the same ascending row order, with the row's dense cell id, outcome
-/// and numeric values read sequentially from the gathered arrays.
-template <bool kSplit, bool kMoments>
-inline void AccumulateCompactWords(const CateCompactArgs& args) {
-  PassCounts counts;
-  const uint64_t* tw = args.treated_words;
+/// the same ascending row order for the pass's kB treatments, with the
+/// row's dense cell id, outcome and numeric values read sequentially from
+/// the gathered arrays, once for all treatments. Compiled as its own
+/// 64-byte-aligned function per instantiation, like AccumulateWords.
+template <size_t kB, bool kSplit, bool kMoments>
+__attribute__((noinline, aligned(64))) void AccumulateCompactWords(
+    const CateCompactArgs& args) {
+  PassCounts counts[kB];
+  const uint64_t* tw[kB];
+  // Subgroup sinks by protected bit: [0] non-protected, [1] protected.
+  const CateSink* sub[kB][2];
+  for (size_t t = 0; t < kB; ++t) {
+    const CateTreatmentSinks& sinks = args.treatments[t];
+    tw[t] = sinks.treated_words;
+    sub[t][0] = &sinks.nonprot;
+    sub[t][1] = &sinks.prot;
+  }
   const uint32_t* cell = args.cell;
   const double* outcome = args.outcome;
-  const CateSink* const sub[2] = {&args.nonprot, &args.prot};
   size_t i = 0;  // position of the next gathered row
   for (size_t w = 0; w < args.num_words; ++w) {
     uint64_t bits = args.word_bits[w];
-    const uint64_t tword = tw[args.word_index[w]];
+    const size_t at = args.word_index[w];
     const uint64_t pword = kSplit ? args.word_prot[w] : 0;
-    CountWord<kSplit>(bits, tword, pword, &counts);
+    uint64_t tword[kB];
+    for (size_t t = 0; t < kB; ++t) {
+      tword[t] = tw[t][at];
+      CountWord<kSplit>(bits, tword[t], pword, &counts[t]);
+    }
     do {
       const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
       bits &= bits - 1;
-      const size_t idx = static_cast<size_t>(cell[i]) * 2 + ((tword >> b) & 1);
-      AddRow<kSplit, kMoments>(args.overall, *sub[(pword >> b) & 1], idx,
-                               outcome[i], args.zcols, args.num_numeric, i);
+      const size_t cell2 = static_cast<size_t>(cell[i]) * 2;
+      const double y = outcome[i];
+      const size_t s = (pword >> b) & 1;
+      for (size_t t = 0; t < kB; ++t) {
+        AddRow<kSplit, kMoments>(args.treatments[t].overall, *sub[t][s],
+                                 cell2 + ((tword[t] >> b) & 1), y, args.zcols,
+                                 args.num_numeric, i);
+      }
       ++i;
     } while (bits != 0);
   }
-  FlushCounts(args.overall, args.prot, args.nonprot, counts, kSplit);
+  for (size_t t = 0; t < kB; ++t) {
+    const CateTreatmentSinks& sinks = args.treatments[t];
+    FlushCounts(sinks.overall, sinks.prot, sinks.nonprot, counts[t], kSplit);
+  }
 }
 
-template <size_t kB>
-inline void CateAccumulateBatch(const CateAccumArgs& args) {
-  const bool split = args.protected_words != nullptr;
+/// The table pass's row loop, named for RunPass.
+struct TablePass {
+  template <size_t kB, bool kSplit, bool kMoments>
+  static void Run(const CateAccumArgs& args) {
+    AccumulateWords<kB, kSplit, kMoments>(args);
+  }
+};
+
+/// The compact pass's row loop, named for RunPass.
+struct CompactPass {
+  template <size_t kB, bool kSplit, bool kMoments>
+  static void Run(const CateCompactArgs& args) {
+    AccumulateCompactWords<kB, kSplit, kMoments>(args);
+  }
+};
+
+template <typename Pass, size_t kB, typename Args>
+inline void RunPassWidth(const Args& args, bool split) {
   if (split) {
     if (args.moments) {
-      AccumulateWords<kB, true, true>(args);
+      Pass::template Run<kB, true, true>(args);
     } else {
-      AccumulateWords<kB, true, false>(args);
+      Pass::template Run<kB, true, false>(args);
     }
   } else {
     if (args.moments) {
-      AccumulateWords<kB, false, true>(args);
+      Pass::template Run<kB, false, true>(args);
     } else {
-      AccumulateWords<kB, false, false>(args);
+      Pass::template Run<kB, false, false>(args);
     }
   }
 }
 
-/// The cate_accumulate kernel: picks the (batch width, split, moments)
-/// instantiation.
-inline void CateAccumulate(const CateAccumArgs& args) {
+/// Runs the (batch width, split, moments) instantiation of Pass's row
+/// loop.
+template <typename Pass, typename Args>
+inline void RunPass(const Args& args, bool split) {
   static_assert(kMaxCateBatch == 4, "one case per batch width");
   FAIRCAP_CHECK(args.num_treatments >= 1 &&
                 args.num_treatments <= kMaxCateBatch);
   switch (args.num_treatments) {
-    case 1: return CateAccumulateBatch<1>(args);
-    case 2: return CateAccumulateBatch<2>(args);
-    case 3: return CateAccumulateBatch<3>(args);
-    default: return CateAccumulateBatch<4>(args);
+    case 1: return RunPassWidth<Pass, 1>(args, split);
+    case 2: return RunPassWidth<Pass, 2>(args, split);
+    case 3: return RunPassWidth<Pass, 3>(args, split);
+    default: return RunPassWidth<Pass, 4>(args, split);
   }
 }
 
-/// The cate_accumulate_compact kernel: the same instantiation choice.
+/// The cate_accumulate kernel.
+inline void CateAccumulate(const CateAccumArgs& args) {
+  RunPass<TablePass>(args, args.protected_words != nullptr);
+}
+
+/// The cate_accumulate_compact kernel.
 inline void CateAccumulateCompact(const CateCompactArgs& args) {
-  const bool split = args.word_prot != nullptr;
-  if (split) {
-    if (args.moments) {
-      AccumulateCompactWords<true, true>(args);
-    } else {
-      AccumulateCompactWords<true, false>(args);
-    }
-  } else {
-    if (args.moments) {
-      AccumulateCompactWords<false, true>(args);
-    } else {
-      AccumulateCompactWords<false, false>(args);
-    }
-  }
+  RunPass<CompactPass>(args, args.word_prot != nullptr);
 }
 
 }  // namespace

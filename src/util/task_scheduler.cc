@@ -54,8 +54,7 @@ void TaskScheduler::ParallelFor(size_t n,
     return;
   }
   MutexLock call(call_mu_);
-  const size_t chunks = std::min(n, workers_.size() * 4);
-  Job job{&fn, n, (n + chunks - 1) / chunks};
+  Job job{&fn, n};
   {
     MutexLock lock(mu_);
     job_ = &job;
@@ -63,9 +62,9 @@ void TaskScheduler::ParallelFor(size_t n,
   }
   wake_.NotifyAll();
   const TaskScheduler* const outer = std::exchange(tls_pool, this);
-  RunChunks(job);
+  RunIndices(job);
   tls_pool = outer;
-  // Every chunk is claimed: close the job, and let `job` leave this frame
+  // Every index is claimed: close the job, and let `job` leave this frame
   // once the workers inside it are done.
   MutexLock lock(mu_);
   job_ = nullptr;
@@ -73,20 +72,20 @@ void TaskScheduler::ParallelFor(size_t n,
   if (error_ != nullptr) std::rethrow_exception(std::exchange(error_, {}));
 }
 
-void TaskScheduler::RunChunks(Job& job) {
+void TaskScheduler::RunIndices(Job& job) {
+  uint64_t claimed = 0;  // flushed once, not per index
   for (;;) {
-    const size_t begin =
-        job.next.fetch_add(1, std::memory_order_relaxed) * job.chunk_size;
-    if (begin >= job.n) return;
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    const size_t end = std::min(begin + job.chunk_size, job.n);
+    const size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) break;
+    ++claimed;
     try {
-      for (size_t i = begin; i < end; ++i) (*job.fn)(i);
+      (*job.fn)(i);
     } catch (...) {
       MutexLock lock(mu_);
       if (error_ == nullptr) error_ = std::current_exception();
     }
   }
+  executed_.fetch_add(claimed, std::memory_order_relaxed);
 }
 
 void TaskScheduler::WorkerLoop(size_t index) {
@@ -105,7 +104,7 @@ void TaskScheduler::WorkerLoop(size_t index) {
       joined = generation_;
       ++active_;
     }
-    RunChunks(*job);
+    RunIndices(*job);
     MutexLock lock(mu_);
     if (--active_ == 0) done_.NotifyAll();
   }

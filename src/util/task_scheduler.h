@@ -1,12 +1,14 @@
 // TaskScheduler: the flat worker pool behind every parallel phase of the
 // pipeline (Step-2 grouping patterns, greedy trial scoring, segmented CSV
-// parsing). Its one operation, ParallelFor(n, fn), splits [0, n) into
-// min(n, 4*T) chunks of ceil(n / chunks) indices that the T workers AND
-// the calling thread claim from one atomic cursor, so a call runs on
-// T + 1 threads. Nothing nests: a ParallelFor made from inside one of the
-// pool's own tasks runs inline, and a second external caller waits for
-// the running call. Which thread claims a chunk never shows in a result:
-// callers index results by i and merge in a fixed order.
+// parsing). Its one operation, ParallelFor(n, fn), hands out the indices
+// of [0, n) one at a time: the T workers AND the calling thread each
+// claim the next index from one atomic cursor, so a call runs on T + 1
+// threads and a costly index never holds cheap ones behind it (Step 2
+// passes its patterns largest first through fn). Nothing nests: a
+// ParallelFor made from inside one of the pool's own tasks runs inline,
+// and a second external caller waits for the running call. Which thread
+// claims an index never shows in a result: callers index results by i
+// and merge in a fixed order.
 
 #ifndef FAIRCAP_UTIL_TASK_SCHEDULER_H_
 #define FAIRCAP_UTIL_TASK_SCHEDULER_H_
@@ -31,7 +33,7 @@ class TaskScheduler {
  public:
   /// Execution counters (surfaced by the CLI after a run).
   struct Stats {
-    uint64_t executed = 0;  ///< chunks claimed by workers or callers
+    uint64_t executed = 0;  ///< indices claimed by workers or callers
   };
 
   /// Starts ResolveThreadCount(num_threads) workers, named `worker-<i>`
@@ -44,10 +46,10 @@ class TaskScheduler {
   size_t num_threads() const { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, n) on the workers and the calling thread,
-  /// and returns when every chunk has run. A chunk stops at its first
-  /// exception; the other chunks still run, and the first exception is
-  /// rethrown here. Runs inline with one worker, with n == 1, or when
-  /// called from inside one of this pool's tasks.
+  /// and returns when every index has run. An index that throws does not
+  /// stop the others, and the first exception is rethrown here. Runs
+  /// inline with one worker, with n == 1, or when called from inside one
+  /// of this pool's tasks.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   Stats GetStats() const {
@@ -58,13 +60,13 @@ class TaskScheduler {
   /// One ParallelFor call, on the caller's stack while it runs.
   struct Job {
     const std::function<void(size_t)>* fn;
-    size_t n, chunk_size;
-    std::atomic<size_t> next{0};  // the shared chunk cursor
+    size_t n;
+    std::atomic<size_t> next{0};  // the shared index cursor
   };
 
   void WorkerLoop(size_t index);
-  /// Claims and runs chunks of `job` until the cursor passes the end.
-  void RunChunks(Job& job) EXCLUDES(mu_);
+  /// Claims and runs indices of `job` until the cursor passes the end.
+  void RunIndices(Job& job) EXCLUDES(mu_);
 
   Mutex call_mu_;  // held by the external caller for a whole call
   Mutex mu_;

@@ -1308,6 +1308,174 @@ TEST(CateStatsEngineBatchTest, FusedPassMatchesSingleTreatmentPasses) {
                            *largest, 98, "german");
 }
 
+// A table whose treatments over T (three levels) and U (three levels, not
+// in the DAG) all adjust for one set, {Zc} or {Zc, Zn}: Zc has
+// `zc_levels` categories, so a group over many rows touches many cells.
+EdgeData MakeOnePartitionData(size_t n, size_t zc_levels, bool numeric,
+                              uint64_t seed) {
+  std::vector<AttributeSpec> specs = {
+      {"Prot", AttrType::kCategorical, AttrRole::kImmutable},
+      {"Zc", AttrType::kCategorical, AttrRole::kImmutable}};
+  if (numeric) specs.push_back({"Zn", AttrType::kNumeric, AttrRole::kImmutable});
+  specs.push_back({"T", AttrType::kCategorical, AttrRole::kMutable});
+  specs.push_back({"U", AttrType::kCategorical, AttrRole::kMutable});
+  specs.push_back({"O", AttrType::kNumeric, AttrRole::kOutcome});
+  DataFrame df = DataFrame::Create(Schema::Create(specs).ValueOrDie());
+  Rng rng(seed);
+  const char* t_levels[] = {"a", "b", "c"};
+  const char* u_levels[] = {"x", "y", "z"};
+  for (size_t i = 0; i < n; ++i) {
+    const bool prot = rng.NextBernoulli(0.3);
+    const size_t zc = rng.NextBounded(zc_levels);
+    const double zn = rng.NextGaussian(0.0, 2.0);
+    const size_t t = rng.NextBounded(3);
+    const size_t u = rng.NextBounded(3);
+    const double o = 5.0 + 0.01 * static_cast<double>(zc) +
+                     (numeric ? 1.5 * zn : 0.0) +
+                     static_cast<double>(t) * (prot ? 1.0 : 3.0) +
+                     0.5 * static_cast<double>(u) + rng.NextGaussian(0.0, 1.0);
+    std::vector<Value> row = {Value(prot ? "yes" : "no"),
+                              Value("z" + std::to_string(zc))};
+    if (numeric) {
+      row.push_back(rng.NextBernoulli(0.05) ? Value::Null() : Value(zn));
+    }
+    row.push_back(Value(t_levels[t]));
+    row.push_back(Value(u_levels[u]));
+    row.push_back(rng.NextBernoulli(0.03) ? Value::Null() : Value(o));
+    EXPECT_TRUE(df.AppendRow(row).ok());
+  }
+  std::vector<std::string> nodes = {"Prot", "Zc", "T", "O"};
+  std::vector<std::pair<std::string, std::string>> edges = {
+      {"Zc", "T"}, {"Zc", "O"}, {"Prot", "O"}, {"T", "O"}};
+  if (numeric) {
+    nodes.push_back("Zn");
+    edges.push_back({"Zn", "T"});
+    edges.push_back({"Zn", "O"});
+  }
+  CausalDag dag = CausalDag::Create(nodes, edges).ValueOrDie();
+  Pattern protected_pattern({Predicate(0, CompareOp::kEq, Value("yes"))});
+  return {std::move(df), std::move(dag), std::move(protected_pattern)};
+}
+
+// Compact batches of 4..9 engines over one partition, so the chunks of
+// four end in every tail width 1..4: each engine's estimates must be the
+// bits of its own table pass (AccumulateSubgroups + SolveFromAccums), at
+// every ISA tier, split and unsplit, over the whole table and a sparser
+// group. With `narrowed`, the split batches must take more compact passes
+// than ceil(n / 4): their touched cells are too many for four treatments'
+// accums to fit the fused-pass byte budget.
+void ExpectFusedCompactMatchesTablePasses(
+    const EdgeData& data, const std::vector<CateMethod>& methods,
+    bool narrowed, uint64_t seed, const std::string& label) {
+  const size_t t = *data.df.schema().IndexOf("T");
+  const size_t u = *data.df.schema().IndexOf("U");
+  std::vector<Pattern> treatments;
+  for (const char* t_value : {"a", "b", "c"}) {
+    treatments.push_back(
+        Pattern({Predicate(t, CompareOp::kEq, Value(t_value))}));
+  }
+  for (const auto& [t_value, u_value] :
+       std::vector<std::pair<const char*, const char*>>{{"a", "x"},
+                                                        {"a", "y"},
+                                                        {"b", "x"},
+                                                        {"b", "z"},
+                                                        {"c", "y"},
+                                                        {"c", "z"}}) {
+    treatments.push_back(
+        Pattern({Predicate(t, CompareOp::kEq, Value(t_value)),
+                 Predicate(u, CompareOp::kEq, Value(u_value))}));
+  }
+  const Bitmap protected_mask = data.protected_pattern.Evaluate(data.df);
+  Rng rng(seed);
+  const Bitmap groups[] = {data.df.AllRows(),
+                           RandomGroup(data.df.num_rows(), 0.4, &rng)};
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Counter& compact_passes =
+      registry.GetCounter("estimation.compact_passes");
+  const obs::Counter& compact_evals =
+      registry.GetCounter("estimation.compact_evals");
+  size_t estimable = 0;  // subgroup estimates that solved: not vacuous
+  for (const simd::SimdLevel level : simd::SupportedSimdLevels()) {
+    const simd::ScopedSimdLevel pin(level);
+    for (const CateMethod method : methods) {
+      CateOptions options;
+      options.method = method;
+      const auto est = CateEstimator::Create(&data.df, &data.dag, options);
+      ASSERT_TRUE(est.ok());
+      std::vector<std::shared_ptr<const CateStatsEngine>> held;
+      std::vector<const CateStatsEngine*> engines;
+      for (const Pattern& p : treatments) {
+        auto engine = est->EngineFor(p);
+        ASSERT_TRUE(engine.ok()) << label;
+        held.push_back(*engine);
+        engines.push_back(held.back().get());
+        ASSERT_EQ(&engines.back()->partition(), &engines[0]->partition())
+            << label;
+      }
+      for (size_t g = 0; g < 2; ++g) {
+        for (const bool split : {false, true}) {
+          const Bitmap* prot = split ? &protected_mask : nullptr;
+          for (size_t n = 4; n <= engines.size(); ++n) {
+            const std::string tag =
+                label + "/" + simd::SimdLevelName(level) + "/m" +
+                std::to_string(static_cast<int>(method)) + "/g" +
+                std::to_string(g) + (split ? "/split" : "/whole") + "/n" +
+                std::to_string(n);
+            const std::vector<const CateStatsEngine*> batch(
+                engines.begin(), engines.begin() + n);
+            CompactGroup view;
+            const uint64_t passes_before = compact_passes.value();
+            const uint64_t evals_before = compact_evals.value();
+            const std::vector<CateSubgroupEstimates> got =
+                CateStatsEngine::EstimateSubgroupsBatch(
+                    batch, groups[g], prot, 5, 5,
+                    /*skip_subgroups_unless_positive=*/false, &view);
+            ASSERT_EQ(got.size(), n) << tag;
+            EXPECT_EQ(compact_evals.value() - evals_before, n) << tag;
+            const uint64_t passes = compact_passes.value() - passes_before;
+            const uint64_t full_width_passes =
+                (n + simd::kMaxCateBatch - 1) / simd::kMaxCateBatch;
+            if (!narrowed) {
+              EXPECT_EQ(passes, full_width_passes) << tag;
+            } else if (split) {
+              EXPECT_GT(passes, full_width_passes) << tag;
+            }
+            for (size_t i = 0; i < n; ++i) {
+              const std::string at = tag + "/i" + std::to_string(i);
+              const CateStatsEngine::SubgroupAccums accums =
+                  batch[i]->AccumulateSubgroups(groups[g], prot);
+              const CateSubgroupEstimates want =
+                  batch[i]->SolveFromAccums(accums, groups[g], prot, 5, 5);
+              ExpectSameBits(got[i].overall, want.overall, at + "/overall");
+              ExpectSameBits(got[i].protected_group, want.protected_group,
+                             at + "/protected");
+              ExpectSameBits(got[i].nonprotected, want.nonprotected,
+                             at + "/nonprotected");
+              estimable += got[i].overall.ok() + got[i].protected_group.ok() +
+                           got[i].nonprotected.ok();
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(estimable, 0u) << label;
+}
+
+TEST(CateStatsEngineBatchTest, FusedCompactPassMatchesPerEngineTablePasses) {
+  // Categorical and numeric confounders: the regression pass carries
+  // numeric moments. Every batch of four fits one pass.
+  ExpectFusedCompactMatchesTablePasses(
+      MakeOnePartitionData(2500, 6, /*numeric=*/true, 101),
+      {CateMethod::kRegression, CateMethod::kStratified, CateMethod::kIpw},
+      /*narrowed=*/false, 101, "moments");
+  // ~1,200 touched cells of a 1,500-category confounder: a split chunk of
+  // four would hold ~670 KB of accums, so it is narrowed.
+  ExpectFusedCompactMatchesTablePasses(
+      MakeOnePartitionData(4000, 1500, /*numeric=*/false, 102),
+      {CateMethod::kStratified}, /*narrowed=*/true, 102, "wide");
+}
+
 TEST(CateStatsEngineBatchTest, EnginesOverTwoPartitionsAbort) {
   const EdgeData data = MakeEdgeData(1000, 99);
   const auto est = CateEstimator::Create(&data.df, &data.dag);

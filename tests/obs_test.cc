@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -118,6 +120,76 @@ TEST(TraceTest, EnableTracingStartsAFreshSession) {
   obs::ClearTrace();
 }
 
+// The complete ("X") events of a Chrome trace: name, track, start, end.
+struct XEvent {
+  std::string name;
+  int tid = 0;
+  uint64_t begin_ns = 0;
+  uint64_t end_ns = 0;
+};
+
+// A trace timestamp, microseconds with exactly three decimals, as integer
+// nanoseconds.
+uint64_t MicrosToNs(const std::string& micros) {
+  const size_t dot = micros.find('.');
+  EXPECT_NE(dot, std::string::npos) << micros;
+  EXPECT_EQ(micros.size() - dot, 4u) << micros;
+  if (dot == std::string::npos) return 0;
+  return std::stoull(micros.substr(0, dot)) * 1000 +
+         std::stoull(micros.substr(dot + 1));
+}
+
+std::vector<XEvent> ParseXEvents(const std::string& json) {
+  static const std::regex kEvent(
+      R"re(\{"ph":"X","pid":\d+,"tid":(\d+),"ts":([^,]+),)re"
+      R"re("dur":([^,]+),"name":"([^"]+)")re");
+  std::vector<XEvent> events;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), kEvent);
+       it != std::sregex_iterator(); ++it) {
+    const std::smatch& m = *it;
+    const uint64_t ts = MicrosToNs(m[2].str());
+    events.push_back(
+        {m[4].str(), std::stoi(m[1].str()), ts, ts + MicrosToNs(m[3].str())});
+  }
+  return events;
+}
+
+TEST(TraceTest, TimestampsKeepNanosecondsPastTenSeconds) {
+  // A span 12.345678901 s into a session and a child 1 us inside it: at
+  // six significant digits both would start at 1.23457e+07 us.
+  obs::DisableTracing();
+  obs::ClearTrace();
+  constexpr uint64_t kParentStart = 12345678901;
+  constexpr uint64_t kParentDur = 5000003;
+  constexpr uint64_t kChildStart = kParentStart + 1000;
+  constexpr uint64_t kChildDur = 2001;
+  obs::internal::RecordTraceEvent("parent", kParentStart, kParentDur, -1);
+  obs::internal::RecordTraceEvent("child", kChildStart, kChildDur, -1);
+  std::ostringstream out;
+  obs::WriteChromeTrace(out);
+  obs::ClearTrace();
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"ts\":12345678.901,\"dur\":5000.003,"),
+            std::string::npos)
+      << json;
+  const std::vector<XEvent> events = ParseXEvents(json);
+  ASSERT_EQ(events.size(), 2u) << json;
+  EXPECT_EQ(events[0].name, "parent");
+  EXPECT_EQ(events[0].begin_ns, kParentStart);
+  EXPECT_EQ(events[0].end_ns, kParentStart + kParentDur);
+  EXPECT_EQ(events[1].name, "child");
+  EXPECT_EQ(events[1].begin_ns, kChildStart);
+  EXPECT_EQ(events[1].end_ns, kChildStart + kChildDur);
+  // A reader that parses the numbers as doubles (strtod) gets the same
+  // nanoseconds back: the parent's and the child's start.
+  for (const char* micros : {"12345678.901", "12345679.901"}) {
+    const double us = std::strtod(micros, nullptr);
+    EXPECT_EQ(static_cast<uint64_t>(std::llround(us * 1e3)),
+              MicrosToNs(micros))
+        << micros;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Metrics registry
 
@@ -219,7 +291,8 @@ TEST(RunReportTest, SchemaFloorAlwaysPresent) {
         "\"solve_ipw_cells\":", "\"solve_ipw_rows\":",
         "\"accumulate_path_sparse\":", "\"table_passes\":",
         "\"compact_views\":",
-        "\"compact_evals\":", "\"lattice_evaluations\":",
+        "\"compact_evals\":", "\"compact_passes\":",
+        "\"lattice_evaluations\":",
         "\"pattern_tasks\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing key " << key;
   }
@@ -358,14 +431,18 @@ TEST(RunReportTest, PipelineRunPopulatesRegistry) {
   std::ostringstream out;
   obs::WriteRunReport(out);
   const std::string json = out.str();
-  EXPECT_NE(
-      json.find("\"pattern_tasks\":" +
-                std::to_string(registry.CounterValue("mining.pattern_tasks"))),
-      std::string::npos);
-  // SchedulerStats: a multi-threaded run reports its pool's workers and
-  // the chunks they and the caller claimed.
+  const uint64_t patterns = registry.CounterValue("mining.pattern_tasks");
+  EXPECT_NE(json.find("\"pattern_tasks\":" + std::to_string(patterns)),
+            std::string::npos);
+  // Without an incremental state every pattern is mined, and each mined
+  // pattern records its wall time once.
+  EXPECT_EQ(registry.GetHistogram("mining.pattern_us").count(), patterns);
+  EXPECT_NE(json.find("\"pattern_us\":{\"count\":" + std::to_string(patterns)),
+            std::string::npos);
+  // SchedulerStats: a multi-threaded run reports its pool's workers, and
+  // Step 2's pool claims one grouping pattern at a time.
   EXPECT_EQ(result->scheduler.workers, 2u);
-  EXPECT_GT(result->scheduler.tasks, 0u);
+  EXPECT_EQ(result->scheduler.tasks, result->num_grouping_patterns);
 }
 
 TEST(RunReportTest, PartitionBuildHasItsOwnSpanAndCounter) {
@@ -409,8 +486,13 @@ TEST(RunReportTest, CompactPathIsCountedAndTraced) {
   const uint64_t sparse =
       registry.CounterValue("estimation.accumulate_path_sparse");
   EXPECT_EQ(compact + sparse, registry.CounterValue("estimation.batch_evals"));
-  // A fused table pass serves several evaluations.
+  // A fused pass, table or compact, serves several evaluations: each
+  // pattern's batch of four reads its view in one compact pass.
   EXPECT_LE(registry.CounterValue("estimation.table_passes"), sparse);
+  const uint64_t compact_passes =
+      registry.CounterValue("estimation.compact_passes");
+  EXPECT_LE(compact_passes, compact);
+  EXPECT_EQ(compact_passes, result->num_grouping_patterns);
   std::ostringstream trace;
   obs::WriteChromeTrace(trace);
   obs::ClearTrace();
@@ -452,29 +534,6 @@ TEST(RunReportTest, IncrementalPathHasAccumulateAndSolveSpans) {
   }
 }
 
-// The complete ("X") events of a Chrome trace: name, track, start, end.
-struct XEvent {
-  std::string name;
-  int tid = 0;
-  double begin_us = 0.0;
-  double end_us = 0.0;
-};
-
-std::vector<XEvent> ParseXEvents(const std::string& json) {
-  static const std::regex kEvent(
-      R"re(\{"ph":"X","pid":\d+,"tid":(\d+),"ts":([^,]+),)re"
-      R"re("dur":([^,]+),"name":"([^"]+)")re");
-  std::vector<XEvent> events;
-  for (auto it = std::sregex_iterator(json.begin(), json.end(), kEvent);
-       it != std::sregex_iterator(); ++it) {
-    const std::smatch& m = *it;
-    const double ts = std::stod(m[2].str());
-    events.push_back(
-        {m[4].str(), std::stoi(m[1].str()), ts, ts + std::stod(m[3].str())});
-  }
-  return events;
-}
-
 TEST(RunReportTest, SelectionTracesItsRulesetStatsRecompute) {
   // The greedy selection ends with one canonical ruleset-statistics
   // recompute, traced as a "ruleset_stats" span inside "selection".
@@ -502,10 +561,9 @@ TEST(RunReportTest, SelectionTracesItsRulesetStatsRecompute) {
   ASSERT_EQ(selection.size(), 1u);
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].tid, selection[0].tid);
-  // Timestamps are printed in microseconds to six significant digits.
-  constexpr double kSlackUs = 1.0;
-  EXPECT_GE(stats[0].begin_us, selection[0].begin_us - kSlackUs);
-  EXPECT_LE(stats[0].end_us, selection[0].end_us + kSlackUs);
+  // Timestamps keep their nanoseconds, so containment is exact.
+  EXPECT_GE(stats[0].begin_ns, selection[0].begin_ns);
+  EXPECT_LE(stats[0].end_ns, selection[0].end_ns);
 }
 
 TEST(RunReportTest, InlineRunReportsInlineExecution) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,8 +115,8 @@ std::vector<FrequentPattern> PerCategoryPatterns(const DataFrame& df) {
   return groups;
 }
 
-// Candidate identities (grouping => intervention, in order) of Step 2.
-std::vector<std::string> MineCandidateIdentities(
+// Step 2's candidate rules, in order.
+std::vector<PrescriptionRule> MineCandidates(
     const SyntheticData& data, const std::vector<FrequentPattern>& groups,
     size_t num_threads) {
   FairCapOptions options;
@@ -129,9 +130,16 @@ std::vector<std::string> MineCandidateIdentities(
   auto candidates = solver->MineCandidateRules(groups);
   EXPECT_TRUE(candidates.ok()) << candidates.status().ToString();
   if (!candidates.ok()) return {};
+  return std::move(candidates).ValueOrDie();
+}
+
+// Candidate identities (grouping => intervention, in order) of Step 2.
+std::vector<std::string> MineCandidateIdentities(
+    const SyntheticData& data, const std::vector<FrequentPattern>& groups,
+    size_t num_threads) {
   std::vector<std::string> identities;
-  identities.reserve(candidates->size());
-  for (const PrescriptionRule& rule : *candidates) {
+  for (const PrescriptionRule& rule : MineCandidates(data, groups,
+                                                     num_threads)) {
     identities.push_back(rule.grouping.ToString(data.df.schema()) + " => " +
                          rule.intervention.ToString(data.df.schema()));
   }
@@ -169,6 +177,50 @@ TEST(ShardedMiningTest, CandidateRulesIdenticalAcrossSchedules) {
       };
   expect_schedule_free("balanced", balanced);
   expect_schedule_free("skewed", skewed);
+}
+
+TEST(ShardedMiningTest, CandidatesKeepPatternOrderUnderLargestFirstSchedule) {
+  // The pool runs patterns largest support first, ties by index. Here
+  // support ascends with the index and two patterns tie, so that order is
+  // neither index order nor its reverse; the candidates must still come
+  // back in pattern order, with the same utilities bit for bit.
+  SyntheticConfig config;
+  config.num_rows = 20000;
+  config.seed = 59;
+  const auto data = MakeSynthetic(config);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+  std::vector<FrequentPattern> groups = PerCategoryPatterns(data->df);
+  ASSERT_GE(groups.size(), 3u);
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const FrequentPattern& a, const FrequentPattern& b) {
+                     return a.support < b.support;
+                   });
+  const FrequentPattern largest = groups.back();
+  groups.insert(groups.begin() + 1, largest);  // ties the largest
+  ASSERT_LT(groups.front().support, groups[1].support);
+
+  const std::vector<PrescriptionRule> sequential =
+      MineCandidates(*data, groups, /*num_threads=*/1);
+  ASSERT_FALSE(sequential.empty());
+  for (const size_t threads : {size_t{2}, size_t{4}}) {
+    const std::vector<PrescriptionRule> got =
+        MineCandidates(*data, groups, threads);
+    ASSERT_EQ(got.size(), sequential.size()) << "threads=" << threads;
+    for (size_t i = 0; i < got.size(); ++i) {
+      const std::string tag =
+          "threads=" + std::to_string(threads) + "/rule" + std::to_string(i);
+      EXPECT_TRUE(got[i].grouping == sequential[i].grouping) << tag;
+      EXPECT_TRUE(got[i].intervention == sequential[i].intervention) << tag;
+      EXPECT_EQ(got[i].support, sequential[i].support) << tag;
+      EXPECT_EQ(got[i].utility, sequential[i].utility) << tag;
+      EXPECT_EQ(got[i].utility_protected, sequential[i].utility_protected)
+          << tag;
+      EXPECT_EQ(got[i].utility_nonprotected,
+                sequential[i].utility_nonprotected)
+          << tag;
+    }
+  }
 }
 
 }  // namespace

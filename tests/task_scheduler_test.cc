@@ -1,9 +1,9 @@
 // TaskScheduler, the flat ParallelFor pool: every index runs exactly once,
-// the T workers and the calling thread all claim chunks (T + 1 threads),
-// a ParallelFor from inside one of the pool's tasks runs inline on that
-// thread, a second external caller waits its turn, an exception reaches
-// the caller and leaves the pool usable, and the workers live across
-// calls. These run under the TSan CI job — the pool is the one component
+// the T workers and the calling thread all claim indices one at a time
+// (T + 1 threads), a ParallelFor from inside one of the pool's tasks runs
+// inline on that thread, a second external caller waits its turn, an
+// exception reaches the caller and leaves the pool usable, and the
+// workers live across calls. These run under the TSan CI job — the pool is the one component
 // every parallel phase of the pipeline shares.
 
 #include "util/task_scheduler.h"
@@ -66,8 +66,8 @@ TEST(TaskSchedulerTest, UnevenTaskCostsAllComplete) {
   EXPECT_NE(total.load(), 0u);
 }
 
-// With T = 2 and three one-index chunks, no thread can finish its chunk
-// before all three have arrived, so a complete rendezvous proves three
+// With T = 2 and three indices, no thread can finish its index before
+// all three have arrived, so a complete rendezvous proves three
 // distinct threads ran the call: both workers and the caller. The wait is
 // bounded so a broken pool fails the test instead of hanging it.
 TEST(TaskSchedulerTest, ParallelForRunsOnWorkersAndCaller) {
@@ -133,12 +133,10 @@ TEST(TaskSchedulerTest, ExceptionPropagatesAndPoolStaysUsable) {
                                        hits[i].fetch_add(1);
                                      }),
                std::runtime_error);
-  // Only the throwing chunk (indices 5..7 of eight-index chunks) stops
-  // early; every other chunk ran before the call returned.
+  // Indices are claimed one at a time, so only the throwing index is
+  // cut short; every other index ran before the call returned.
   for (size_t i = 0; i < hits.size(); ++i) {
-    if (i < 5 || i >= 8) {
-      EXPECT_EQ(hits[i].load(), 1) << i;
-    }
+    EXPECT_EQ(hits[i].load(), i == 5 ? 0 : 1) << i;
   }
   std::atomic<int> ran{0};
   scheduler.ParallelFor(100, [&](size_t) { ran.fetch_add(1); });
@@ -182,14 +180,14 @@ TEST(TaskSchedulerTest, ConcurrentExternalCallersBothComplete) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 20);
 }
 
-TEST(TaskSchedulerTest, StatsCountClaimedChunks) {
+TEST(TaskSchedulerTest, StatsCountClaimedIndices) {
   TaskScheduler scheduler(2);
-  // 100 indices on T = 2: eight chunks of ceil(100 / 8) = 13 indices.
+  // 100 indices on T = 2: each index is one claim.
   scheduler.ParallelFor(100, [](size_t) {});
-  EXPECT_EQ(scheduler.GetStats().executed, 8u);
-  // Inline calls claim no chunks.
+  EXPECT_EQ(scheduler.GetStats().executed, 100u);
+  // Inline calls claim nothing.
   scheduler.ParallelFor(1, [](size_t) {});
-  EXPECT_EQ(scheduler.GetStats().executed, 8u);
+  EXPECT_EQ(scheduler.GetStats().executed, 100u);
 }
 
 }  // namespace

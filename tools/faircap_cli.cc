@@ -472,7 +472,7 @@ int RunPipeline(const CliArgs& args) {
   } else {
     FAIRCAP_LOG(Info) << "scheduler: " << result->scheduler.workers
                       << " workers + caller, " << result->scheduler.tasks
-                      << " chunks";
+                      << " pattern tasks claimed one at a time";
   }
 
   if (args.Has("natural-language")) {
@@ -763,7 +763,7 @@ int main(int argc, char** argv) {
     return Fail("--metrics-json needs a file: --metrics-json=FILE");
   }
   if (!trace_path.empty()) {
-    // The calling thread claims ParallelFor chunks next to the workers;
+    // The calling thread claims ParallelFor indices next to the workers;
     // name its track so it reads "main" beside "worker-N".
     obs::SetThreadTraceName("main");
     obs::EnableTracing();
