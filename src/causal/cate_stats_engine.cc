@@ -1169,10 +1169,12 @@ constexpr size_t kMinCompactBatch = 4;
 /// per setting, 3 uncapped): fusing table passes with no cap raised peak
 /// RSS from 24.4-25.1 MB (unfused) to 26.3-27.1 MB; capped at 32 KB or
 /// 256 KB it read 24.7-25.0 MB, and op_s medians were 1.363 (unfused),
-/// 1.361 (32 KB) and 1.364 s (256 KB). Fusing compact passes uncapped
-/// read so_fair peak RSS 22.8 -> 25.8 MB; a compact chunk's budget counts
-/// the 2k slots of the k cells the group touches. At 256 KB every
-/// synth_1m batch (unsplit accums over at most 18 cells) fuses whole.
+/// 1.361 (32 KB) and 1.364 s (256 KB). A compact chunk's budget counts
+/// the 2k slots of the k cells the group touches; fused four wide with no
+/// cap, compact chunks read so_fair peak RSS 24.0-25.8 MB against
+/// 22.5-23.3 MB capped (4 alternating pairs, op_s medians 1.085 and
+/// 1.064 s). At 256 KB every synth_1m batch (unsplit accums over at most
+/// 18 cells) fuses whole.
 constexpr size_t kMaxFusedAccumBytes = 256 * 1024;
 
 }  // namespace
